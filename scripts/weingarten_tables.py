@@ -14,14 +14,14 @@ from ncspheres.weingarten import (
     category_pairings,
     gram,
     row_sum_profile,
-    weingarten_matrix,
 )
+from ncspheres.weingarten import _invert_gram
 
 
 def show(group, n, k=None, alpha=None):
     ps = category_pairings(group, alpha=alpha, k=k)
     g = gram(group, n, pairings=ps)
-    w = weingarten_matrix(group, n, pairings=ps)
+    w = _invert_gram(g, n, ps)
     label = alpha if alpha else f"k={k}"
     print(f"\n{group.name}  {label}  N={n}   pairings: "
           + " ".join(p.literal() for p in ps))

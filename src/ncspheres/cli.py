@@ -48,8 +48,8 @@ from .weingarten import (
     row_sum_profile,
     sphere_by_name,
     sphere_trace,
-    weingarten_matrix,
 )
+from .weingarten import _invert_gram
 
 # operations running (directly or transitively) under each subcommand, for
 # the coverage check
@@ -57,8 +57,8 @@ COMMAND_OPERATIONS = {
     "partitions": ["enumerate_partitions", "is_member", "parse_partition"],
     "signature": ["signature", "standard_form", "crossing_count"],
     "gram": ["category_pairings", "gram", "row_sum_profile", "join"],
-    "weingarten": ["weingarten_matrix"],
-    "moment": ["moment", "delta", "kernel", "is_constant_on_blocks"],
+    "weingarten": ["category_pairings", "gram"],
+    "moment": ["moment", "weingarten_matrix", "delta", "kernel", "is_constant_on_blocks"],
     "trace": ["sphere_trace"],
     "rank": ["gram_rank_products"],
     "classify": ["classify_monomial_sphere", "halfcommuting_membership",
@@ -152,7 +152,7 @@ def cmd_weingarten(args) -> dict:
     group, alpha, k = _pairing_args(args)
     ps = category_pairings(group, alpha=alpha, k=k)
     g = gram(group, args.n, pairings=ps)
-    w = weingarten_matrix(group, args.n, pairings=ps)
+    w = _invert_gram(g, args.n, ps)
     return {"group": group.name, "alpha": alpha, "k": k or len(alpha or ""),
             "N": args.n, "pairings": [p.literal() for p in ps],
             "gram": _frac_rows(g), "weingarten": _frac_rows(w)}

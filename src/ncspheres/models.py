@@ -375,12 +375,14 @@ def haar_unitary(n: int, samples: int, seed: int) -> np.ndarray:
     return q * phase.conj()[:, None, :]
 
 
-def _word_entries(word) -> list[tuple[int, int, bool]]:
+def _word_entries(word, n: int) -> list[tuple[int, int, bool]]:
     out = []
     for item in word:
-        i, j = item[0], item[1]
+        i, j = int(item[0]), int(item[1])
+        if not (1 <= i <= n and 1 <= j <= n):
+            raise ValueError(f"index pair ({i}, {j}) outside 1..{n}")
         star = len(item) > 2 and item[2] in ("*", True)
-        out.append((int(i), int(j), star))
+        out.append((i, j, star))
     return out
 
 
@@ -390,9 +392,10 @@ def haar_moment_mc(group: str, n: int, word, samples: int = 100_000,
     Haar moment of a coordinate word [(i, j, exp), ...].
 
     Returns (estimate, standard error); the hyperoctahedral and K_N
-    averages are exact with zero reported error.
+    averages are exact with zero reported error.  Indices run over
+    ``1..n``; any other index raises ``ValueError``.
     """
-    entries = _word_entries(word)
+    entries = _word_entries(word, n)
     if group == "orthogonal":
         u = haar_orthogonal(n, samples, seed)
         vals = np.ones(samples)

@@ -49,6 +49,7 @@ from .weingarten import (
     moment,
     weingarten_matrix,
 )
+from .weingarten import _invert_gram
 
 P = parse_partition
 
@@ -260,10 +261,11 @@ def check_stochasticity(quick: bool = False):
     ns = (3, 4) if quick else (3, 4, 5, 6)
     for n in ns:
         target = n * (n + 1) * (n + 2)
-        g = gram(half, n, k=6)
+        ps = category_pairings(half, k=6)
+        g = gram(half, n, pairings=ps)
         if any(x != target for x in g.row_sums()):
             return False, f"gram row sums differ from {target} at N={n}"
-        w = weingarten_matrix(half, n, k=6)
+        w = _invert_gram(g, n, ps)
         if any(x != Fraction(1, target) for x in w.row_sums()):
             return False, f"weingarten row sums differ from 1/{target} at N={n}"
     return True, f"row sums N(N+1)(N+2) and its inverse at N in {list(ns)}"

@@ -10,14 +10,15 @@ never changes the pairing set, only the signs inside the Kronecker
 symbols.
 
 The Gram matrix ``G(pi, sigma) = N ** |pi v sigma|`` is integral, its
-inverse is computed exactly over the rationals, and joint moments of the
-coordinates follow from the Weingarten sum.
+inverse is computed exactly by fraction-free integer elimination, and
+joint moments of the coordinates follow from the Weingarten sum.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -131,8 +132,46 @@ def parse_alpha(alpha) -> tuple[str, ...]:
 # exact rational matrices
 
 
+def _eliminate(rows: list[list[int]], ncols: int) -> tuple[int, int]:
+    """Fraction-free Gauss-Jordan elimination (Bareiss 1968), in place.
+
+    Pivots are sought in the first ``ncols`` columns; further columns (an
+    augmented block) are carried along.  Each step replaces every other
+    row by ``(piv * row - f * pivot_row) // prev``, where ``prev`` is the
+    previous pivot.  By Sylvester's identity every entry stays a minor of
+    the input, so each division is exact.  Columns left of the current
+    one are no longer read and are not updated.
+
+    Returns the rank and the last pivot.  For a nonsingular square block
+    the last pivot is its determinant up to sign, every pivot row carries
+    it on the diagonal, and the augmented block ends multiplied by it.
+    """
+    nrows = len(rows)
+    rank, prev = 0, 1
+    for col in range(ncols):
+        pivot = next((r for r in range(rank, nrows) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        tail = rows[rank][col:]
+        piv = tail[0]
+        for r, row in enumerate(rows):
+            if r == rank:
+                continue
+            f = row[col]
+            if f:
+                row[col:] = [(piv * x - f * y) // prev for x, y in zip(row[col:], tail)]
+            else:
+                row[col:] = [piv * x // prev for x in row[col:]]
+        prev = piv
+        rank += 1
+        if rank == nrows:
+            break
+    return rank, prev
+
+
 class ExactMatrix:
-    """Dense matrix of Fractions with exact elimination kernels."""
+    """Dense matrix of Fractions; ``inverse`` and ``rank`` share one integer kernel."""
 
     def __init__(self, rows: Sequence[Sequence]):
         self.data = [[Fraction(x) for x in row] for row in rows]
@@ -173,47 +212,33 @@ class ExactMatrix:
     def row_sums(self) -> list[Fraction]:
         return [sum(row, Fraction(0)) for row in self.data]
 
+    def _integer_rows(self) -> tuple[list[list[int]], list[int]]:
+        """Rows scaled to integers by the lcm of their denominators, and the scales."""
+        scales = [math.lcm(*(x.denominator for x in row)) for row in self.data]
+        rows = [[x.numerator * (s // x.denominator) for x in row]
+                for row, s in zip(self.data, scales)]
+        return rows, scales
+
     def inverse(self) -> "ExactMatrix":
-        """Gauss-Jordan over the rationals; raises on singular input."""
+        """Exact inverse by fraction-free elimination; raises on singular input.
+
+        With the rows scaled to integers, ``D A``, the augmented block ends
+        as ``det * (D A)^-1 = det * A^-1 D^-1``; column ``j`` is then
+        multiplied back by its row scale ``D_j``.
+        """
         n = self.nrows
         if n != self.ncols:
             raise ValueError("inverse needs a square matrix")
-        a = [row[:] for row in self.data]
-        inv = ExactMatrix.identity(n).data
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-            if pivot is None:
-                raise ZeroDivisionError("singular matrix")
-            a[col], a[pivot] = a[pivot], a[col]
-            inv[col], inv[pivot] = inv[pivot], inv[col]
-            scale = a[col][col]
-            a[col] = [x / scale for x in a[col]]
-            inv[col] = [x / scale for x in inv[col]]
-            for r in range(n):
-                if r != col and a[r][col]:
-                    f = a[r][col]
-                    a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-                    inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
-        return ExactMatrix(inv)
+        rows, scales = self._integer_rows()
+        aug = [row + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+        rank, det = _eliminate(aug, n)
+        if rank < n:
+            raise ZeroDivisionError("singular matrix")
+        return ExactMatrix([[Fraction(x * s, det) for x, s in zip(row[n:], scales)]
+                            for row in aug])
 
     def rank(self) -> int:
-        a = [row[:] for row in self.data]
-        rank = 0
-        for col in range(self.ncols):
-            pivot = next((r for r in range(rank, self.nrows) if a[r][col] != 0), None)
-            if pivot is None:
-                continue
-            a[rank], a[pivot] = a[pivot], a[rank]
-            scale = a[rank][col]
-            a[rank] = [x / scale for x in a[rank]]
-            for r in range(self.nrows):
-                if r != rank and a[r][col]:
-                    f = a[r][col]
-                    a[r] = [x - f * y for x, y in zip(a[r], a[rank])]
-            rank += 1
-            if rank == self.nrows:
-                break
-        return rank
+        return _eliminate(self._integer_rows()[0], self.ncols)[0]
 
     def to_strings(self) -> list[list[str]]:
         return [[str(x) for x in row] for row in self.data]
@@ -262,22 +287,44 @@ def weingarten_matrix(g: GroupSpec, n: int, alpha=None, k: int | None = None,
                       pairings: list[Partition] | None = None) -> ExactMatrix:
     """Exact inverse of the Gram matrix."""
     ps = pairings if pairings is not None else category_pairings(g, alpha, k)
-    gm = gram(g, n, pairings=ps)
+    return _invert_gram(gram(g, n, pairings=ps), n, ps)
+
+
+def _invert_gram(gm: ExactMatrix, n: int, pairings: list[Partition]) -> ExactMatrix:
+    """Inverse of a Gram matrix already built over ``pairings`` at dimension ``n``."""
     try:
         return gm.inverse()
     except ZeroDivisionError:
-        raise SingularGramError(n, len(ps[0].colors) if ps else 0)
+        raise SingularGramError(n, len(pairings[0].colors) if pairings else 0)
+
+
+def _weingarten_sum(wg: ExactMatrix, di: Sequence[int], dj: Sequence[int]) -> Fraction:
+    """sum over a, b of di[a] * dj[b] * W[a, b]."""
+    total = Fraction(0)
+    for x, row in zip(di, wg.data):
+        if not x:
+            continue
+        for y, w in zip(dj, row):
+            if y:
+                total += x * y * w
+    return total
 
 
 def moment(g: GroupSpec, n: int, i: Sequence[int], j: Sequence[int],
            alpha=None) -> Fraction:
-    """Haar moment of a coordinate word u_{i1 j1}^{a1} ... u_{ik jk}^{ak}."""
+    """Haar moment of a coordinate word u_{i1 j1}^{a1} ... u_{ik jk}^{ak}.
+
+    Indices run over ``1..n``; any other index raises ``ValueError``.
+    """
     word = parse_alpha(alpha)
     k = len(i)
     if not word:
         word = ("1",) * k
     if not (len(i) == len(j) == len(word)):
         raise ValueError("row tuple, column tuple and alpha must share a length")
+    for x in (*i, *j):
+        if not 1 <= x <= n:
+            raise ValueError(f"index {x} outside 1..{n}")
     if k == 0:
         return Fraction(1)
     ps = category_pairings(g, word)
@@ -286,14 +333,7 @@ def moment(g: GroupSpec, n: int, i: Sequence[int], j: Sequence[int],
     wg = weingarten_matrix(g, n, pairings=ps)
     di = [delta(p, tuple(i), twisted=g.twisted) for p in ps]
     dj = [delta(p, tuple(j), twisted=g.twisted) for p in ps]
-    total = Fraction(0)
-    for a, pa in enumerate(ps):
-        if not di[a]:
-            continue
-        for b, pb in enumerate(ps):
-            if dj[b]:
-                total += di[a] * dj[b] * wg[a, b]
-    return total
+    return _weingarten_sum(wg, di, dj)
 
 
 def sphere_trace(s: SphereSpec, n: int, i: Sequence[int], alpha=None) -> Fraction:
@@ -307,14 +347,23 @@ def gram_rank_products(s: SphereSpec, n: int, conjugated: bool = False) -> int:
 
     ``conjugated=False`` uses the products z_i z_j (exponent word 11**
     after tracing against the adjoint), ``conjugated=True`` uses
-    z_i z_j^* (exponent word 1*1*).
+    z_i z_j^* (exponent word 1*1*).  Entry ((i, j), (k, l)) is the trace
+    of z_i z_j z_l z_k: one Weingarten sum against the row tuple 1111, so
+    the pairings, W and the row deltas are computed once.
     """
     alpha = ("1", "*", "1", "*") if conjugated else ("1", "1", "*", "*")
     pairs = list(itertools.product(range(1, n + 1), repeat=2))
+    g = s.isometry_group
+    ps = category_pairings(g, alpha)
+    if not ps or not pairs:
+        return 0
+    wg = weingarten_matrix(g, n, pairings=ps)
+    di = [delta(p, (1, 1, 1, 1), twisted=g.twisted) for p in ps]
     rows = []
     for (i, j) in pairs:
         rows.append([
-            sphere_trace(s, n, (i, j, l, k), alpha) for (k, l) in pairs
+            _weingarten_sum(wg, di, [delta(p, (i, j, l, k), twisted=g.twisted) for p in ps])
+            for (k, l) in pairs
         ])
     return ExactMatrix(rows).rank()
 

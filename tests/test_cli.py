@@ -125,6 +125,38 @@ def test_error_exit_codes(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["moment", "--group", "o_n", "--n", "3", "--i", "5,5", "--j", "1,1"],
+    ["moment", "--group", "o_n", "--n", "3", "--i", "0,0", "--j", "0,0"],
+    ["moment", "--group", "u_n", "--n", "2", "--i", "1,1", "--j", "1,3", "--alpha", "1*"],
+    ["trace", "--sphere", "bar_s_r", "--n", "2", "--i", "1,2,3,1"],
+    ["check", "--op", "mc_moment", "--n", "3", "--i", "7", "--j", "1"],
+    ["check", "--op", "mc_moment", "--mc-group", "k_n", "--n", "3",
+     "--i", "0,1", "--j", "1,1", "--alpha", "1*"],
+])
+def test_index_outside_range_is_an_error(capsys, argv):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "outside 1.." in captured.err
+
+
+def test_weingarten_builds_the_gram_matrix_once(monkeypatch, capsys):
+    from ncspheres import partitions, weingarten
+
+    calls = []
+    real_join = partitions.join
+
+    def counting_join(p, q):
+        calls.append(1)
+        return real_join(p, q)
+
+    monkeypatch.setattr(weingarten, "join", counting_join)
+    code, data = run_json(capsys, "weingarten", "--group", "o_n_star", "--k", "6", "--n", "4")
+    assert code == 0 and len(data["pairings"]) == 6
+    assert len(calls) == 6 * 6
+
+
 # ---------------------------------------------------------------------------
 # determinism and coverage
 

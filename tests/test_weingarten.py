@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -60,6 +61,126 @@ def test_exact_inverse_and_rank():
     assert ExactMatrix([[1, 2], [2, 4]]).rank() == 1
     with pytest.raises(ZeroDivisionError):
         ExactMatrix([[1, 2], [2, 4]]).inverse()
+
+
+def reference_inverse(rows):
+    """Gauss-Jordan over the rationals, the reference for the integer kernel."""
+    n = len(rows)
+    a = [[Fraction(x) for x in row] for row in rows]
+    inv = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if pivot is None:
+            raise ZeroDivisionError("singular matrix")
+        a[col], a[pivot] = a[pivot], a[col]
+        inv[col], inv[pivot] = inv[pivot], inv[col]
+        scale = a[col][col]
+        a[col] = [x / scale for x in a[col]]
+        inv[col] = [x / scale for x in inv[col]]
+        for r in range(n):
+            if r != col and a[r][col]:
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+                inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
+    return inv
+
+
+def reference_rank(rows):
+    a = [[Fraction(x) for x in row] for row in rows]
+    nrows, ncols = len(a), len(a[0]) if a else 0
+    rank = 0
+    for col in range(ncols):
+        pivot = next((r for r in range(rank, nrows) if a[r][col] != 0), None)
+        if pivot is None:
+            continue
+        a[rank], a[pivot] = a[pivot], a[rank]
+        scale = a[rank][col]
+        a[rank] = [x / scale for x in a[rank]]
+        for r in range(nrows):
+            if r != rank and a[r][col]:
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[rank])]
+        rank += 1
+    return rank
+
+
+# exponent words for the complex groups, k <= 8
+DIFFERENTIAL_WORDS = ("1*", "11**", "1*1*", "111***", "1*1*1*", "11**1*1*")
+
+
+@pytest.mark.parametrize("g", [g for g in GROUPS if not g.twisted], ids=lambda g: g.name)
+def test_inverse_matches_rational_reference(g):
+    # given the pairings, the Gram and Weingarten matrices do not depend on
+    # the twist, so a group and its twisted partner share one comparison
+    twisted = GroupSpec(g.field, g.level, True)
+    if g.field is Field.COMPLEX:
+        cases = [dict(alpha=w) for w in DIFFERENTIAL_WORDS]
+    else:
+        cases = [dict(k=k) for k in (2, 4, 6, 8)]
+    for kw in cases:
+        ps = category_pairings(g, **kw)
+        assert category_pairings(twisted, **kw) == ps
+        if not ps:
+            continue
+        # the reference takes ~9 s per N on the 105 pairings of P2(8); there
+        # it runs only at N = 4, the first N with an invertible Gram matrix
+        ns = (4,) if len(ps) > 100 else range(1, 8)
+        for n in ns:
+            try:
+                expect = reference_inverse(gram(g, n, pairings=ps).data)
+            except ZeroDivisionError:
+                with pytest.raises(SingularGramError):
+                    weingarten_matrix(g, n, pairings=ps)
+            else:
+                assert weingarten_matrix(g, n, pairings=ps).data == expect
+
+
+def _random_rational_matrix(rng, nrows, ncols, rank):
+    """A nrows x ncols matrix of rank at most ``rank``, with rational entries."""
+    def entry():
+        return Fraction(rng.randint(-6, 6), rng.randint(1, 5))
+    left = [[entry() for _ in range(rank)] for _ in range(nrows)]
+    right = [[entry() for _ in range(ncols)] for _ in range(rank)]
+    return [[sum((left[i][t] * right[t][j] for t in range(rank)), Fraction(0))
+             for j in range(ncols)] for i in range(nrows)]
+
+
+def test_rank_and_inverse_match_rational_reference_on_random_matrices():
+    rng = random.Random(20061)
+    for _ in range(400):
+        nrows, ncols = rng.randint(1, 7), rng.randint(1, 7)
+        rows = _random_rational_matrix(rng, nrows, ncols, rng.randint(0, min(nrows, ncols)))
+        if rng.random() < 0.3:  # sparse integer input, zero rows and columns
+            rows = [[rng.choice((0, 0, 0, 1, -2, 3)) for _ in range(ncols)]
+                    for _ in range(nrows)]
+        m = ExactMatrix(rows)
+        assert m.rank() == reference_rank(rows)
+        if nrows == ncols:
+            try:
+                expect = reference_inverse(rows)
+            except ZeroDivisionError:
+                with pytest.raises(ZeroDivisionError):
+                    m.inverse()
+            else:
+                assert m.inverse().data == expect
+
+
+@pytest.mark.parametrize("rows, rank", [
+    ([[0, 0, 0], [0, 0, 0]], 0),
+    ([[0, 1, 2], [0, 2, 4], [0, 0, 0]], 1),
+    ([[0], [0], [5]], 1),
+    ([[0, 0, Fraction(1, 3), 1]], 1),
+    ([[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), 1], [1, Fraction(2, 3)]], 1),
+    ([[1, 2, 3], [4, 5, 6], [7, 8, 9]], 2),
+    ([[0, 2, 0, 1], [1, 0, 0, 0], [0, 0, 0, 0], [1, 2, 0, 1]], 2),
+])
+def test_rank_edge_cases(rows, rank):
+    assert ExactMatrix(rows).rank() == reference_rank(rows) == rank
+
+
+def test_inverse_of_rational_and_permuted_input():
+    rows = [[0, Fraction(1, 2), 0], [Fraction(2, 3), 0, 1], [0, Fraction(1, 4), Fraction(5, 7)]]
+    assert ExactMatrix(rows).inverse().data == reference_inverse(rows)
 
 
 # ---------------------------------------------------------------------------
