@@ -96,16 +96,20 @@ def _emit(payload: dict, fmt: str):
     print("\n".join(lines))
 
 
-def _frac_rows(matrix) -> list[list[str]]:
-    return matrix.to_strings()
-
-
 def _parse_tuple(text: str) -> tuple[int, ...]:
     return tuple(int(x) for x in text.split(",") if x != "")
 
 
 def _parse_legs(text: str):
     return int(text) if text.isdigit() else text
+
+
+def _dimension(text: str) -> int:
+    """The ``--n`` argument: a dimension N >= 1."""
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"N must be at least 1, got {n}")
+    return n
 
 
 def _perm_arg(text: str) -> tuple[int, ...]:
@@ -144,7 +148,7 @@ def cmd_gram(args) -> dict:
     g = gram(group, args.n, pairings=ps)
     return {"group": group.name, "alpha": alpha, "k": k or len(alpha or ""),
             "N": args.n, "pairings": [p.literal() for p in ps],
-            "gram": _frac_rows(g),
+            "gram": g.to_strings(),
             "row_sums": [str(x) for x in row_sum_profile(g)]}
 
 
@@ -155,7 +159,7 @@ def cmd_weingarten(args) -> dict:
     w = _invert_gram(g, args.n, ps)
     return {"group": group.name, "alpha": alpha, "k": k or len(alpha or ""),
             "N": args.n, "pairings": [p.literal() for p in ps],
-            "gram": _frac_rows(g), "weingarten": _frac_rows(w)}
+            "gram": g.to_strings(), "weingarten": w.to_strings()}
 
 
 def cmd_moment(args) -> dict:
@@ -360,8 +364,11 @@ def cmd_check(args) -> dict:
     if args.op == "coaction":
         if sphere is None:
             raise NCSphereError("--op coaction needs --sphere")
-        g = models.enumerate_signed_permutations(args.n)[args.element]
-        out["ok"] = models.coaction_check(g, model, sphere, args.tol)
+        elements = models.enumerate_signed_permutations(args.n)
+        if not 0 <= args.element < len(elements):
+            raise NCSphereError(f"--element must lie in 0..{len(elements) - 1}, "
+                                f"got {args.element}")
+        out["ok"] = models.coaction_check(elements[args.element], model, sphere, args.tol)
     if args.op == "mc_moment":
         word = [(i, j, a) for i, j, a in zip(
             _parse_tuple(args.i), _parse_tuple(args.j),
@@ -434,12 +441,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--group", required=True)
         p.add_argument("--k", type=int)
         p.add_argument("--alpha")
-        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--n", type=_dimension, required=True)
         add_common(p)
 
     p = sub.add_parser("moment", help="exact Haar moment of a coordinate word")
     p.add_argument("--group", required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_dimension, required=True)
     p.add_argument("--i", required=True)
     p.add_argument("--j", required=True)
     p.add_argument("--alpha")
@@ -447,14 +454,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("trace", help="canonical trace of a sphere monomial")
     p.add_argument("--sphere", required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_dimension, required=True)
     p.add_argument("--i", required=True)
     p.add_argument("--alpha")
     add_common(p)
 
     p = sub.add_parser("rank", help="rank of the degree-2 product Gram matrix")
     p.add_argument("--sphere", required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_dimension, required=True)
     p.add_argument("--conjugated", action="store_true")
     add_common(p)
 
@@ -497,7 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", default="classical_point",
                    choices=("classical_point", "twisted_point", "antidiagonal",
                             "clifford", "sqrt_positive"))
-    p.add_argument("--n", type=int, default=3)
+    p.add_argument("--n", type=_dimension, default=3)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--partition")

@@ -28,7 +28,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import FrameError, PartitionClassError, SizeLimitError
 
@@ -126,17 +126,6 @@ class Partition:
             return leg
         return self.upper + (self.n_legs - 1 - leg)
 
-    def leg_at_linear(self, pos: int) -> int:
-        if pos < self.upper:
-            return pos
-        return self.upper + (self.n_legs - 1 - pos)
-
-    def block_of(self, leg: int) -> int:
-        for i, b in enumerate(self.blocks):
-            if leg in b:
-                return i
-        raise IndexError(leg)
-
     def block_labels(self) -> list[int]:
         """Per-leg block index, in storage order."""
         lab = [0] * self.n_legs
@@ -147,7 +136,7 @@ class Partition:
 
     def linear_word(self) -> list[int]:
         lab = self.block_labels()
-        return [lab[self.leg_at_linear(p)] for p in range(self.n_legs)]
+        return [lab[self.linear_pos(p)] for p in range(self.n_legs)]
 
     def same_frame(self, other: "Partition") -> bool:
         return (
@@ -173,19 +162,21 @@ class Partition:
         return all(len(b) % 2 == 0 for b in self.blocks)
 
     def is_noncrossing(self) -> bool:
+        """One pass over the linear word with a stack of open blocks: a
+        block met again while another block opened after it is still open
+        gives the pattern a..b..a..b."""
         word = self.linear_word()
-        n = len(word)
-        for a in range(n):
-            for b in range(a + 1, n):
-                if word[b] == word[a]:
-                    continue
-                # pattern word[a] .. word[b] .. word[a] .. word[b]
-                seen_a_again = False
-                for c in range(b + 1, n):
-                    if word[c] == word[a]:
-                        seen_a_again = True
-                    elif word[c] == word[b] and seen_a_again:
-                        return False
+        last = {b: pos for pos, b in enumerate(word)}
+        stack: list[int] = []
+        opened: set[int] = set()
+        for pos, b in enumerate(word):
+            if b not in opened:
+                opened.add(b)
+                stack.append(b)
+            elif stack[-1] != b:
+                return False
+            if last[b] == pos:
+                stack.pop()
         return True
 
     def is_through_pairing(self) -> bool:
@@ -233,11 +224,10 @@ def parse_partition(text: str) -> Partition:
 # basic operations
 
 
-def join(p: Partition, q: Partition) -> Partition:
-    """Finest common coarsening of two partitions on the same frame."""
-    if not p.same_frame(q):
-        raise FrameError("join needs identical frames")
-    parent = list(range(p.n_legs))
+def _components(n: int, groups: Iterable[Sequence[int]]) -> list[list[int]]:
+    """Connected components of the nodes ``0..n-1`` once the nodes of each
+    nonempty group are joined (union-find), each component in increasing order."""
+    parent = list(range(n))
 
     def find(x):
         while parent[x] != x:
@@ -245,15 +235,30 @@ def join(p: Partition, q: Partition) -> Partition:
             x = parent[x]
         return x
 
-    for part in (p, q):
-        for b in part.blocks:
-            r = find(b[0])
-            for leg in b[1:]:
-                parent[find(leg)] = r
-    groups: dict[int, list[int]] = {}
-    for leg in range(p.n_legs):
-        groups.setdefault(find(leg), []).append(leg)
-    return Partition(p.upper, p.lower, tuple(tuple(g) for g in groups.values()), p.colors)
+    for g in groups:
+        r = find(g[0])
+        for x in g[1:]:
+            parent[find(x)] = r
+    comps: dict[int, list[int]] = {}
+    for x in range(n):
+        comps.setdefault(find(x), []).append(x)
+    return list(comps.values())
+
+
+def _blocks(labels: Sequence) -> tuple[tuple[int, ...], ...]:
+    """Blocks of positions carrying equal labels."""
+    groups: dict = {}
+    for pos, v in enumerate(labels):
+        groups.setdefault(v, []).append(pos)
+    return tuple(tuple(g) for g in groups.values())
+
+
+def join(p: Partition, q: Partition) -> Partition:
+    """Finest common coarsening of two partitions on the same frame."""
+    if not p.same_frame(q):
+        raise FrameError("join needs identical frames")
+    blocks = _components(p.n_legs, p.blocks + q.blocks)
+    return Partition(p.upper, p.lower, tuple(tuple(b) for b in blocks), p.colors)
 
 
 def kernel(values: Sequence, upper: int | None = None, lower: int = 0) -> Partition:
@@ -267,10 +272,7 @@ def kernel(values: Sequence, upper: int | None = None, lower: int = 0) -> Partit
         upper, lower = n, 0
     if upper + lower != n:
         raise FrameError("kernel frame does not match tuple length")
-    groups: dict = {}
-    for leg, v in enumerate(values):
-        groups.setdefault(v, []).append(leg)
-    return Partition(upper, lower, tuple(tuple(g) for g in groups.values()))
+    return Partition(upper, lower, _blocks(values))
 
 
 def is_constant_on_blocks(p: Partition, values: Sequence) -> bool:
@@ -297,6 +299,20 @@ def _row_inversions(labels: Sequence[int]) -> int:
             if labels[i] > labels[j]:
                 inv += 1
     return inv
+
+
+def _inversion_sign(labels: Sequence[int], upper: int) -> int:
+    """Switch parity of the even partition whose legs carry these block
+    labels (upper row first, then lower row, both left to right).
+
+    Ranking the blocks by label and sorting each row by rank takes
+    ``inv(upper row) + inv(lower row)`` switches.  Exchanging the ranks of
+    two blocks A and B changes that count by |A∩up|·|B∩up| + |A∩low|·|B∩low|,
+    which is even when every block is even, so the parity does not depend on
+    the ranking: any labels constant exactly on the blocks give the same sign.
+    """
+    inv = _row_inversions(labels[:upper]) + _row_inversions(labels[upper:])
+    return -1 if inv % 2 else 1
 
 
 def standard_form(p: Partition, block_order: Sequence[int] | None = None):
@@ -336,8 +352,9 @@ def standard_form(p: Partition, block_order: Sequence[int] | None = None):
 
 def signature(p: Partition) -> int:
     """Twisted signature of an even partition: (-1)**switch_count."""
-    _, switches = standard_form(p)
-    return -1 if switches % 2 else 1
+    if not p.has_even_blocks():
+        raise PartitionClassError("the signature needs even block sizes")
+    return _inversion_sign(p.block_labels(), p.upper)
 
 
 def crossing_count(p: Partition) -> int:
@@ -408,19 +425,17 @@ def is_member(p: Partition, cls: PartitionClass) -> bool:
     return ok
 
 
-def _set_partitions(n: int) -> Iterator[list[list[int]]]:
-    """All set partitions of range(n), by restricted growth strings."""
+def _restricted_growth_strings(n: int) -> Iterator[tuple[int, ...]]:
+    """All set partitions of range(n) as restricted growth strings (block
+    labels numbered by first occurrence), in lexicographic order."""
     if n == 0:
-        yield []
+        yield ()
         return
     rgs = [0] * n
 
     def rec(i: int, maxval: int):
         if i == n:
-            blocks: list[list[int]] = [[] for _ in range(maxval + 1)]
-            for leg, b in enumerate(rgs):
-                blocks[b].append(leg)
-            yield blocks
+            yield tuple(rgs)
             return
         for v in range(maxval + 2):
             rgs[i] = v
@@ -466,7 +481,10 @@ def enumerate_partitions(cls: PartitionClass, upper=0, lower=0,
     n = k + l
     if n > bound:
         raise SizeLimitError(f"{n} legs exceeds the enumeration bound {bound}")
-    gen = _pairings(n) if cls in _PAIRING_CLASSES else _set_partitions(n)
+    if cls in _PAIRING_CLASSES:
+        gen = _pairings(n)
+    else:
+        gen = map(_blocks, _restricted_growth_strings(n))
     out = []
     for blocks in gen:
         p = Partition(k, l, tuple(tuple(b) for b in blocks), cu + cl)

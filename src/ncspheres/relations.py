@@ -31,8 +31,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .errors import SizeLimitError
-from .partitions import Partition, halfcommuting_membership
-from .partitions import _set_partitions as _position_partitions
+from .partitions import _restricted_growth_strings, halfcommuting_membership
 from .weingarten import Field, GroupSpec, Level, SphereSpec
 
 Letter = tuple[int, bool]
@@ -48,11 +47,9 @@ DEFAULT_MAX_INDICES = 4
 
 @dataclass(frozen=True)
 class PatternWord:
-    """A monomial pattern: letters over abstract indices, with an optional
-    set of index blocks summed over 1..N."""
+    """A monomial pattern: letters over abstract indices."""
 
     letters: Word
-    summed: frozenset[int] = frozenset()
 
     @property
     def length(self) -> int:
@@ -177,13 +174,7 @@ def _word_order_key(word: Word):
 # the forced sign
 
 
-def _kernel_labels(kernel) -> Sequence[int]:
-    if isinstance(kernel, Partition):
-        return kernel.block_labels()
-    return list(kernel)
-
-
-def relation_sign(sigma: Sequence[int], kernel, regime) -> int:
+def relation_sign(sigma: Sequence[int], kernel: Sequence[int], regime) -> int:
     """Sign making ``w = sign . sigma(w)`` hold over the regime's sphere.
 
     Untwisted regimes always give +1.  Twisted regimes count inverted
@@ -193,16 +184,15 @@ def relation_sign(sigma: Sequence[int], kernel, regime) -> int:
     twisted = regime.twisted if hasattr(regime, "twisted") else bool(regime)
     if not twisted:
         return 1
-    labels = _kernel_labels(kernel)
     k = len(sigma)
-    if len(labels) != k:
+    if len(kernel) != k:
         raise ValueError("kernel length does not match the permutation")
     # position of p in the rearranged word
     slot = {sigma[t] - 1: t for t in range(k)}
     inversions = 0
     for p in range(k):
         for q in range(p + 1, k):
-            if labels[p] != labels[q] and slot[p] > slot[q]:
+            if kernel[p] != kernel[q] and slot[p] > slot[q]:
                 inversions += 1
     return -1 if inversions % 2 else 1
 
@@ -234,7 +224,7 @@ class RelationSchema:
     @property
     def rhs(self) -> PatternWord:
         letters = tuple(self.lhs.letters[self.sigma[t] - 1] for t in range(len(self.sigma)))
-        return PatternWord(letters, self.lhs.summed)
+        return PatternWord(letters)
 
     def literal(self) -> str:
         sign = "-" if self.sign == -1 else "+"
@@ -596,29 +586,13 @@ def _match_pattern(pattern: Word, seg: Word) -> dict[int, int] | None:
 # saturation and its consumers
 
 
-def _kernels(k: int) -> list[tuple[int, ...]]:
-    out = []
-    for blocks in _position_partitions(k):
-        labels = [0] * k
-        for i, b in enumerate(blocks):
-            for pos in b:
-                labels[pos] = i
-        rename: dict[int, int] = {}
-        canon = []
-        for x in labels:
-            rename.setdefault(x, len(rename))
-            canon.append(rename[x])
-        out.append(tuple(canon))
-    return sorted(set(out))
-
-
 def _family_instances(sigma: tuple[int, ...], complex_symbols: bool,
                       regime) -> Iterable[tuple[Word, Word, int]]:
     """All (lhs, rhs, forced sign) instances of a permutation family,
     skipping identically-true ones."""
     k = len(sigma)
     exp_choices = ((False, True) if complex_symbols else (False,))
-    for kern in _kernels(k):
+    for kern in _restricted_growth_strings(k):
         sign = relation_sign(sigma, kern, regime)
         for exps in itertools.product(exp_choices, repeat=k):
             lhs = tuple((kern[p], exps[p]) for p in range(k))
@@ -797,7 +771,7 @@ def relation_group(system: RelationSystem, k: int,
     exp_choices = ((False, True) if system.complex_symbols else (False,))
     sigmas = list(itertools.permutations(range(1, k + 1)))
     alive = set(sigmas)
-    for kern in _kernels(k):
+    for kern in _restricted_growth_strings(k):
         if len(set(kern)) > (max_indices or k):
             continue
         for exps in itertools.product(exp_choices, repeat=k):

@@ -22,22 +22,23 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import FrameError, PartitionClassError
-from .partitions import Partition, kernel, signature
+from .partitions import Partition, _components, _inversion_sign, is_constant_on_blocks
 
 Tuples = tuple[int, ...]
 
 
 def delta(p: Partition, t: Sequence[int], twisted: bool = False) -> int:
-    """Generalized Kronecker symbol of a combined (upper+lower) tuple."""
-    if len(t) != p.n_legs:
-        raise FrameError("tuple length does not match the frame")
-    for b in p.blocks:
-        v = t[b[0]]
-        if any(t[x] != v for x in b[1:]):
-            return 0
+    """Generalized Kronecker symbol of a combined (upper+lower) tuple.
+
+    The twisted symbol needs even block sizes; its sign is the signature of
+    the kernel of ``t``, read off the row inversions of ``t`` itself.
+    """
+    constant = is_constant_on_blocks(p, t)
     if not twisted:
-        return 1
-    return signature(kernel(t, p.upper, p.lower))
+        return int(constant)
+    if not p.has_even_blocks():
+        raise PartitionClassError("twisted symbols need even block sizes")
+    return _inversion_sign(t, p.upper) if constant else 0
 
 
 @dataclass(frozen=True)
@@ -64,14 +65,6 @@ class SparseTensorMap:
     def __hash__(self):  # pragma: no cover
         return hash((self.dim, self.input_arity, self.output_arity,
                      tuple(sorted(self.entries.items()))))
-
-    def scaled_equal(self, other: "SparseTensorMap", factor: int) -> bool:
-        """True iff ``factor * other`` has exactly these entries."""
-        if factor == 0:
-            return not self.entries
-        if factor not in (-1, 1):
-            raise ValueError("sparse maps only store unit coefficients")
-        return dict(self.entries) == {k: factor * v for k, v in other.entries.items()}
 
     def tensor(self, other: "SparseTensorMap") -> "SparseTensorMap":
         if self.dim != other.dim:
@@ -167,7 +160,7 @@ def t_map(p: Partition, n: int, twisted: bool = False) -> SparseTensorMap:
         for b, v in zip(blocks, assignment):
             for leg in b:
                 t[leg] = v
-        coeff = signature(kernel(t, k, l)) if twisted else 1
+        coeff = _inversion_sign(t, k) if twisted else 1
         entries[(tuple(t[k:]), tuple(t[:k]))] = coeff
     return SparseTensorMap(n, k, l, entries)
 
@@ -222,35 +215,13 @@ def compose(p: Partition, q: Partition) -> tuple[Partition, int]:
     if p.colors[p.upper:] != q.colors[: q.upper]:
         raise FrameError("middle colors do not match")
     k, mid, m = p.upper, p.lower, q.lower
-    # nodes: 0..k-1 top, k..k+mid-1 middle, k+mid..k+mid+m-1 bottom
-    parent = list(range(k + mid + m))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    for b in p.blocks:
-        for x in b[1:]:
-            union(b[0], x)
-    offset = k  # q's upper leg j is middle node k + j
-    for b in q.blocks:
-        nodes = [offset + x if x < q.upper else k + mid + (x - q.upper) for x in b]
-        for x in nodes[1:]:
-            union(nodes[0], x)
-
-    comps: dict[int, list[int]] = {}
-    for node in range(k + mid + m):
-        comps.setdefault(find(node), []).append(node)
+    # nodes: 0..k-1 top, k..k+mid-1 middle, k+mid..k+mid+m-1 bottom; p's
+    # legs are already node numbers, q's upper leg j is middle node k + j
+    q_blocks = [tuple(k + x if x < q.upper else k + mid + (x - q.upper) for x in b)
+                for b in q.blocks]
     blocks = []
     loops = 0
-    for comp in comps.values():
+    for comp in _components(k + mid + m, (*p.blocks, *q_blocks)):
         outer = [x for x in comp if x < k or x >= k + mid]
         if not outer:
             loops += 1

@@ -21,7 +21,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 from .errors import SingularGramError
 from .partitions import (
@@ -45,31 +45,15 @@ class Level(enum.Enum):
 
 
 @dataclass(frozen=True)
-class GroupSpec:
+class _Spec:
+    """Field, liberation level and twist flag; free objects have no twist.
+    A group never equals the sphere with the same data."""
+
     field: Field
     level: Level
     twisted: bool = False
 
-    def __post_init__(self):
-        if self.level is Level.FREE and self.twisted:
-            object.__setattr__(self, "twisted", False)  # free objects have no twist
-
-    @property
-    def name(self) -> str:
-        base = {Field.REAL: "o_n", Field.COMPLEX: "u_n"}[self.field]
-        suffix = {
-            Level.CLASSICAL: "",
-            Level.HALF: "_star" if self.field is Field.REAL else "_star2",
-            Level.FREE: "_plus",
-        }[self.level]
-        return ("bar_" if self.twisted else "") + base + suffix
-
-
-@dataclass(frozen=True)
-class SphereSpec:
-    field: Field
-    level: Level
-    twisted: bool = False
+    _stems: ClassVar[dict[Field, str]]
 
     def __post_init__(self):
         if self.level is Level.FREE and self.twisted:
@@ -77,13 +61,20 @@ class SphereSpec:
 
     @property
     def name(self) -> str:
-        base = {Field.REAL: "s_r", Field.COMPLEX: "s_c"}[self.field]
         suffix = {
             Level.CLASSICAL: "",
             Level.HALF: "_star" if self.field is Field.REAL else "_star2",
             Level.FREE: "_plus",
         }[self.level]
-        return ("bar_" if self.twisted else "") + base + suffix
+        return ("bar_" if self.twisted else "") + self._stems[self.field] + suffix
+
+
+class GroupSpec(_Spec):
+    _stems = {Field.REAL: "o_n", Field.COMPLEX: "u_n"}
+
+
+class SphereSpec(_Spec):
+    _stems = {Field.REAL: "s_r", Field.COMPLEX: "s_c"}
 
     @property
     def isometry_group(self) -> GroupSpec:

@@ -141,6 +141,29 @@ def test_index_outside_range_is_an_error(capsys, argv):
     assert captured.err.startswith("error: ") and "outside 1.." in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["rank", "--sphere", "s_r", "--n", "0"],
+    ["weingarten", "--group", "o_n", "--k", "4", "--n", "-2"],
+    ["check", "--op", "relations", "--sphere", "s_r", "--model", "clifford", "--n", "0"],
+    ["moment", "--group", "o_n", "--n", "0", "--i", "1,1", "--j", "1,1"],
+])
+def test_dimension_below_one_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "N must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("element", ["9999", "48", "-1"])
+def test_element_outside_the_list_is_an_error(capsys, element):
+    # B_3 has 2**3 * 3! = 48 signed permutations
+    assert main(["check", "--op", "coaction", "--sphere", "s_r", "--n", "3",
+                 "--element", element]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "0..47" in captured.err
+
+
 def test_weingarten_builds_the_gram_matrix_once(monkeypatch, capsys):
     from ncspheres import partitions, weingarten
 

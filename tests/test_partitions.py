@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from ncspheres.errors import FrameError, PartitionClassError, SizeLimitError
 from ncspheres.partitions import (
+    _restricted_growth_strings,
     LegColor,
     Partition,
     PartitionClass,
@@ -282,6 +283,68 @@ def test_switch_parity_independent_of_block_order():
             q, switches = standard_form(p, block_order=order)
             assert q.is_noncrossing()
             assert switches % 2 == base % 2
+
+
+def frames(max_legs):
+    return [(k, n - k) for n in range(max_legs + 1) for k in range(n + 1)]
+
+
+def test_signature_matches_standard_form_parity():
+    # reference: the switch count of the noncrossing standard form
+    pool = [p for k, l in frames(8) for p in enumerate_partitions(PartitionClass.P_EVEN, k, l)]
+    ten = enumerate_partitions(PartitionClass.P_EVEN, 0, 10)
+    pool += ten + [Partition(5, 5, p.blocks) for p in ten]
+    assert len(pool) == 6556 * 2 + sum((n + 1) * c for n, c in [(0, 1), (2, 1), (4, 4),
+                                                                 (6, 31), (8, 379)])
+    for p in pool:
+        assert signature(p) == (-1) ** standard_form(p)[1], p
+
+
+def test_signature_rejects_odd_blocks():
+    with pytest.raises(PartitionClassError):
+        signature(P("abc|"))
+
+
+def cubic_is_noncrossing(p):
+    """Reference: look for a pattern a..b..a..b in the linear word."""
+    word = p.linear_word()
+    n = len(word)
+    for a in range(n):
+        for b in range(a + 1, n):
+            if word[b] == word[a]:
+                continue
+            seen_a_again = False
+            for c in range(b + 1, n):
+                if word[c] == word[a]:
+                    seen_a_again = True
+                elif word[c] == word[b] and seen_a_again:
+                    return False
+    return True
+
+
+def test_is_noncrossing_matches_cubic_scan():
+    for k, l in frames(8):
+        for p in enumerate_partitions(PartitionClass.P, k, l):
+            assert p.is_noncrossing() == cubic_is_noncrossing(p), p
+
+
+def test_restricted_growth_strings_are_sorted_kernels():
+    # reference: set partitions built by inserting one element at a time,
+    # relabelled by first occurrence, deduplicated and sorted
+    for k in range(8):
+        parts = [[]]
+        for x in range(k):
+            parts = ([p[:i] + [p[i] + [x]] + p[i + 1:] for p in parts for i in range(len(p))]
+                     + [p + [[x]] for p in parts])
+        kernels = []
+        for blocks in parts:
+            labels = [0] * k
+            for i, b in enumerate(blocks):
+                for pos in b:
+                    labels[pos] = i
+            rename = {}
+            kernels.append(tuple(rename.setdefault(x, len(rename)) for x in labels))
+        assert list(_restricted_growth_strings(k)) == sorted(set(kernels))
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,11 @@ from ncspheres.errors import FrameError, PartitionClassError
 from ncspheres.partitions import (
     PartitionClass,
     enumerate_partitions,
+    is_constant_on_blocks,
     join,
+    kernel,
     parse_partition,
+    standard_form,
 )
 from ncspheres.tensors import (
     FixedVector,
@@ -44,6 +47,24 @@ def test_delta_crossing():
 def test_delta_frame_check():
     with pytest.raises(FrameError):
         delta(P("|abab"), (1, 2, 1))
+
+
+def test_twisted_delta_matches_kernel_standard_form():
+    # reference: the switch parity of the kernel of the tuple on the frame
+    for n_legs in range(0, 7, 2):
+        for k in range(n_legs + 1):
+            for p in even_partitions(k, n_legs - k):
+                for n in range(1, 4):
+                    for t in itertools.product(range(1, n + 1), repeat=n_legs):
+                        want = (-1) ** standard_form(kernel(t, k, n_legs - k))[1] \
+                            if is_constant_on_blocks(p, t) else 0
+                        assert delta(p, t, twisted=True) == want, (p, t)
+
+
+@pytest.mark.parametrize("t", [(1, 1), (1, 2)])
+def test_twisted_delta_rejects_odd_blocks(t):
+    with pytest.raises(PartitionClassError):
+        delta(P("ab|"), t, twisted=True)
 
 
 # ---------------------------------------------------------------------------
