@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""Scan every permutation of S_3 and S_4 through the monomial-sphere
-classifier, in all four regimes, and tabulate the resulting spheres.
+"""Scan every permutation of S_3 and S_4 (and S_5 with ``--depth 5``)
+through the monomial-sphere classifier, in all four regimes, and tabulate
+the resulting spheres.
 
 The output shows that no singleton produces anything beyond the ten
 spheres: the identity gives the free sphere, half-commuting permutations
@@ -12,18 +13,20 @@ import argparse
 import itertools
 from collections import Counter
 
-from ncspheres.relations import classify_monomial_sphere
+from ncspheres.relations import DEFAULT_MAX_DEGREE, classify_monomial_sphere
 
 
 def main():
     ap = argparse.ArgumentParser()
-    ap.add_argument("--depth", type=int, default=4, choices=(3, 4))
+    ap.add_argument("--depth", type=int, default=4, choices=(3, 4, 5))
     args = ap.parse_args()
+    # the classifier needs two degrees above the longest permutation
+    max_degree = max(DEFAULT_MAX_DEGREE, args.depth + 2)
     for regime in ("real", "real_twisted", "complex", "complex_twisted"):
         counts: Counter = Counter()
         for k in range(2, args.depth + 1):
             for perm in itertools.permutations(range(1, k + 1)):
-                sphere = classify_monomial_sphere([perm], regime)
+                sphere = classify_monomial_sphere([perm], regime, max_degree)
                 counts[sphere] += 1
                 word = "".join(map(str, perm))
                 print(f"{regime:16s} {word:6s} -> {sphere}")

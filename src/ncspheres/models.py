@@ -26,7 +26,7 @@ from .errors import DomainError, FrameError, SizeLimitError
 from .partitions import LegColor, Partition
 from .relations import relation_sign, sphere_relations
 from .tensors import t_map, xi_vector
-from .weingarten import Field, SphereSpec
+from .weingarten import Field, SphereSpec, _check_dimension
 
 DEFAULT_TOL = 1e-10
 
@@ -104,6 +104,7 @@ class SignedPermutation:
 
 def sample_classical_point(field: Field, n: int, seed: int) -> PointModel:
     """Uniform point on the classical sphere: normalized Gaussian vector."""
+    _check_dimension(n)
     rng = np.random.default_rng(seed)
     if field is Field.REAL:
         v = rng.standard_normal(n)
@@ -119,6 +120,7 @@ TWISTED_PHASES = (1 + 0j, 1j, -1 + 0j, -1j)
 def twisted_classical_points(field: Field, n: int) -> list[PointModel]:
     """The classical points of the twisted spheres: one nonzero coordinate,
     signed in the real case and on the unit circle in the complex case."""
+    _check_dimension(n)
     phases = (1 + 0j, -1 + 0j) if field is Field.REAL else TWISTED_PHASES
     out = []
     for i in range(n):
@@ -178,6 +180,7 @@ def clifford_model(n: int, phases: Sequence[complex] | None = None) -> MatrixMod
     """Rescaled Clifford generators: x_i x_j = -x_j x_i for i != j and
     sum x_i^2 = 1.  With unit phases the coordinates phase_i * x_i satisfy
     the twisted complex sphere relations instead."""
+    _check_dimension(n)
     gammas = _pauli_strings(n)
     scale = 1.0 / np.sqrt(n)
     if phases is None:
@@ -218,6 +221,7 @@ def enumerate_signed_permutations(n: int,
                                   phases: Sequence[complex] = (1, -1)) -> list[SignedPermutation]:
     """All phase-decorated permutations; the default signs give the full
     hyperoctahedral group of order 2^n n!."""
+    _check_dimension(n)
     if n > 4:
         raise SizeLimitError("signed permutation enumeration supports n <= 4")
     out = []
@@ -358,6 +362,7 @@ def check_intertwiner(p: Partition, u: np.ndarray, twisted: bool = False,
 
 def haar_orthogonal(n: int, samples: int, seed: int) -> np.ndarray:
     """Batch of Haar orthogonal matrices from sign-fixed QR."""
+    _check_dimension(n)
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((samples, n, n))
     q, r = np.linalg.qr(g)
@@ -367,6 +372,7 @@ def haar_orthogonal(n: int, samples: int, seed: int) -> np.ndarray:
 
 
 def haar_unitary(n: int, samples: int, seed: int) -> np.ndarray:
+    _check_dimension(n)
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((samples, n, n)) + 1j * rng.standard_normal((samples, n, n))
     q, r = np.linalg.qr(g)
@@ -395,6 +401,7 @@ def haar_moment_mc(group: str, n: int, word, samples: int = 100_000,
     averages are exact with zero reported error.  Indices run over
     ``1..n``; any other index raises ``ValueError``.
     """
+    _check_dimension(n)
     entries = _word_entries(word, n)
     if group == "orthogonal":
         u = haar_orthogonal(n, samples, seed)

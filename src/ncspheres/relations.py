@@ -19,9 +19,13 @@ sphere relation.  Same-degree consequences are explored by a signed
 breadth-first search inside each content class; a contraction derives a
 lower-degree relation from a witness pair carrying the summed index,
 provided every coincidence instance of the witness is derivable with the
-same sign.  Soundness is one-directional by construction: a derived
-relation holds in every model of the base system, and a zero result of
-``reduce`` is a proof, while "not derivable" is only bound-relative.
+same sign.  Rewrite rules are indexed by window shape, the window's
+letters with blocks renumbered by first occurrence and stars kept: a rule
+applies to a window exactly when their shapes agree, so matching a window
+is one dictionary lookup.  Soundness is one-directional by construction:
+a derived relation holds in every model of the base system, and a zero
+result of ``reduce`` is a proof, while "not derivable" is only
+bound-relative.
 """
 
 from __future__ import annotations
@@ -58,12 +62,7 @@ class PatternWord:
     @property
     def kernel(self) -> tuple[int, ...]:
         """Block label per position, numbered by first occurrence."""
-        rename: dict[int, int] = {}
-        out = []
-        for b, _ in self.letters:
-            rename.setdefault(b, len(rename))
-            out.append(rename[b])
-        return tuple(out)
+        return tuple(b for b, _ in _shape(self.letters))
 
     @property
     def exponents(self) -> tuple[str, ...]:
@@ -101,6 +100,12 @@ def parse_word(text: str) -> PatternWord:
 
 def word_literal(word: Word) -> str:
     return PatternWord(word).literal()
+
+
+def _shape(seg: Word) -> Word:
+    """The window shape: blocks renumbered by first occurrence, stars kept."""
+    rename: dict[int, int] = {}
+    return tuple((rename.setdefault(b, len(rename)), s) for b, s in seg)
 
 
 class NCCombination:
@@ -195,12 +200,6 @@ def relation_sign(sigma: Sequence[int], kernel: Sequence[int], regime) -> int:
             if kernel[p] != kernel[q] and slot[p] > slot[q]:
                 inversions += 1
     return -1 if inversions % 2 else 1
-
-
-def _segment_sign(sigma: Sequence[int], seg: Word, twisted: bool) -> int:
-    if not twisted:
-        return 1
-    return relation_sign(sigma, [b for b, _ in seg], True)
 
 
 # ---------------------------------------------------------------------------
@@ -392,26 +391,50 @@ class _Component:
     collapsed: bool
 
 
+@dataclass
 class Bounds:
-    def __init__(self, max_degree: int = DEFAULT_MAX_DEGREE,
-                 max_indices: int = DEFAULT_MAX_INDICES):
-        self.max_degree = max_degree
-        self.max_indices = max_indices
+    max_degree: int = DEFAULT_MAX_DEGREE
+    max_indices: int = DEFAULT_MAX_INDICES
 
-    def __repr__(self):  # pragma: no cover
-        return f"Bounds(degree={self.max_degree}, indices={self.max_indices})"
+
+class _MoveTable(dict):
+    """Window shape -> moves ``(positions, sign)``: slot ``t`` of the image
+    takes the window's letter ``positions[t]``.
+
+    The base permutations' moves of a shape are filled in at its first
+    lookup, so the table holds only the shapes the engine meets; filling
+    in every shape up front would take B(m)·2^m entries for a permutation
+    of m letters, 10.8 million at m = 9.
+    """
+
+    def __init__(self, perms: Iterable[tuple[int, ...]], twisted: bool):
+        super().__init__()
+        self.base = [(sigma, tuple(t - 1 for t in sigma)) for sigma in perms]
+        self.twisted = twisted
+
+    def __missing__(self, shape: Word) -> list[tuple[tuple[int, ...], int]]:
+        kern = [b for b, _ in shape]
+        moves = self[shape] = [
+            (positions, relation_sign(sigma, kern, self.twisted))
+            for sigma, positions in self.base
+            if len(sigma) == len(shape)
+            and any(shape[j] != shape[t] for t, j in enumerate(positions))
+        ]
+        return moves
 
 
 class _Engine:
-    """Signed reachability over words, with quadratic contraction."""
+    """Signed reachability over words, with quadratic contraction.
+
+    Every rewrite rule lives in one table from window shape to moves.
+    """
 
     def __init__(self, system: RelationSystem, bounds: Bounds):
         self.system = system
         self.bounds = bounds
-        self.twisted = system.twisted
-        self.complex_symbols = system.complex_symbols
-        self.base_perms = list(system.perms)
         self.extra_rules: list[tuple[Word, Word, int]] = []
+        self._moves = _MoveTable(system.perms, system.twisted)
+        self._lengths = {len(sigma) for sigma in system.perms}
         self._components: dict[Word, _Component] = {}
         self._derived_cache: dict[tuple[Word, Word], int | None] = {}
         self.truncated = False
@@ -420,27 +443,13 @@ class _Engine:
     # -- moves ---------------------------------------------------------
 
     def _neighbors(self, word: Word):
+        """(word, sign) for every move of every window of ``word``."""
         n = len(word)
-        for sigma in self.base_perms:
-            m = len(sigma)
+        for m in self._lengths:
             for w in range(n - m + 1):
-                seg = word[w:w + m]
-                img = tuple(seg[sigma[t] - 1] for t in range(m))
-                if img == seg:
-                    continue
-                sign = _segment_sign(sigma, seg, self.twisted)
-                yield word[:w] + img + word[w + m:], sign, f"perm{sigma}"
-        for lhs, rhs, sign in self.extra_rules:
-            m = len(lhs)
-            for w in range(n - m + 1):
-                seg = word[w:w + m]
-                sub = _match_pattern(lhs, seg)
-                if sub is None:
-                    continue
-                img = tuple((sub[b], s) for b, s in rhs)
-                if img == seg:
-                    continue
-                yield word[:w] + img + word[w + m:], sign, "derived"
+                for positions, sign in self._moves[_shape(word[w:w + m])]:
+                    img = tuple(word[w + j] for j in positions)
+                    yield word[:w] + img + word[w + m:], sign
 
     def component(self, word: Word) -> _Component:
         comp = self._components.get(word)
@@ -453,7 +462,7 @@ class _Engine:
             nxt = []
             for u in frontier:
                 su = signs[u]
-                for v, sign, _ in self._neighbors(u):
+                for v, sign in self._neighbors(u):
                     sv = su * sign
                     if v in signs:
                         if signs[v] != sv:
@@ -472,18 +481,6 @@ class _Engine:
         self._derived_cache.clear()
 
     # -- derivability ----------------------------------------------------
-
-    def _blocks_of(self, word: Word) -> list[int]:
-        seen = []
-        for b, _ in word:
-            if b not in seen:
-                seen.append(b)
-        return seen
-
-    def _pair_orders(self):
-        if self.complex_symbols:
-            return ((False, True), (True, False))
-        return ((False, False),)
 
     def relative_sign(self, lhs: Word, rhs: Word, budget: int = 1) -> int | None:
         """Sign s with lhs = s.rhs derivable, or None.  A collapsed
@@ -509,7 +506,7 @@ class _Engine:
         return self._contract_search(lhs, rhs, budget)
 
     def _contract_search(self, lhs: Word, rhs: Word, budget: int) -> int | None:
-        blocks = self._blocks_of(lhs)
+        blocks = list(dict.fromkeys(b for b, _ in lhs))
         if len(blocks) + 1 > self.bounds.max_indices:
             self.truncated = True
             return None
@@ -517,7 +514,8 @@ class _Engine:
             self.truncated = True
             return None
         fresh = max(blocks, default=-1) + 1
-        orders = self._pair_orders()
+        orders = (((False, True), (True, False)) if self.system.complex_symbols
+                  else ((False, False),))
         for o1 in orders:
             pair1 = ((fresh, o1[0]), (fresh, o1[1]))
             for pos1 in range(len(lhs) + 1):
@@ -560,26 +558,11 @@ class _Engine:
         rule = (lhs, rhs, sign)
         if rule not in self.extra_rules:
             self.extra_rules.append(rule)
+            if rhs != lhs:
+                positions = tuple(p - 1 for p in _word_permutation(lhs, rhs))
+                self._moves[_shape(lhs)].append((positions, sign))
+                self._lengths.add(len(lhs))
             self.invalidate()
-
-
-def _match_pattern(pattern: Word, seg: Word) -> dict[int, int] | None:
-    """Exact-kernel match of a segment against a rule pattern: bijective on
-    blocks, star pattern equal; returns the block substitution."""
-    sub: dict[int, int] = {}
-    used: set[int] = set()
-    for (pb, ps), (sb, ss) in zip(pattern, seg):
-        if ps != ss:
-            return None
-        if pb in sub:
-            if sub[pb] != sb:
-                return None
-        else:
-            if sb in used:
-                return None
-            sub[pb] = sb
-            used.add(sb)
-    return sub
 
 
 # ---------------------------------------------------------------------------
@@ -611,11 +594,10 @@ class SaturationResult:
 
     def has_family(self, sigma: tuple[int, ...]) -> bool:
         """True iff every instance of the permutation family is derived."""
-        regime = self.system
         return all(
             self.engine.derivable(lhs, rhs, sign)
             for lhs, rhs, sign in _family_instances(
-                sigma, self.system.complex_symbols, regime)
+                sigma, self.system.complex_symbols, self.system)
         )
 
 
@@ -769,22 +751,21 @@ def relation_group(system: RelationSystem, k: int,
         raise SizeLimitError("relation_group supports k <= 6")
     engine = _Engine(system, Bounds(max_degree=k, max_indices=max_indices or k))
     exp_choices = ((False, True) if system.complex_symbols else (False,))
-    sigmas = list(itertools.permutations(range(1, k + 1)))
-    alive = set(sigmas)
+    positions = {sigma: tuple(t - 1 for t in sigma)
+                 for sigma in itertools.permutations(range(1, k + 1))}
+    alive = set(positions)
     for kern in _restricted_growth_strings(k):
         if len(set(kern)) > (max_indices or k):
             continue
+        wants = {sigma: relation_sign(sigma, kern, system) for sigma in alive}
         for exps in itertools.product(exp_choices, repeat=k):
             seed = tuple((kern[p], exps[p]) for p in range(k))
             comp = engine.component(seed)
+            root = comp.signs[seed]  # signs are relative to the root
             dead = set()
             for sigma in alive:
-                rhs = tuple(seed[sigma[t] - 1] for t in range(k))
-                want = relation_sign(sigma, kern, system)
-                got = comp.signs.get(rhs)
-                if got is not None:
-                    got *= comp.signs[seed]  # signs are relative to the root
-                if got is None or (got != want and not comp.collapsed):
+                got = comp.signs.get(tuple(map(seed.__getitem__, positions[sigma])))
+                if got is None or (got * root != wants[sigma] and not comp.collapsed):
                     dead.add(sigma)
             alive -= dead
             if not alive:

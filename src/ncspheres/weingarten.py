@@ -265,9 +265,15 @@ def category_pairings(g: GroupSpec, alpha=None, k: int | None = None) -> list[Pa
     return enumerate_partitions(cls, 0, lower)
 
 
+def _check_dimension(n: int) -> None:
+    if n < 1:
+        raise ValueError(f"dimension N={n} must be at least 1")
+
+
 def gram(g: GroupSpec, n: int, alpha=None, k: int | None = None,
          pairings: list[Partition] | None = None) -> ExactMatrix:
     """Gram matrix G(pi, sigma) = N ** |pi v sigma| over the category pairings."""
+    _check_dimension(n)
     ps = pairings if pairings is not None else category_pairings(g, alpha, k)
     return ExactMatrix([
         [Fraction(n) ** join(p, q).block_count for q in ps] for p in ps
@@ -307,6 +313,7 @@ def moment(g: GroupSpec, n: int, i: Sequence[int], j: Sequence[int],
 
     Indices run over ``1..n``; any other index raises ``ValueError``.
     """
+    _check_dimension(n)
     word = parse_alpha(alpha)
     k = len(i)
     if not word:
@@ -342,11 +349,12 @@ def gram_rank_products(s: SphereSpec, n: int, conjugated: bool = False) -> int:
     of z_i z_j z_l z_k: one Weingarten sum against the row tuple 1111, so
     the pairings, W and the row deltas are computed once.
     """
+    _check_dimension(n)
     alpha = ("1", "*", "1", "*") if conjugated else ("1", "1", "*", "*")
     pairs = list(itertools.product(range(1, n + 1), repeat=2))
     g = s.isometry_group
     ps = category_pairings(g, alpha)
-    if not ps or not pairs:
+    if not ps:
         return 0
     wg = weingarten_matrix(g, n, pairings=ps)
     di = [delta(p, (1, 1, 1, 1), twisted=g.twisted) for p in ps]

@@ -209,6 +209,22 @@ def test_mc_unitary_balanced_word():
     assert abs(est - 1 / 3) < 3 * se
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_builders_reject_dimension_below_one(n):
+    builders = [
+        lambda: sample_classical_point(Field.REAL, n, seed=0),
+        lambda: twisted_classical_points(Field.COMPLEX, n),
+        lambda: clifford_model(n),
+        lambda: enumerate_signed_permutations(n),
+        lambda: haar_orthogonal(n, 4, seed=0),
+        lambda: haar_unitary(n, 4, seed=0),
+    ] + [lambda group=group: haar_moment_mc(group, n, [], samples=4)
+         for group in ("orthogonal", "unitary", "hyperoctahedral", "k_n")]
+    for build in builders:
+        with pytest.raises(ValueError, match="at least 1"):
+            build()
+
+
 def test_mc_sweep_matches_exact_moments():
     # one shared Haar batch per dimension, evaluated against the exact
     # Weingarten moments for a sweep of words up to degree six

@@ -1,11 +1,13 @@
 import itertools
+from collections import Counter
 
 import pytest
 
 from ncspheres.errors import SizeLimitError
-from ncspheres.partitions import halfcommuting_membership
+from ncspheres.partitions import _restricted_growth_strings, halfcommuting_membership
 from ncspheres.relations import (
     SPAN_SIGN_TABLE,
+    Bounds,
     NCCombination,
     PatternWord,
     RelationSchema,
@@ -21,8 +23,9 @@ from ncspheres.relations import (
     relation_sign,
     saturate,
     sphere_relations,
+    _Engine,
 )
-from ncspheres.weingarten import Field, GroupSpec, Level, SphereSpec, sphere_by_name
+from ncspheres.weingarten import SPHERES, Field, GroupSpec, Level, SphereSpec, sphere_by_name
 
 REAL = Field.REAL
 COMPLEX = Field.COMPLEX
@@ -197,6 +200,108 @@ def test_saturated_engine_has_family():
     res_half = saturate(monomial_system([(3, 2, 1)], REAL, False))
     assert res_half.has_family((3, 2, 1))
     assert not res_half.has_family((2, 1))
+
+
+# ---------------------------------------------------------------------------
+# the rule table against a linear scan over the rules
+
+
+def _match_pattern(pattern, seg):
+    """Exact-kernel match of a segment against a rule pattern: bijective on
+    blocks, star pattern equal; returns the block substitution."""
+    sub = {}
+    used = set()
+    for (pb, ps), (sb, ss) in zip(pattern, seg):
+        if ps != ss:
+            return None
+        if pb in sub:
+            if sub[pb] != sb:
+                return None
+        else:
+            if sb in used:
+                return None
+            sub[pb] = sb
+            used.add(sb)
+    return sub
+
+
+def _reference_neighbors(engine, word):
+    """Every base permutation and every promoted rule tried on every window."""
+    n = len(word)
+    for sigma in engine.system.perms:
+        m = len(sigma)
+        for w in range(n - m + 1):
+            seg = word[w:w + m]
+            img = tuple(seg[sigma[t] - 1] for t in range(m))
+            if img == seg:
+                continue
+            sign = relation_sign(sigma, [b for b, _ in seg], engine.system.twisted)
+            yield word[:w] + img + word[w + m:], sign
+    for lhs, rhs, sign in engine.extra_rules:
+        m = len(lhs)
+        for w in range(n - m + 1):
+            seg = word[w:w + m]
+            sub = _match_pattern(lhs, seg)
+            if sub is None:
+                continue
+            img = tuple((sub[b], s) for b, s in rhs)
+            if img == seg:
+                continue
+            yield word[:w] + img + word[w + m:], sign
+
+
+def _assert_neighbors_match_reference(engine):
+    words = list(engine._components)
+    assert words
+    for word in words:
+        assert Counter(engine._neighbors(word)) == Counter(_reference_neighbors(engine, word)), (
+            engine.system, word)
+
+
+REGIMES = [(REAL, False), (REAL, True), (COMPLEX, False), (COMPLEX, True)]
+
+
+@pytest.mark.parametrize("field,twisted", REGIMES,
+                         ids=["real", "real_twisted", "complex", "complex_twisted"])
+def test_rule_table_matches_linear_scan_after_saturation(field, twisted):
+    # every S_3 and S_4 singleton, with the components classify visits
+    for k in (3, 4):
+        for perm in itertools.permutations(range(1, k + 1)):
+            res = saturate(monomial_system([perm], field, twisted))
+            res.has_family((2, 1))
+            res.has_family((3, 2, 1))
+            _assert_neighbors_match_reference(res.engine)
+
+
+def test_rule_table_matches_linear_scan_on_relation_group_engines():
+    # the engine relation_group builds for each sphere preset, at degree 4
+    k = 4
+    for sphere in SPHERES:
+        system = sphere_relations(sphere)
+        engine = _Engine(system, Bounds(max_degree=k, max_indices=k))
+        exps = (False, True) if system.complex_symbols else (False,)
+        for kern in _restricted_growth_strings(k):
+            for stars in itertools.product(exps, repeat=k):
+                engine.component(tuple(zip(kern, stars)))
+        _assert_neighbors_match_reference(engine)
+
+
+def test_rule_table_matches_linear_scan_on_hand_promoted_rules():
+    # rules saturate never promotes: a pattern not numbered by first
+    # occurrence, and a rule that fixes its own pattern
+    engine = _Engine(monomial_system([(2, 1)], COMPLEX, True), Bounds())
+    engine.promote(parse_word("ba*c").letters, parse_word("cba*").letters, -1)
+    engine.promote(parse_word("ab").letters, parse_word("ab").letters, -1)
+    for kern in _restricted_growth_strings(4):
+        for stars in itertools.product((False, True), repeat=4):
+            engine.component(tuple(zip(kern, stars)))
+    _assert_neighbors_match_reference(engine)
+
+
+def test_rule_table_moves_starred_words_in_the_real_regime():
+    # the base permutations act on every window, starred letters included
+    out, _ = reduce(mono("ab*") - mono("b*a"), monomial_system([(2, 1)], REAL, False))
+    assert out.is_zero()
 
 
 # ---------------------------------------------------------------------------

@@ -392,6 +392,23 @@ def test_rank_unconjugated_sees_the_sign_relations():
             assert rank == 9
 
 
+@pytest.mark.parametrize("n", [0, -2])
+def test_dimension_below_one_is_rejected(n):
+    o_n = group_by_name("o_n")
+    s_r = sphere_by_name("s_r")
+    with pytest.raises(ValueError, match="at least 1"):
+        gram(o_n, n, k=4)
+    with pytest.raises(ValueError, match="at least 1"):
+        weingarten_matrix(o_n, n, k=4)
+    with pytest.raises(ValueError, match="at least 1"):
+        moment(o_n, n, (), ())
+    with pytest.raises(ValueError, match="at least 1"):
+        sphere_trace(s_r, n, ())
+    for conjugated in (False, True):
+        with pytest.raises(ValueError, match="at least 1"):
+            gram_rank_products(s_r, n, conjugated)
+
+
 # ---------------------------------------------------------------------------
 # stochasticity
 
