@@ -54,11 +54,11 @@ from .weingarten import _invert_gram
 # operations running (directly or transitively) under each subcommand, for
 # the coverage check
 COMMAND_OPERATIONS = {
-    "partitions": ["enumerate_partitions", "is_member", "parse_partition"],
-    "signature": ["signature", "standard_form", "crossing_count"],
+    "partitions": ["enumerate_partitions", "is_member", "parse_partition", "kernel"],
+    "signature": ["signature", "standard_form", "crossing_count", "kernel"],
     "gram": ["category_pairings", "gram", "row_sum_profile", "join"],
     "weingarten": ["category_pairings", "gram"],
-    "moment": ["moment", "weingarten_matrix", "delta", "kernel", "is_constant_on_blocks"],
+    "moment": ["moment", "weingarten_matrix", "delta", "is_constant_on_blocks"],
     "trace": ["sphere_trace"],
     "rank": ["gram_rank_products"],
     "classify": ["classify_monomial_sphere", "halfcommuting_membership",

@@ -399,10 +399,13 @@ def haar_moment_mc(group: str, n: int, word, samples: int = 100_000,
 
     Returns (estimate, standard error); the hyperoctahedral and K_N
     averages are exact with zero reported error.  Indices run over
-    ``1..n``; any other index raises ``ValueError``.
+    ``1..n``; any other index raises ``ValueError``, and so do fewer than
+    2 samples for the orthogonal and unitary estimates.
     """
     _check_dimension(n)
     entries = _word_entries(word, n)
+    if group in ("orthogonal", "unitary") and samples < 2:
+        raise ValueError(f"a Monte Carlo estimate needs at least 2 samples, got {samples}")
     if group == "orthogonal":
         u = haar_orthogonal(n, samples, seed)
         vals = np.ones(samples)

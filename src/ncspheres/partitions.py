@@ -7,6 +7,13 @@ notions (crossings, switches, the cyclic black/white labelling) use the
 *linear order*, which walks the frame clockwise from the top left corner:
 upper row left to right, then lower row right to left.
 
+A partition is stored as one label word: ``labels[leg]`` is the block of
+storage leg ``leg``, with blocks numbered by first occurrence in the linear
+order.  Read in the linear order, the labels form a restricted growth
+string, so equal partitions have equal words.  Every operation that makes a
+partition builds the word of its result and canonicalizes it through
+``kernel``; the blocks are derived from the labels.
+
 Partition literals are two strings over lowercase letters separated by
 ``|``, upper row first, with equal letters marking equal blocks.  An
 optional suffix ``:`` carries one color character per leg (upper row then
@@ -26,8 +33,9 @@ of switches is an invariant and defines the twisted signature.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .errors import FrameError, PartitionClassError, SizeLimitError
@@ -39,6 +47,11 @@ class LegColor(enum.Enum):
     UNCOLORED = ""
     WHITE = "o"   # plain symbol: z / u, exponent 1
     BLACK = "*"   # starred symbol: z* / u*, exponent *
+
+    # members are singletons, so hash by identity in C rather than through
+    # Enum's Python-level hash of the name: colors are looked up and hashed
+    # with every partition that is built
+    __hash__ = object.__hash__
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"LegColor.{self.name}"
@@ -55,60 +68,58 @@ class PartitionClass(enum.Enum):
     PERM = "perm"
 
 
+_COLORS = {"o": LegColor.WHITE, "1": LegColor.WHITE, 1: LegColor.WHITE,
+           "*": LegColor.BLACK, **{c: c for c in LegColor}}
+
+
 def _color_word(spec, n: int) -> tuple[LegColor, ...]:
-    """Normalize a color argument: int/None means n uncolored legs."""
-    if spec is None:
-        return (LegColor.UNCOLORED,) * n
+    """Normalize a color argument to ``n`` leg colors: a leg count, or a word
+    over ``o`` and ``*`` (``None`` or an empty word: ``n`` uncolored legs)."""
     if isinstance(spec, int):
-        return (LegColor.UNCOLORED,) * spec
-    out = []
-    for c in spec:
-        if isinstance(c, LegColor):
-            out.append(c)
-        elif c in ("o", "1", 1):
-            out.append(LegColor.WHITE)
-        elif c == "*":
-            out.append(LegColor.BLACK)
-        else:
-            raise ValueError(f"bad color character {c!r}")
-    return tuple(out)
+        if spec < 0:
+            raise ValueError(f"negative leg count {spec}")
+        word = (LegColor.UNCOLORED,) * spec
+    elif not spec:
+        word = (LegColor.UNCOLORED,) * n
+    else:
+        try:
+            word = tuple(map(_COLORS.__getitem__, spec))
+        except KeyError as exc:
+            raise ValueError(f"bad color character {exc.args[0]!r}") from None
+    if len(word) != n:
+        raise FrameError(f"need {n} colors, got {len(word)}")
+    return word
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Partition:
-    """A two-row set partition with optional leg colors.
+    """A two-row set partition with leg colors.
 
-    ``blocks`` holds storage leg indices; it is canonicalized on
-    construction (members sorted, blocks sorted by smallest leg in linear
-    order) so that equality is structural.
+    ``labels`` holds the block of each storage leg, with blocks numbered by
+    first occurrence in the linear order, so that equality is structural.
+    The constructor takes blocks of storage legs in any order; ``kernel``
+    builds a partition from a word of arbitrary labels.
     """
 
     upper: int
     lower: int
-    blocks: tuple[tuple[int, ...], ...]
-    colors: tuple[LegColor, ...] = field(default=())
+    labels: tuple[int, ...]
+    colors: tuple[LegColor, ...]
 
-    def __post_init__(self):
-        n = self.upper + self.lower
-        seen: set[int] = set()
-        for b in self.blocks:
+    def __init__(self, upper: int, lower: int, blocks: Iterable[Sequence[int]],
+                 colors=()):
+        n = upper + lower
+        raw: list = [None] * n
+        for i, b in enumerate(blocks):
             if not b:
                 raise ValueError("empty block")
             for leg in b:
-                if leg in seen or not 0 <= leg < n:
+                if not 0 <= leg < n or raw[leg] is not None:
                     raise ValueError("blocks must partition the legs")
-                seen.add(leg)
-        if len(seen) != n:
+                raw[leg] = i
+        if None in raw:
             raise ValueError("blocks must cover all legs")
-        colors = self.colors if self.colors else (LegColor.UNCOLORED,) * n
-        if len(colors) != n:
-            raise FrameError(f"need {n} colors, got {len(colors)}")
-        canon = tuple(
-            tuple(sorted(b))
-            for b in sorted(self.blocks, key=lambda b: min(self.linear_pos(x) for x in b))
-        )
-        object.__setattr__(self, "blocks", canon)
-        object.__setattr__(self, "colors", tuple(colors))
+        vars(self).update(vars(kernel(raw, upper, lower, colors)))
 
     # -- frame helpers -------------------------------------------------
 
@@ -118,25 +129,20 @@ class Partition:
 
     @property
     def block_count(self) -> int:
-        return len(self.blocks)
+        return max(self.labels, default=-1) + 1
 
-    def linear_pos(self, leg: int) -> int:
-        """Clockwise position of a storage leg (upper L->R, lower R->L)."""
-        if leg < self.upper:
-            return leg
-        return self.upper + (self.n_legs - 1 - leg)
-
-    def block_labels(self) -> list[int]:
-        """Per-leg block index, in storage order."""
-        lab = [0] * self.n_legs
-        for i, b in enumerate(self.blocks):
-            for leg in b:
-                lab[leg] = i
-        return lab
+    @functools.cached_property
+    def blocks(self) -> tuple[tuple[int, ...], ...]:
+        """Storage legs of each block in increasing order, blocks in label
+        order (by first leg in the linear order)."""
+        out: list[list[int]] = [[] for _ in range(self.block_count)]
+        for leg, b in enumerate(self.labels):
+            out[b].append(leg)
+        return tuple(map(tuple, out))
 
     def linear_word(self) -> list[int]:
-        lab = self.block_labels()
-        return [lab[self.linear_pos(p)] for p in range(self.n_legs)]
+        """Block labels in the linear order: a restricted growth string."""
+        return [*self.labels[: self.upper], *reversed(self.labels[self.upper:])]
 
     def same_frame(self, other: "Partition") -> bool:
         return (
@@ -147,11 +153,6 @@ class Partition:
 
     def is_colored(self) -> bool:
         return any(c is not LegColor.UNCOLORED for c in self.colors)
-
-    def with_colors(self, upper_colors, lower_colors) -> "Partition":
-        cu = _color_word(upper_colors, self.upper)
-        cl = _color_word(lower_colors, self.lower)
-        return Partition(self.upper, self.lower, self.blocks, cu + cl)
 
     # -- predicates ----------------------------------------------------
 
@@ -189,15 +190,12 @@ class Partition:
     # -- literals ------------------------------------------------------
 
     def literal(self) -> str:
-        lab = self.block_labels()
-        letters = "abcdefghijklmnopqrstuvwxyz"
         rename: dict[int, str] = {}
-        for leg in range(self.n_legs):  # letters by first occurrence in storage order
-            if lab[leg] not in rename:
-                rename[lab[leg]] = letters[len(rename)]
-        up = "".join(rename[lab[i]] for i in range(self.upper))
-        low = "".join(rename[lab[self.upper + j]] for j in range(self.lower))
-        s = f"{up}|{low}"
+        for b in self.labels:  # letters by first occurrence in storage order
+            if b not in rename:
+                rename[b] = "abcdefghijklmnopqrstuvwxyz"[len(rename)]
+        word = "".join(rename[b] for b in self.labels)
+        s = f"{word[: self.upper]}|{word[self.upper:]}"
         if self.is_colored():
             s += ":" + "".join(c.value or "?" for c in self.colors)
         return s
@@ -212,21 +210,16 @@ def parse_partition(text: str) -> Partition:
     if "|" not in body:
         raise ValueError(f"partition literal needs a '|': {text!r}")
     up, low = body.split("|", 1)
-    word = up + low
-    groups: dict[str, list[int]] = {}
-    for leg, ch in enumerate(word):
-        groups.setdefault(ch, []).append(leg)
-    colors = _color_word(colortext if colortext else None, len(word))
-    return Partition(len(up), len(low), tuple(tuple(g) for g in groups.values()), colors)
+    return kernel(up + low, len(up), len(low), colortext)
 
 
 # ---------------------------------------------------------------------------
 # basic operations
 
 
-def _components(n: int, groups: Iterable[Sequence[int]]) -> list[list[int]]:
-    """Connected components of the nodes ``0..n-1`` once the nodes of each
-    nonempty group are joined (union-find), each component in increasing order."""
+def _roots(n: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
+    """Union-find over the nodes ``0..n-1``: the representative of each
+    node's component once the two nodes of every pair are joined."""
     parent = list(range(n))
 
     def find(x):
@@ -235,61 +228,70 @@ def _components(n: int, groups: Iterable[Sequence[int]]) -> list[list[int]]:
             x = parent[x]
         return x
 
-    for g in groups:
-        r = find(g[0])
-        for x in g[1:]:
-            parent[find(x)] = r
-    comps: dict[int, list[int]] = {}
-    for x in range(n):
-        comps.setdefault(find(x), []).append(x)
-    return list(comps.values())
-
-
-def _blocks(labels: Sequence) -> tuple[tuple[int, ...], ...]:
-    """Blocks of positions carrying equal labels."""
-    groups: dict = {}
-    for pos, v in enumerate(labels):
-        groups.setdefault(v, []).append(pos)
-    return tuple(tuple(g) for g in groups.values())
+    for a, b in pairs:
+        parent[find(b)] = find(a)
+    return [find(x) for x in range(n)]
 
 
 def join(p: Partition, q: Partition) -> Partition:
-    """Finest common coarsening of two partitions on the same frame."""
+    """Finest common coarsening of two partitions on the same frame.
+
+    The blocks of ``p`` and of ``q`` are the nodes of one union-find, and
+    each leg joins its block in ``p`` to its block in ``q``.
+    """
     if not p.same_frame(q):
         raise FrameError("join needs identical frames")
-    blocks = _components(p.n_legs, p.blocks + q.blocks)
-    return Partition(p.upper, p.lower, tuple(tuple(b) for b in blocks), p.colors)
+    bp = p.block_count
+    roots = _roots(bp + q.block_count, zip(p.labels, (bp + b for b in q.labels)))
+    return kernel([roots[b] for b in p.labels], p.upper, p.lower, p.colors)
 
 
-def kernel(values: Sequence, upper: int | None = None, lower: int = 0) -> Partition:
+def kernel(values: Sequence, upper: int | None = None, lower: int = 0,
+           colors=None) -> Partition:
     """Kernel of a tuple: legs in the same block iff their entries coincide.
 
     By default the result lives on a one-row frame.  Pass ``upper``/``lower``
-    to place it on a two-row frame of the same total length.
+    to place it on a two-row frame of the same total length, and ``colors``
+    (a word over ``o`` and ``*``, upper row then lower row) to color its legs.
     """
     n = len(values)
     if upper is None:
         upper, lower = n, 0
-    if upper + lower != n:
+    if upper < 0 or lower < 0 or upper + lower != n:
         raise FrameError("kernel frame does not match tuple length")
-    return Partition(upper, lower, _blocks(values))
+    rename: dict = {}
+    for v in itertools.chain(values[:upper], reversed(values[upper:])):
+        if v not in rename:
+            rename[v] = len(rename)
+    p = object.__new__(Partition)
+    vars(p).update(upper=upper, lower=lower, labels=tuple(map(rename.__getitem__, values)),
+                   colors=_color_word(colors, n))
+    return p
 
 
 def is_constant_on_blocks(p: Partition, values: Sequence) -> bool:
     """True iff the tuple is constant on every block of ``p``."""
     if len(values) != p.n_legs:
         raise FrameError("tuple length does not match the frame")
-    return all(all(values[x] == values[b[0]] for x in b[1:]) for b in p.blocks)
+    first: dict = {}
+    return all(first.setdefault(b, v) == v for b, v in zip(p.labels, values))
 
 
 def refines(p: Partition, q: Partition) -> bool:
     """True iff every block of ``p`` is contained in a block of ``q``."""
-    lab = q.block_labels()
-    return all(len({lab[x] for x in b}) == 1 for b in p.blocks)
+    return is_constant_on_blocks(p, q.labels)
 
 
 # ---------------------------------------------------------------------------
 # switches, signature, crossings
+
+
+def _linear_blocks(p: Partition) -> list[list[int]]:
+    """Linear positions of each block, blocks in label order."""
+    spans: list[list[int]] = [[] for _ in range(p.block_count)]
+    for pos, b in enumerate(p.linear_word()):
+        spans[b].append(pos)
+    return spans
 
 
 def _row_inversions(labels: Sequence[int]) -> int:
@@ -328,40 +330,30 @@ def standard_form(p: Partition, block_order: Sequence[int] | None = None):
     """
     if not p.has_even_blocks():
         raise PartitionClassError("standard form needs even block sizes")
+    ranks = p.labels  # labels already rank blocks by first leg in linear order
     if block_order is None:
         if p.is_noncrossing():
             return p, 0
-        rank = {i: i for i in range(p.block_count)}  # blocks already canonical
     else:
         rank = {b: r for r, b in enumerate(block_order)}
-    lab = p.block_labels()
-    up = [rank[lab[i]] for i in range(p.upper)]
-    low = [rank[lab[p.upper + j]] for j in range(p.lower)]
+        ranks = [rank[b] for b in ranks]
+    up, low = ranks[: p.upper], ranks[p.upper:]
     switches = _row_inversions(up) + _row_inversions(low)
-
-    new_blocks: dict[int, list[int]] = {}
-    for pos, r in enumerate(sorted(up)):
-        new_blocks.setdefault(r, []).append(pos)
-    for pos, r in enumerate(sorted(low)):
-        new_blocks.setdefault(r, []).append(p.upper + pos)
-    result = Partition(
-        p.upper, p.lower, tuple(tuple(b) for b in new_blocks.values()), p.colors
-    )
-    return result, switches
+    return kernel([*sorted(up), *sorted(low)], p.upper, p.lower, p.colors), switches
 
 
 def signature(p: Partition) -> int:
     """Twisted signature of an even partition: (-1)**switch_count."""
     if not p.has_even_blocks():
         raise PartitionClassError("the signature needs even block sizes")
-    return _inversion_sign(p.block_labels(), p.upper)
+    return _inversion_sign(p.labels, p.upper)
 
 
 def crossing_count(p: Partition) -> int:
     """Number of crossing string pairs of a pairing, in linear order."""
     if not p.is_pairing():
         raise PartitionClassError("crossing count is defined for pairings")
-    spans = sorted(tuple(sorted(p.linear_pos(x) for x in b)) for b in p.blocks)
+    spans = _linear_blocks(p)
     count = 0
     for (a1, a2), (b1, b2) in itertools.combinations(spans, 2):
         if a1 < b1 < a2 < b2:
@@ -394,11 +386,7 @@ def _color_balanced(p: Partition) -> bool:
 def _alternating_rule(p: Partition) -> bool:
     """Each string of a pairing joins legs of opposite parity in the
     cyclic black/white labelling along the linear order."""
-    for b in p.blocks:
-        x, y = (p.linear_pos(leg) for leg in b)
-        if (x - y) % 2 == 0:
-            return False
-    return True
+    return all((y - x) % 2 for x, y in _linear_blocks(p))
 
 
 def is_member(p: Partition, cls: PartitionClass) -> bool:
@@ -444,24 +432,28 @@ def _restricted_growth_strings(n: int) -> Iterator[tuple[int, ...]]:
     yield from rec(1, 0)
 
 
-def _pairings(n: int) -> Iterator[list[list[int]]]:
+def _pairings(n: int) -> Iterator[tuple[int, ...]]:
+    """All pairings of range(n) as label words, pairs numbered by their
+    first element; none for odd ``n``."""
     if n % 2:
         return
-    if n == 0:
-        yield []
-        return
-    legs = list(range(n))
+    word: list = [None] * n
 
-    def rec(rest: list[int]):
-        if not rest:
-            yield []
+    def rec(i: int, label: int):
+        while i < n and word[i] is not None:
+            i += 1
+        if i == n:
+            yield tuple(word)
             return
-        first, tail = rest[0], rest[1:]
-        for i, other in enumerate(tail):
-            for sub in rec(tail[:i] + tail[i + 1 :]):
-                yield [[first, other]] + sub
+        word[i] = label
+        for j in range(i + 1, n):
+            if word[j] is None:
+                word[j] = label
+                yield from rec(i + 1, label + 1)
+                word[j] = None
+        word[i] = None
 
-    yield from rec(legs)
+    yield from rec(0, 0)
 
 
 _PAIRING_CLASSES = {PartitionClass.P2, PartitionClass.NC2, PartitionClass.P2_STAR,
@@ -481,16 +473,10 @@ def enumerate_partitions(cls: PartitionClass, upper=0, lower=0,
     n = k + l
     if n > bound:
         raise SizeLimitError(f"{n} legs exceeds the enumeration bound {bound}")
-    if cls in _PAIRING_CLASSES:
-        gen = _pairings(n)
-    else:
-        gen = map(_blocks, _restricted_growth_strings(n))
-    out = []
-    for blocks in gen:
-        p = Partition(k, l, tuple(tuple(b) for b in blocks), cu + cl)
-        if is_member(p, cls):
-            out.append(p)
-    out.sort(key=lambda p: tuple(tuple(sorted(p.linear_pos(x) for x in b)) for b in p.blocks))
+    colors = cu + cl
+    words = _pairings(n) if cls in _PAIRING_CLASSES else _restricted_growth_strings(n)
+    out = [p for p in (kernel(w, k, l, colors) for w in words) if is_member(p, cls)]
+    out.sort(key=_linear_blocks)
     return out
 
 
@@ -508,8 +494,10 @@ def perm_to_partition(perm: Sequence[int]) -> Partition:
     k = len(perm)
     if sorted(perm) != list(range(1, k + 1)):
         raise ValueError(f"not a permutation of 1..{k}: {perm!r}")
-    blocks = tuple((p, k + perm[p] - 1) for p in range(k))
-    return Partition(k, k, blocks)
+    lower = [0] * k
+    for p, image in enumerate(perm):
+        lower[image - 1] = p
+    return kernel([*range(k), *lower], k, k)
 
 
 def halfcommuting_membership(perm: Sequence[int] | Partition) -> bool:

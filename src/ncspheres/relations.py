@@ -747,6 +747,8 @@ def relation_group(system: RelationSystem, k: int,
     classical level, the half-commuting subgroup at the half level and
     the trivial group at the free level.
     """
+    if k < 0:
+        raise ValueError(f"relation_group needs k >= 0, got {k}")
     if k > 6:
         raise SizeLimitError("relation_group supports k <= 6")
     engine = _Engine(system, Bounds(max_degree=k, max_indices=max_indices or k))

@@ -22,7 +22,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import FrameError, PartitionClassError
-from .partitions import Partition, _components, _inversion_sign, is_constant_on_blocks
+from .partitions import Partition, _inversion_sign, _roots, is_constant_on_blocks, kernel
 
 Tuples = tuple[int, ...]
 
@@ -154,12 +154,9 @@ def t_map(p: Partition, n: int, twisted: bool = False) -> SparseTensorMap:
         raise PartitionClassError("twisted maps need even block sizes")
     k, l = p.upper, p.lower
     entries = {}
-    blocks = p.blocks
-    for assignment in itertools.product(range(1, n + 1), repeat=len(blocks)):
-        t = [0] * p.n_legs
-        for b, v in zip(blocks, assignment):
-            for leg in b:
-                t[leg] = v
+    labels = p.labels
+    for assignment in itertools.product(range(1, n + 1), repeat=p.block_count):
+        t = [assignment[b] for b in labels]
         coeff = _inversion_sign(t, k) if twisted else 1
         entries[(tuple(t[k:]), tuple(t[:k]))] = coeff
     return SparseTensorMap(n, k, l, entries)
@@ -187,23 +184,12 @@ def inner_product(v: FixedVector, w: FixedVector) -> int:
 
 def tensor_concat(p: Partition, q: Partition) -> Partition:
     """Horizontal concatenation: q is placed to the right of p."""
-    k, l = p.upper + q.upper, p.lower + q.lower
-
-    def shift_q(leg: int) -> int:
-        if leg < q.upper:
-            return p.upper + leg
-        return k + p.lower + (leg - q.upper)
-
-    def shift_p(leg: int) -> int:
-        if leg < p.upper:
-            return leg
-        return k + (leg - p.upper)
-
-    blocks = [tuple(shift_p(x) for x in b) for b in p.blocks]
-    blocks += [tuple(shift_q(x) for x in b) for b in q.blocks]
+    q_labels = tuple(p.block_count + b for b in q.labels)
+    labels = (p.labels[: p.upper] + q_labels[: q.upper]
+              + p.labels[p.upper:] + q_labels[q.upper:])
     colors = (p.colors[: p.upper] + q.colors[: q.upper]
               + p.colors[p.upper:] + q.colors[q.upper:])
-    return Partition(k, l, tuple(blocks), colors)
+    return kernel(labels, p.upper + q.upper, p.lower + q.lower, colors)
 
 
 def compose(p: Partition, q: Partition) -> tuple[Partition, int]:
@@ -214,25 +200,17 @@ def compose(p: Partition, q: Partition) -> tuple[Partition, int]:
         raise FrameError("middle arities do not match")
     if p.colors[p.upper:] != q.colors[: q.upper]:
         raise FrameError("middle colors do not match")
-    k, mid, m = p.upper, p.lower, q.lower
-    # nodes: 0..k-1 top, k..k+mid-1 middle, k+mid..k+mid+m-1 bottom; p's
-    # legs are already node numbers, q's upper leg j is middle node k + j
-    q_blocks = [tuple(k + x if x < q.upper else k + mid + (x - q.upper) for x in b)
-                for b in q.blocks]
-    blocks = []
-    loops = 0
-    for comp in _components(k + mid + m, (*p.blocks, *q_blocks)):
-        outer = [x for x in comp if x < k or x >= k + mid]
-        if not outer:
-            loops += 1
-            continue
-        blocks.append(tuple(x if x < k else x - mid for x in outer))
-    colors = p.colors[:k] + q.colors[q.upper:]
-    return Partition(k, m, tuple(blocks), colors), loops
+    k, mid = p.upper, p.lower
+    # one union-find over the blocks of p and then of q; each middle leg
+    # joins its block in p to its block in q
+    bp = p.block_count
+    roots = _roots(bp + q.block_count, zip(p.labels[k:], (bp + b for b in q.labels[:mid])))
+    outer = [roots[b] for b in p.labels[:k]] + [roots[bp + b] for b in q.labels[mid:]]
+    loops = len(set(roots)) - len(set(outer))
+    return kernel(outer, k, q.lower, p.colors[:k] + q.colors[mid:]), loops
 
 
 def involution(p: Partition) -> Partition:
     """Upside-down turn: rows exchanged, order within each row kept."""
-    k, l = p.upper, p.lower
-    blocks = tuple(tuple(x + l if x < k else x - k for x in b) for b in p.blocks)
-    return Partition(l, k, blocks, p.colors[k:] + p.colors[:k])
+    k = p.upper
+    return kernel(p.labels[k:] + p.labels[:k], p.lower, k, p.colors[k:] + p.colors[:k])

@@ -164,6 +164,21 @@ def test_element_outside_the_list_is_an_error(capsys, element):
     assert captured.err.startswith("error: ") and "0..47" in captured.err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["gram", "--group", "o_n", "--k", "-2", "--n", "3"], "negative leg count"),
+    (["saturate", "--perm", "21", "--k", "-1"], "k >= 0"),
+    (["check", "--op", "mc_moment", "--n", "2", "--i", "1", "--j", "1", "--samples", "1"],
+     "at least 2 samples"),
+    (["check", "--op", "mc_moment", "--mc-group", "unitary", "--n", "2", "--i", "1",
+      "--j", "1", "--samples", "0"], "at least 2 samples"),
+])
+def test_meaningless_sizes_are_errors(capsys, argv, message):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+
+
 def test_weingarten_builds_the_gram_matrix_once(monkeypatch, capsys):
     from ncspheres import partitions, weingarten
 

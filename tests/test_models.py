@@ -209,6 +209,13 @@ def test_mc_unitary_balanced_word():
     assert abs(est - 1 / 3) < 3 * se
 
 
+@pytest.mark.parametrize("group", ["orthogonal", "unitary"])
+@pytest.mark.parametrize("samples", [1, 0, -3])
+def test_mc_needs_two_samples(group, samples):
+    with pytest.raises(ValueError, match="at least 2 samples"):
+        haar_moment_mc(group, 2, [(1, 1, "1")], samples=samples)
+
+
 @pytest.mark.parametrize("n", [0, -1])
 def test_builders_reject_dimension_below_one(n):
     builders = [

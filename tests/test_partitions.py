@@ -24,6 +24,7 @@ from ncspheres.partitions import (
     signature,
     standard_form,
 )
+from ncspheres.tensors import involution, tensor_concat
 
 P = parse_partition
 
@@ -413,3 +414,216 @@ def test_join_associative_idempotent(p, q, r):
 @settings(max_examples=200, deadline=None)
 def test_literal_roundtrip_random(p):
     assert parse_partition(p.literal()) == p
+
+
+# ---------------------------------------------------------------------------
+# label-word storage against the block representation it replaced
+
+
+class BlockPartition:
+    """Reference: a partition stored as blocks, canonicalized by sorting the
+    members of each block and the blocks by their smallest leg in the linear
+    order, with the block operations written on storage legs."""
+
+    def __init__(self, upper, lower, blocks, colors=()):
+        self.upper, self.lower = upper, lower
+        names = {"o": LegColor.WHITE, "*": LegColor.BLACK}
+        self.colors = (tuple(names.get(c, c) for c in colors)
+                       or (LegColor.UNCOLORED,) * (upper + lower))
+        self.blocks = tuple(
+            tuple(sorted(b)) for b in sorted(blocks, key=lambda b: min(map(self.linear_pos, b)))
+        )
+
+    def linear_pos(self, leg):
+        return leg if leg < self.upper else self.upper + self.lower - 1 - leg + self.upper
+
+    def key(self):
+        return self.upper, self.lower, self.blocks, self.colors
+
+    def __eq__(self, other):
+        return self.key() == other.key()
+
+    def __hash__(self):
+        return hash(self.key())
+
+    def block_labels(self):
+        lab = [0] * (self.upper + self.lower)
+        for i, b in enumerate(self.blocks):
+            for leg in b:
+                lab[leg] = i
+        return lab
+
+    def linear_word(self):
+        lab = self.block_labels()
+        return [lab[leg] for leg in sorted(range(len(lab)), key=self.linear_pos)]
+
+    def literal(self):
+        lab = self.block_labels()
+        rename = {}
+        for x in lab:
+            rename.setdefault(x, "abcdefghijklmnopqrstuvwxyz"[len(rename)])
+        word = "".join(rename[x] for x in lab)
+        s = f"{word[:self.upper]}|{word[self.upper:]}"
+        if any(c is not LegColor.UNCOLORED for c in self.colors):
+            s += ":" + "".join(c.value for c in self.colors)
+        return s
+
+
+def block_join(p, q):
+    merged = []
+    for b in p.blocks + q.blocks:
+        b = set(b)
+        for other in [m for m in merged if m & b]:
+            merged.remove(other)
+            b |= other
+        merged.append(b)
+    return BlockPartition(p.upper, p.lower, merged, p.colors)
+
+
+def block_tensor_concat(p, q):
+    k = p.upper + q.upper
+
+    def shift_p(leg):
+        return leg if leg < p.upper else k + leg - p.upper
+
+    def shift_q(leg):
+        return p.upper + leg if leg < q.upper else k + p.lower + leg - q.upper
+
+    blocks = [tuple(map(shift_p, b)) for b in p.blocks] + [tuple(map(shift_q, b)) for b in q.blocks]
+    colors = p.colors[:p.upper] + q.colors[:q.upper] + p.colors[p.upper:] + q.colors[q.upper:]
+    return BlockPartition(k, p.lower + q.lower, blocks, colors)
+
+
+def block_involution(p):
+    k, l = p.upper, p.lower
+    blocks = [tuple(x + l if x < k else x - k for x in b) for b in p.blocks]
+    return BlockPartition(l, k, blocks, p.colors[k:] + p.colors[:k])
+
+
+def block_standard_form(p, block_order=None):
+    order = block_order if block_order is not None else range(len(p.blocks))
+    rank = {b: r for r, b in enumerate(order)}
+    lab = p.block_labels()
+    up = [rank[lab[i]] for i in range(p.upper)]
+    low = [rank[lab[p.upper + j]] for j in range(p.lower)]
+    switches = sum(a > b for row in (up, low) for a, b in itertools.combinations(row, 2))
+    new_blocks = {}
+    for pos, r in enumerate(sorted(up)):
+        new_blocks.setdefault(r, []).append(pos)
+    for pos, r in enumerate(sorted(low)):
+        new_blocks.setdefault(r, []).append(p.upper + pos)
+    return BlockPartition(p.upper, p.lower, new_blocks.values(), p.colors), switches
+
+
+def reference_pairs(frame, words, colors=()):
+    """(Partition, BlockPartition) built from the same blocks, members and
+    blocks listed in reverse, for each label word on the frame."""
+    out = []
+    for word in words:
+        blocks = {}
+        for leg, b in enumerate(word):
+            blocks.setdefault(b, []).insert(0, leg)
+        blocks = list(blocks.values())[::-1]
+        out.append((Partition(*frame, blocks, colors), BlockPartition(*frame, blocks, colors)))
+    return out
+
+
+def assert_same(p, ref):
+    assert p.blocks == ref.blocks, p
+    assert p.linear_word() == ref.linear_word(), p
+    assert p.literal() == ref.literal(), p
+
+
+def assert_same_unary(pairs):
+    for p, ref in pairs:
+        assert_same(p, ref)
+        assert_same(involution(p), block_involution(ref))
+        if p.has_even_blocks():
+            got, switches = standard_form(p, block_order=range(p.block_count))
+            want, want_switches = block_standard_form(ref)
+            assert_same(got, want)
+            assert switches == want_switches
+
+
+def assert_same_equality(pairs):
+    # equal exactly when the references are equal, with equal hashes
+    parts = {}
+    for p, ref in pairs:
+        parts.setdefault(ref, set()).add(p)
+    assert all(len(members) == 1 for members in parts.values())
+    assert len({p for p, _ in pairs}) == len(parts)
+    for p, _ in pairs[::7]:
+        q = Partition(p.upper, p.lower, p.blocks[::-1], p.colors)
+        assert q == p and hash(q) == hash(p)
+
+
+def reference_order(refs):
+    return sorted(refs, key=lambda r: [sorted(map(r.linear_pos, b)) for b in r.blocks])
+
+
+def test_label_words_match_block_reference_on_every_frame():
+    by_frame = {(k, l): reference_pairs((k, l), _restricted_growth_strings(k + l))
+                for k, l in frames(8)}
+    pairs = [pair for frame_pairs in by_frame.values() for pair in frame_pairs]
+    assert len(pairs) == sum((n + 1) * b for n, b in enumerate([1, 1, 2, 5, 15, 52, 203, 877, 4140]))
+    for p, ref in pairs:
+        assert_same(p, ref)
+    assert_same_equality(pairs)
+    # the operations, and the enumeration order, on every frame up to 7
+    # legs and on a sample of each 8-leg frame
+    rng = random.Random(5)
+    for (k, l), frame_pairs in by_frame.items():
+        if k + l == 8:
+            frame_pairs = rng.sample(frame_pairs, 100)
+        else:
+            want = reference_order(ref for _, ref in frame_pairs)
+            assert [p.literal() for p in enumerate_partitions(PartitionClass.P, k, l)] == \
+                [r.literal() for r in want]
+        assert_same_unary(frame_pairs)
+        sample = frame_pairs[:10] + rng.sample(frame_pairs, min(10, len(frame_pairs)))
+        for (p, rp), (q, rq) in itertools.product(sample, repeat=2):
+            assert_same(join(p, q), block_join(rp, rq))
+    small = [pair for pair in pairs if pair[0].n_legs <= 6]
+    for _ in range(1500):
+        (p, rp), (q, rq) = rng.choice(small), rng.choice(small)
+        assert_same(tensor_concat(p, q), block_tensor_concat(rp, rq))
+        if p.has_even_blocks():
+            order = rng.sample(range(p.block_count), p.block_count)
+            got, switches = standard_form(p, block_order=order)
+            want, want_switches = block_standard_form(rp, order)
+            assert_same(got, want)
+            assert switches == want_switches
+
+
+def test_colored_pairings_match_block_reference():
+    pairs = []
+    for k, l in frames(6):
+        words = [w for w in _restricted_growth_strings(k + l)
+                 if all(w.count(b) == 2 for b in w)]
+        for colors in itertools.product("o*", repeat=k + l):
+            frame_pairs = reference_pairs((k, l), words, "".join(colors))
+            assert_same_unary(frame_pairs)
+            for (p, rp), (q, rq) in itertools.product(frame_pairs[:3], repeat=2):
+                assert_same(join(p, q), block_join(rp, rq))
+                assert_same(tensor_concat(p, q), block_tensor_concat(rp, rq))
+            want = reference_order(r for p, r in frame_pairs if is_member(p, PartitionClass.P2))
+            got = enumerate_partitions(PartitionClass.P2, "".join(colors[:k]), "".join(colors[k:]))
+            assert [p.literal() for p in got] == [r.literal() for r in want]
+            pairs += frame_pairs
+    assert_same_equality(pairs)
+
+
+def test_constructor_normalizes_color_characters():
+    p = Partition(0, 2, ((0, 1),), ("o", "*"))
+    assert p.colors == (LegColor.WHITE, LegColor.BLACK)
+    assert p == P("|aa:o*")
+    assert is_member(p, PartitionClass.P2)
+    assert p.literal() == "|aa:o*"
+    with pytest.raises(ValueError):
+        Partition(0, 2, ((0, 1),), ("o", "x"))
+
+
+@pytest.mark.parametrize("upper,lower", [(0, -2), (-1, 3), ("o*", -2)])
+def test_negative_leg_count_is_rejected(upper, lower):
+    with pytest.raises(ValueError):
+        enumerate_partitions(PartitionClass.P2, upper, lower)

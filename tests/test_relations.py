@@ -421,6 +421,11 @@ def test_relation_group_sizes():
     assert relation_group(free, 3) == {(1, 2, 3)}
 
 
+def test_relation_group_rejects_negative_k():
+    with pytest.raises(ValueError, match="k >= 0"):
+        relation_group(sphere_relations(sphere_by_name("s_r")), -1)
+
+
 def test_relation_group_matches_halfcommuting_predicate():
     half = sphere_relations(sphere_by_name("bar_s_r_star"))
     for k in (3, 4):
