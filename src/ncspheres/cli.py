@@ -9,6 +9,7 @@ strings, never floats.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -221,14 +222,9 @@ def cmd_saturate(args) -> dict:
         if g.level is Level.HALF and g.twisted:
             out["comult_sign_check"] = comult_sign_check(g)
         return out
-    if args.sphere:
-        system = sphere_relations(sphere_by_name(args.sphere))
-        source: dict = {"sphere": args.sphere}
-    else:
-        field = Field.COMPLEX if args.regime.startswith("complex") else Field.REAL
-        system = monomial_system([_perm_arg(p) for p in args.perm], field,
-                                 args.regime.endswith("twisted"))
-        source = {"regime": args.regime, "perms": list(args.perm)}
+    system = _system(args)
+    source = ({"sphere": args.sphere} if args.sphere
+              else {"regime": args.regime, "perms": list(args.perm)})
     result = saturate(system, args.degree, args.indices)
     out = {**source,
            "derived": [s.literal() for s in result.schemas],
@@ -241,15 +237,18 @@ def cmd_saturate(args) -> dict:
     return out
 
 
-def cmd_reduce(args) -> dict:
+def _system(args) -> relations.RelationSystem:
+    """The relation system of `saturate`/`reduce`: a sphere preset, or the
+    monomial system of the given permutations over the regime."""
     if args.sphere:
-        system = sphere_relations(sphere_by_name(args.sphere))
-    else:
-        field = Field.COMPLEX if args.regime.startswith("complex") else Field.REAL
-        system = monomial_system([_perm_arg(p) for p in args.perm],
-                                 field, args.regime.endswith("twisted"))
+        return sphere_relations(sphere_by_name(args.sphere))
+    return monomial_system([_perm_arg(p) for p in args.perm],
+                           *relations.REGIMES[args.regime])
+
+
+def cmd_reduce(args) -> dict:
     expr = _parse_expression(args.expr)
-    out, trace = reduce_expr(expr, system, args.degree, args.indices)
+    out, trace = reduce_expr(expr, _system(args), args.degree, args.indices)
     return {"expr": args.expr, "reduced": str(out), "zero": out.is_zero(),
             "trace": trace}
 
@@ -394,6 +393,8 @@ def _build_model(args, sphere):
     if name == "clifford":
         return models.clifford_model(args.n)
     if name == "sqrt_positive":
+        if args.n != 3:
+            raise NCSphereError(f"the sqrt_positive model has 3 coordinates, got --n {args.n}")
         w = np.exp(2j * np.pi / 3)
         model, _ = models.sqrt_positive_model(
             (1 / 3, 1 / 3, 1 / 3), (1 / 3, 1 / 3, 1 / 3),
@@ -402,7 +403,7 @@ def _build_model(args, sphere):
     raise NCSphereError(f"unknown model {name!r}")
 
 
-def cmd_verify(args) -> tuple[dict, int]:
+def cmd_verify(args) -> dict:
     results, mc_report = verify.run_suite(args.suite)
     payload = {
         "suite": args.suite,
@@ -412,91 +413,87 @@ def cmd_verify(args) -> tuple[dict, int]:
     }
     if args.suite == "mc":
         payload["estimates"] = mc_report
-    return payload, (0 if payload["passed"] else 3)
+    return payload
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process; parsing leaves it unchanged,
+    so every call of `main` reuses it."""
     ap = argparse.ArgumentParser(
         prog="ncspheres",
         description="Diagram calculus and exact Weingarten integration for "
                     "the ten liberated/twisted spheres.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--format", choices=("json", "csv"), default="json")
+    # option groups shared by several subcommands; argparse lists a
+    # parent's options before the subcommand's own
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=("json", "csv"), default="json")
+    bounds = argparse.ArgumentParser(add_help=False)
+    bounds.add_argument("--degree", type=int, default=6)
+    bounds.add_argument("--indices", type=int, default=4)
+    monomial = argparse.ArgumentParser(add_help=False)
+    monomial.add_argument("--perm", action="append", default=[])
+    monomial.add_argument("--regime", default="real", choices=relations.REGIMES)
 
-    p = sub.add_parser("partitions", help="enumerate a partition class")
+    def command(name, handler, summary, parents=()):
+        p = sub.add_parser(name, help=summary, parents=[fmt, *parents])
+        p.set_defaults(handler=handler)
+        return p
+
+    p = command("partitions", cmd_partitions, "enumerate a partition class")
     p.add_argument("--class", dest="cls", required=True,
                    choices=[c.value for c in PartitionClass])
     p.add_argument("--upper", default="0")
     p.add_argument("--lower", default="0")
-    add_common(p)
 
-    p = sub.add_parser("signature", help="twisted signature of a partition")
+    p = command("signature", cmd_signature, "twisted signature of a partition")
     p.add_argument("--partition", required=True)
-    add_common(p)
 
-    for name in ("gram", "weingarten"):
-        p = sub.add_parser(name, help=f"{name} matrix of a group category")
+    for name, handler in (("gram", cmd_gram), ("weingarten", cmd_weingarten)):
+        p = command(name, handler, f"{name} matrix of a group category")
         p.add_argument("--group", required=True)
         p.add_argument("--k", type=int)
         p.add_argument("--alpha")
         p.add_argument("--n", type=_dimension, required=True)
-        add_common(p)
 
-    p = sub.add_parser("moment", help="exact Haar moment of a coordinate word")
+    p = command("moment", cmd_moment, "exact Haar moment of a coordinate word")
     p.add_argument("--group", required=True)
     p.add_argument("--n", type=_dimension, required=True)
     p.add_argument("--i", required=True)
     p.add_argument("--j", required=True)
     p.add_argument("--alpha")
-    add_common(p)
 
-    p = sub.add_parser("trace", help="canonical trace of a sphere monomial")
+    p = command("trace", cmd_trace, "canonical trace of a sphere monomial")
     p.add_argument("--sphere", required=True)
     p.add_argument("--n", type=_dimension, required=True)
     p.add_argument("--i", required=True)
     p.add_argument("--alpha")
-    add_common(p)
 
-    p = sub.add_parser("rank", help="rank of the degree-2 product Gram matrix")
+    p = command("rank", cmd_rank, "rank of the degree-2 product Gram matrix")
     p.add_argument("--sphere", required=True)
     p.add_argument("--n", type=_dimension, required=True)
     p.add_argument("--conjugated", action="store_true")
-    add_common(p)
 
-    p = sub.add_parser("classify", help="identify a monomial sphere")
+    p = command("classify", cmd_classify, "identify a monomial sphere", [bounds])
     p.add_argument("--perm", action="append", required=True,
                    help="one-line permutation word, e.g. 321")
-    p.add_argument("--regime", required=True,
-                   choices=("real", "complex", "real_twisted", "complex_twisted"))
-    p.add_argument("--degree", type=int, default=6)
-    p.add_argument("--indices", type=int, default=4)
-    add_common(p)
+    p.add_argument("--regime", required=True, choices=relations.REGIMES)
 
-    p = sub.add_parser("saturate", help="derived low-degree relation schemas")
-    p.add_argument("--perm", action="append", default=[])
-    p.add_argument("--regime", default="real",
-                   choices=("real", "complex", "real_twisted", "complex_twisted"))
+    p = command("saturate", cmd_saturate, "derived low-degree relation schemas",
+                [bounds, monomial])
     p.add_argument("--sphere", help="saturate a sphere preset instead")
     p.add_argument("--group", help="report a group preset's sign rules instead")
     p.add_argument("--k", type=int,
                    help="also report the derivable permutation group at length k")
-    p.add_argument("--degree", type=int, default=6)
-    p.add_argument("--indices", type=int, default=4)
-    add_common(p)
 
-    p = sub.add_parser("reduce", help="normal form of a word combination")
+    p = command("reduce", cmd_reduce, "normal form of a word combination",
+                [bounds, monomial])
     p.add_argument("--expr", required=True, help='e.g. "(ab-ba)^2"')
     p.add_argument("--sphere")
-    p.add_argument("--perm", action="append", default=[])
-    p.add_argument("--regime", default="real",
-                   choices=("real", "complex", "real_twisted", "complex_twisted"))
-    p.add_argument("--degree", type=int, default=6)
-    p.add_argument("--indices", type=int, default=4)
-    add_common(p)
 
-    p = sub.add_parser("check", help="numeric model checks")
+    p = command("check", cmd_check, "numeric model checks")
     p.add_argument("--op", default="relations",
                    choices=("relations", "fixed_vector", "intertwiner",
                             "coaction", "mc_moment"))
@@ -517,43 +514,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--i")
     p.add_argument("--j")
     p.add_argument("--alpha")
-    add_common(p)
 
-    p = sub.add_parser("verify", help="run an acceptance suite")
+    p = command("verify", cmd_verify, "run an acceptance suite")
     p.add_argument("--suite", default="paper", choices=("paper", "quick", "mc"))
-    add_common(p)
     return ap
 
 
-HANDLERS = {
-    "partitions": cmd_partitions,
-    "signature": cmd_signature,
-    "gram": cmd_gram,
-    "weingarten": cmd_weingarten,
-    "moment": cmd_moment,
-    "trace": cmd_trace,
-    "rank": cmd_rank,
-    "classify": cmd_classify,
-    "saturate": cmd_saturate,
-    "reduce": cmd_reduce,
-    "check": cmd_check,
-}
-
-
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "verify":
-            payload, code = cmd_verify(args)
-            _emit(payload, args.format)
-            return code
-        payload = HANDLERS[args.command](args)
+        payload = args.handler(args)
         _emit(payload, args.format)
-        return 0
     except (NCSphereError, ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 3 if args.command == "verify" and not payload["passed"] else 0
 
 
 if __name__ == "__main__":  # pragma: no cover

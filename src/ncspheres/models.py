@@ -185,6 +185,8 @@ def clifford_model(n: int, phases: Sequence[complex] | None = None) -> MatrixMod
     scale = 1.0 / np.sqrt(n)
     if phases is None:
         phases = (1.0,) * n
+    if len(phases) != n:
+        raise DomainError(f"need one phase per coordinate: {len(phases)} phases for n={n}")
     if any(abs(abs(p) - 1) > 1e-14 for p in phases):
         raise DomainError("phases must lie on the unit circle")
     return MatrixModel(tuple(p * scale * g for p, g in zip(phases, gammas)))
@@ -315,17 +317,8 @@ def coaction_check(g: SignedPermutation | np.ndarray, model: Model,
     """Transform the coordinates by a classical isometry and re-check the
     sphere relations: z_i -> sum_j g_ij z_j."""
     gm = g.matrix() if isinstance(g, SignedPermutation) else np.asarray(g)
-    mats = model.as_matrices()
-    n = model.n
-    new = []
-    for i in range(n):
-        acc = sum(gm[i, j] * mats[j] for j in range(n))
-        new.append(acc)
-    if isinstance(model, PointModel):
-        moved: Model = PointModel(tuple(complex(m[0, 0]) for m in new))
-    else:
-        moved = MatrixModel(tuple(new))
-    return not check_sphere_relations(moved, sphere, tol)
+    moved = np.tensordot(gm, np.stack(model.as_matrices()), axes=1)
+    return not check_sphere_relations(MatrixModel(tuple(moved)), sphere, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -360,9 +353,15 @@ def check_intertwiner(p: Partition, u: np.ndarray, twisted: bool = False,
 # Haar sampling
 
 
+def _check_samples(samples: int):
+    if samples < 1:
+        raise ValueError(f"a Haar sample batch needs at least 1 sample, got {samples}")
+
+
 def haar_orthogonal(n: int, samples: int, seed: int) -> np.ndarray:
     """Batch of Haar orthogonal matrices from sign-fixed QR."""
     _check_dimension(n)
+    _check_samples(samples)
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((samples, n, n))
     q, r = np.linalg.qr(g)
@@ -373,6 +372,7 @@ def haar_orthogonal(n: int, samples: int, seed: int) -> np.ndarray:
 
 def haar_unitary(n: int, samples: int, seed: int) -> np.ndarray:
     _check_dimension(n)
+    _check_samples(samples)
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((samples, n, n)) + 1j * rng.standard_normal((samples, n, n))
     q, r = np.linalg.qr(g)
@@ -406,30 +406,6 @@ def haar_moment_mc(group: str, n: int, word, samples: int = 100_000,
     entries = _word_entries(word, n)
     if group in ("orthogonal", "unitary") and samples < 2:
         raise ValueError(f"a Monte Carlo estimate needs at least 2 samples, got {samples}")
-    if group == "orthogonal":
-        u = haar_orthogonal(n, samples, seed)
-        vals = np.ones(samples)
-        for i, j, _ in entries:
-            vals = vals * u[:, i - 1, j - 1]
-        return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(samples))
-    if group == "unitary":
-        u = haar_unitary(n, samples, seed)
-        vals = np.ones(samples, dtype=complex)
-        for i, j, star in entries:
-            factor = u[:, i - 1, j - 1]
-            vals = vals * (factor.conj() if star else factor)
-        return float(vals.mean().real), float(vals.real.std(ddof=1) / np.sqrt(samples))
-    if group == "hyperoctahedral":
-        total = 0.0
-        elems = enumerate_signed_permutations(n)
-        for g in elems:
-            m = g.matrix()
-            prod = 1.0 + 0j
-            for i, j, star in entries:
-                x = m[i - 1, j - 1]
-                prod *= np.conj(x) if star else x
-            total += prod.real
-        return total / len(elems), 0.0
     if group == "k_n":
         # u = diag(phases) P: the phase integral kills any row with a net
         # exponent, and is one otherwise
@@ -444,4 +420,19 @@ def haar_moment_mc(group: str, n: int, word, samples: int = 100_000,
             if all(v == 0 for v in balance.values()):
                 total += 1.0
         return total / len(perms), 0.0
-    raise ValueError(f"unknown group {group!r}")
+    if group == "orthogonal":
+        u = haar_orthogonal(n, samples, seed)
+    elif group == "unitary":
+        u = haar_unitary(n, samples, seed)
+    elif group == "hyperoctahedral":
+        u = np.stack([g.matrix() for g in enumerate_signed_permutations(n)])
+    else:
+        raise ValueError(f"unknown group {group!r}")
+    vals = np.ones(len(u), dtype=u.dtype)
+    for i, j, star in entries:
+        factor = u[:, i - 1, j - 1]
+        vals = vals * (factor.conj() if star else factor)
+    mean = float(vals.mean().real)
+    if group == "hyperoctahedral":
+        return mean, 0.0  # the average over the whole group is exact
+    return mean, float(vals.real.std(ddof=1) / np.sqrt(len(u)))

@@ -686,7 +686,14 @@ def reduce(expr: NCCombination, system: RelationSystem,
     return NCCombination(out), trace
 
 
-_LEVEL_ORDER = (Level.CLASSICAL, Level.HALF, Level.FREE)
+# the regime names accepted by `classify_monomial_sphere` and the CLI, each
+# with its (field, twisted) pair
+REGIMES: dict[str, tuple[Field, bool]] = {
+    "real": (Field.REAL, False),
+    "complex": (Field.COMPLEX, False),
+    "real_twisted": (Field.REAL, True),
+    "complex_twisted": (Field.COMPLEX, True),
+}
 
 
 def classify_monomial_sphere(perms: Iterable[Sequence[int]], regime: SphereSpec | str,
@@ -726,14 +733,8 @@ def classify_monomial_sphere(perms: Iterable[Sequence[int]], regime: SphereSpec 
 def _parse_regime(regime) -> tuple[Field, bool]:
     if isinstance(regime, SphereSpec):
         return regime.field, regime.twisted
-    names = {
-        "real": (Field.REAL, False),
-        "complex": (Field.COMPLEX, False),
-        "real_twisted": (Field.REAL, True),
-        "complex_twisted": (Field.COMPLEX, True),
-    }
     try:
-        return names[regime]
+        return REGIMES[regime]
     except KeyError:
         raise ValueError(f"unknown regime {regime!r}")
 

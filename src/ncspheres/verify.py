@@ -168,45 +168,26 @@ def check_explicit_twisted_maps(quick: bool = False):
     return True, f"explicit maps exact; twist trivial on {count} noncrossing cases"
 
 
-REGIMES = ("real", "real_twisted", "complex", "complex_twisted")
-
-_SPHERE_OF_LEVEL = {
-    ("real", "plus"): "s_r_plus", ("real", "classical"): "s_r",
-    ("real", "star"): "s_r_star",
-    ("real_twisted", "plus"): "s_r_plus", ("real_twisted", "classical"): "bar_s_r",
-    ("real_twisted", "star"): "bar_s_r_star",
-    ("complex", "plus"): "s_c_plus", ("complex", "classical"): "s_c",
-    ("complex", "star"): "s_c_star2",
-    ("complex_twisted", "plus"): "s_c_plus",
-    ("complex_twisted", "classical"): "bar_s_c",
-    ("complex_twisted", "star"): "bar_s_c_star2",
-}
-
-
-def _expected_level(perm):
+def _expected_level(perm) -> Level:
     if perm == tuple(range(1, len(perm) + 1)):
-        return "plus"
+        return Level.FREE
     if halfcommuting_membership(perm):
-        return "star"
-    return "classical"
+        return Level.HALF
+    return Level.CLASSICAL
 
 
 def check_classification(quick: bool = False):
     """Criterion 5: depth-3 assignment and no new spheres at depth 4."""
-    regimes = ("real", "real_twisted") if quick else REGIMES
+    regimes = ("real", "real_twisted") if quick else relations.REGIMES
     checked = 0
     for regime in regimes:
-        for perm in itertools.permutations((1, 2, 3)):
+        field, twisted = relations.REGIMES[regime]
+        for perm in itertools.chain(itertools.permutations((1, 2, 3)),
+                                    itertools.permutations((1, 2, 3, 4))):
             got = classify_monomial_sphere([perm], regime)
-            want = _SPHERE_OF_LEVEL[(regime, _expected_level(perm))]
+            want = SphereSpec(field, _expected_level(perm), twisted).name
             if got != want:
-                return False, f"S3 {perm} in {regime}: got {got}, want {want}"
-            checked += 1
-        for perm in itertools.permutations((1, 2, 3, 4)):
-            got = classify_monomial_sphere([perm], regime)
-            want = _SPHERE_OF_LEVEL[(regime, _expected_level(perm))]
-            if got != want:
-                return False, f"S4 {perm} in {regime}: got {got}, want {want}"
+                return False, f"S{len(perm)} {perm} in {regime}: got {got}, want {want}"
             checked += 1
     return True, f"{checked} singleton classifications, none undetermined"
 

@@ -256,3 +256,89 @@ def test_expression_parser():
     assert list(expr3.terms) == [((0, False), (1, True), (0, False))]
     with pytest.raises(ValueError):
         _parse_expression("(ab")
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+
+
+def test_parser_is_built_once(monkeypatch, capsys):
+    import argparse
+
+    assert build_parser() is build_parser()
+    run_cli(capsys, "signature", "--partition", "|abab")
+    built = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    code, _ = run_cli(capsys, "moment", "--group", "o_n", "--n", "3",
+                      "--i", "1,1", "--j", "1,1")
+    assert code == 0 and not built
+
+
+@pytest.mark.parametrize("before,argv", [
+    (["saturate", "--perm", "312"], ["saturate", "--sphere", "s_r"]),
+    (["saturate", "--perm", "312"], ["saturate", "--perm", "321", "--regime", "complex"]),
+    (["classify", "--perm", "321", "--regime", "complex"],
+     ["reduce", "--expr", "(ab-ba)^2", "--perm", "312"]),
+    (["reduce", "--expr", "ab", "--perm", "21", "--regime", "real_twisted",
+      "--degree", "4", "--format", "csv"],
+     ["reduce", "--expr", "(ab+ba)^2", "--perm", "312"]),
+    (["check", "--op", "intertwiner", "--partition", "ab|ba", "--twisted", "--n", "2"],
+     ["check", "--op", "intertwiner", "--partition", "ab|ba", "--n", "2"]),
+])
+def test_output_does_not_depend_on_earlier_calls(capsys, before, argv):
+    alone = run_cli(capsys, *argv)
+    run_cli(capsys, *before)
+    assert run_cli(capsys, *argv) == alone
+
+
+def test_failed_verification_exits_3(monkeypatch, capsys):
+    from ncspheres import verify
+
+    monkeypatch.setattr(verify, "CRITERIA",
+                        [("forced_failure", lambda quick: (False, "forced"))])
+    code, data = run_json(capsys, "verify", "--suite", "quick")
+    assert code == 3
+    assert data["passed"] is False
+    assert data["results"] == [{"name": "forced_failure", "passed": False,
+                                "detail": "forced"}]
+
+
+@pytest.mark.parametrize("command", [["classify"], ["saturate"], ["reduce", "--expr", "ab"]])
+def test_regime_choices_are_the_regime_table(capsys, command):
+    from ncspheres.relations import REGIMES
+
+    for regime in REGIMES:
+        args = build_parser().parse_args(command + ["--perm", "21", "--regime", regime])
+        assert args.regime == regime
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(command + ["--perm", "21", "--regime", "quaternion"])
+    assert "invalid choice" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# meaningless model sizes
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_haar_intertwiner_check_needs_a_sample(capsys, samples):
+    assert main(["check", "--op", "intertwiner", "--partition", "ab|ba",
+                 "--matrix", "haar", "--samples", samples, "--n", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "at least 1 sample" in captured.err
+
+
+def test_sqrt_positive_model_needs_three_coordinates(capsys):
+    argv = ["check", "--op", "relations", "--sphere", "s_r_plus", "--model", "sqrt_positive"]
+    code, data = run_json(capsys, *argv)
+    assert code == 0 and data["N"] == data["model_data"]["N"] == 3
+    assert main(argv + ["--n", "5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "3 coordinates" in captured.err

@@ -366,3 +366,59 @@ def test_saturated_schemas_hold_in_models():
         assert result.schemas, "expected nontrivial derivations"
         for schema in result.schemas:
             assert _eval_schema(schema, model) < 1e-10, schema.literal()
+
+
+# ---------------------------------------------------------------------------
+# meaningless sizes and the Haar moment reference
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+@pytest.mark.parametrize("batch", [haar_orthogonal, haar_unitary])
+def test_haar_batches_need_a_sample(batch, samples):
+    with pytest.raises(ValueError, match="at least 1 sample"):
+        batch(2, samples, seed=0)
+
+
+@pytest.mark.parametrize("phases", [(1, 1), (1, 1, 1, 1)])
+def test_clifford_model_needs_one_phase_per_coordinate(phases):
+    with pytest.raises(DomainError, match="one phase per coordinate"):
+        clifford_model(3, phases=phases)
+
+
+def _reference_moment(group, n, word, samples, seed):
+    """The per-group loops `haar_moment_mc` replaced with one batch path."""
+    if group == "hyperoctahedral":
+        total = 0.0
+        elems = enumerate_signed_permutations(n)
+        for g in elems:
+            prod = 1.0 + 0j
+            for i, j, star in word:
+                x = g.matrix()[i - 1, j - 1]
+                prod *= np.conj(x) if star else x
+            total += prod.real
+        return total / len(elems), 0.0
+    if group == "orthogonal":
+        u = haar_orthogonal(n, samples, seed)
+        vals = np.ones(samples)
+        for i, j, _ in word:
+            vals = vals * u[:, i - 1, j - 1]
+        return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(samples))
+    u = haar_unitary(n, samples, seed)
+    vals = np.ones(samples, dtype=complex)
+    for i, j, star in word:
+        factor = u[:, i - 1, j - 1]
+        vals = vals * (factor.conj() if star else factor)
+    return float(vals.mean().real), float(vals.real.std(ddof=1) / np.sqrt(samples))
+
+
+@pytest.mark.parametrize("group", ["orthogonal", "unitary", "hyperoctahedral"])
+def test_mc_moment_matches_the_per_group_reference(group):
+    for n in (1, 2, 3):
+        pairs = list(itertools.product(range(1, n + 1), repeat=2))
+        for length in range(4):
+            for seed, word in enumerate(itertools.product(pairs, repeat=length)):
+                stars = [(seed >> t) & 1 == 1 for t in range(length)]
+                entries = [(i, j, s) for (i, j), s in zip(word, stars)]
+                got = haar_moment_mc(group, n, entries, samples=50, seed=seed)
+                want = _reference_moment(group, n, entries, 50, seed)
+                assert [x.hex() for x in got] == [float(x).hex() for x in want], entries
