@@ -46,6 +46,7 @@ from .weingarten import (
     gram_rank_products,
     group_by_name,
     moment,
+    parse_alpha,
     row_sum_profile,
     sphere_by_name,
     sphere_trace,
@@ -369,10 +370,13 @@ def cmd_check(args) -> dict:
                                 f"got {args.element}")
         out["ok"] = models.coaction_check(elements[args.element], model, sphere, args.tol)
     if args.op == "mc_moment":
-        word = [(i, j, a) for i, j, a in zip(
-            _parse_tuple(args.i), _parse_tuple(args.j),
-            args.alpha or "1" * len(_parse_tuple(args.i)))]
-        est, se = models.haar_moment_mc(args.mc_group, args.n, word,
+        if args.i is None or args.j is None:
+            raise NCSphereError("--op mc_moment needs --i and --j")
+        i, j = _parse_tuple(args.i), _parse_tuple(args.j)
+        alpha = parse_alpha(args.alpha) or ("1",) * len(i)
+        if not len(i) == len(j) == len(alpha):
+            raise NCSphereError("--i, --j and --alpha must share a length")
+        est, se = models.haar_moment_mc(args.mc_group, args.n, list(zip(i, j, alpha)),
                                         samples=args.samples, seed=args.seed)
         out.update({"estimate": est, "se": se, "group": args.mc_group})
     return out

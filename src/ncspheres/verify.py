@@ -38,7 +38,6 @@ from .tensors import inner_product, t_map, tensor_concat, xi_vector
 from .weingarten import (
     GROUPS,
     SPHERES,
-    ExactMatrix,
     Field,
     GroupSpec,
     Level,

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import ClassVar, Sequence
 
-from .errors import SingularGramError
+from .errors import SingularGramError, SizeLimitError
 from .partitions import (
     Partition,
     PartitionClass,
@@ -162,74 +162,71 @@ def _eliminate(rows: list[list[int]], ncols: int) -> tuple[int, int]:
 
 
 class ExactMatrix:
-    """Dense matrix of Fractions; ``inverse`` and ``rank`` share one integer kernel."""
+    """Dense rational matrix: integer rows ``num`` over one denominator
+    ``den > 0``.  ``inverse`` and ``rank`` share one integer kernel, and
+    ``Fraction`` entries are built only for output."""
 
     def __init__(self, rows: Sequence[Sequence]):
-        self.data = [[Fraction(x) for x in row] for row in rows]
-        self.nrows = len(self.data)
-        self.ncols = len(self.data[0]) if self.data else 0
-        if any(len(r) != self.ncols for r in self.data):
+        """Rows of ints or Fractions, over the lcm of their denominators."""
+        self.nrows, self.ncols = len(rows), len(rows[0]) if rows else 0
+        if any(len(r) != self.ncols for r in rows):
             raise ValueError("ragged rows")
+        self.den = math.lcm(*(x.denominator for row in rows for x in row))
+        self.num = [[x.numerator * (self.den // x.denominator) for x in row] for row in rows]
+
+    def _over(self, den: int) -> "ExactMatrix":
+        """Divide this matrix in place by the positive integer ``den``; returns it."""
+        self.den *= den
+        return self
+
+    @property
+    def data(self) -> list[list[Fraction]]:
+        return [[Fraction(x, self.den) for x in row] for row in self.num]
 
     @staticmethod
     def identity(n: int) -> "ExactMatrix":
-        return ExactMatrix([[Fraction(int(i == j)) for j in range(n)] for i in range(n)])
+        return ExactMatrix([[int(i == j) for j in range(n)] for i in range(n)])
 
-    def __getitem__(self, idx):
+    def __getitem__(self, idx) -> Fraction:
         i, j = idx
-        return self.data[i][j]
+        return Fraction(self.num[i][j], self.den)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, ExactMatrix) and self.data == other.data
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         assert self.ncols == other.nrows
-        return ExactMatrix([
-            [sum(self.data[i][k] * other.data[k][j] for k in range(self.ncols))
-             for j in range(other.ncols)]
-            for i in range(self.nrows)
-        ])
-
-    def scale(self, c) -> "ExactMatrix":
-        c = Fraction(c)
-        return ExactMatrix([[c * x for x in row] for row in self.data])
+        cols = list(zip(*other.num))
+        return ExactMatrix([[sum(x * y for x, y in zip(row, col)) for col in cols]
+                            for row in self.num])._over(self.den * other.den)
 
     def transpose(self) -> "ExactMatrix":
-        return ExactMatrix([list(col) for col in zip(*self.data)] if self.data else [])
+        return ExactMatrix([list(col) for col in zip(*self.num)])._over(self.den)
 
     def is_symmetric(self) -> bool:
-        return self.data == self.transpose().data
+        return self.num == self.transpose().num
 
     def row_sums(self) -> list[Fraction]:
-        return [sum(row, Fraction(0)) for row in self.data]
-
-    def _integer_rows(self) -> tuple[list[list[int]], list[int]]:
-        """Rows scaled to integers by the lcm of their denominators, and the scales."""
-        scales = [math.lcm(*(x.denominator for x in row)) for row in self.data]
-        rows = [[x.numerator * (s // x.denominator) for x in row]
-                for row, s in zip(self.data, scales)]
-        return rows, scales
+        return [Fraction(sum(row), self.den) for row in self.num]
 
     def inverse(self) -> "ExactMatrix":
         """Exact inverse by fraction-free elimination; raises on singular input.
 
-        With the rows scaled to integers, ``D A``, the augmented block ends
-        as ``det * (D A)^-1 = det * A^-1 D^-1``; column ``j`` is then
-        multiplied back by its row scale ``D_j``.
+        The augmented block ends as ``det * num^-1``, so the inverse of
+        ``num / den`` is that block times ``den`` (signed as ``det``) over ``|det|``.
         """
         n = self.nrows
         if n != self.ncols:
             raise ValueError("inverse needs a square matrix")
-        rows, scales = self._integer_rows()
-        aug = [row + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+        aug = [row + [int(i == j) for j in range(n)] for i, row in enumerate(self.num)]
         rank, det = _eliminate(aug, n)
         if rank < n:
             raise ZeroDivisionError("singular matrix")
-        return ExactMatrix([[Fraction(x * s, det) for x, s in zip(row[n:], scales)]
-                            for row in aug])
+        scale = self.den if det > 0 else -self.den
+        return ExactMatrix([[x * scale for x in row[n:]] for row in aug])._over(abs(det))
 
     def rank(self) -> int:
-        return _eliminate(self._integer_rows()[0], self.ncols)[0]
+        return _eliminate([row[:] for row in self.num], self.ncols)[0]
 
     def to_strings(self) -> list[list[str]]:
         return [[str(x) for x in row] for row in self.data]
@@ -270,14 +267,21 @@ def _check_dimension(n: int) -> None:
         raise ValueError(f"dimension N={n} must be at least 1")
 
 
+# Full elimination on a 2-core host at N=5: 105 pairings (o_n, k=8) take 4 s,
+# 120 (o_n_star, k=10) 8 s, 132 (o_n_plus, k=12) 11 s.  The next counts the
+# enumeration reaches, 720 (o_n_star, k=12) and 945 (o_n, k=10), would take
+# (720/132)^3 = 160 times as long or more, at cubic cost.
+GRAM_PAIRING_BOUND = 132
+
+
 def gram(g: GroupSpec, n: int, alpha=None, k: int | None = None,
          pairings: list[Partition] | None = None) -> ExactMatrix:
     """Gram matrix G(pi, sigma) = N ** |pi v sigma| over the category pairings."""
     _check_dimension(n)
     ps = pairings if pairings is not None else category_pairings(g, alpha, k)
-    return ExactMatrix([
-        [Fraction(n) ** join(p, q).block_count for q in ps] for p in ps
-    ])
+    if len(ps) > GRAM_PAIRING_BOUND:
+        raise SizeLimitError(f"{len(ps)} pairings exceed the Gram bound {GRAM_PAIRING_BOUND}")
+    return ExactMatrix([[n ** join(p, q).block_count for q in ps] for p in ps])
 
 
 def weingarten_matrix(g: GroupSpec, n: int, alpha=None, k: int | None = None,
@@ -295,16 +299,9 @@ def _invert_gram(gm: ExactMatrix, n: int, pairings: list[Partition]) -> ExactMat
         raise SingularGramError(n, len(pairings[0].colors) if pairings else 0)
 
 
-def _weingarten_sum(wg: ExactMatrix, di: Sequence[int], dj: Sequence[int]) -> Fraction:
-    """sum over a, b of di[a] * dj[b] * W[a, b]."""
-    total = Fraction(0)
-    for x, row in zip(di, wg.data):
-        if not x:
-            continue
-        for y, w in zip(dj, row):
-            if y:
-                total += x * y * w
-    return total
+def _weingarten_sum(wg: ExactMatrix, di: Sequence[int], dj: Sequence[int]) -> int:
+    """sum over a, b of di[a] * dj[b] * W[a, b], times ``wg.den``."""
+    return sum(x * y * w for x, row in zip(di, wg.num) if x for y, w in zip(dj, row) if y)
 
 
 def moment(g: GroupSpec, n: int, i: Sequence[int], j: Sequence[int],
@@ -331,7 +328,7 @@ def moment(g: GroupSpec, n: int, i: Sequence[int], j: Sequence[int],
     wg = weingarten_matrix(g, n, pairings=ps)
     di = [delta(p, tuple(i), twisted=g.twisted) for p in ps]
     dj = [delta(p, tuple(j), twisted=g.twisted) for p in ps]
-    return _weingarten_sum(wg, di, dj)
+    return Fraction(_weingarten_sum(wg, di, dj), wg.den)
 
 
 def sphere_trace(s: SphereSpec, n: int, i: Sequence[int], alpha=None) -> Fraction:
@@ -347,7 +344,8 @@ def gram_rank_products(s: SphereSpec, n: int, conjugated: bool = False) -> int:
     after tracing against the adjoint), ``conjugated=True`` uses
     z_i z_j^* (exponent word 1*1*).  Entry ((i, j), (k, l)) is the trace
     of z_i z_j z_l z_k: one Weingarten sum against the row tuple 1111, so
-    the pairings, W and the row deltas are computed once.
+    the pairings, W and the row deltas are computed once.  The entries
+    share W's denominator, so only their integer numerators are ranked.
     """
     _check_dimension(n)
     alpha = ("1", "*", "1", "*") if conjugated else ("1", "1", "*", "*")

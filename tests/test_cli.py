@@ -342,3 +342,56 @@ def test_sqrt_positive_model_needs_three_coordinates(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and "3 coordinates" in captured.err
+
+
+# ---------------------------------------------------------------------------
+# the Monte Carlo moment word and the Gram bound
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--n", "2", "--j", "1"], "needs --i and --j"),
+    (["--n", "2", "--i", "1"], "needs --i and --j"),
+    (["--mc-group", "hyperoctahedral", "--n", "2", "--i", "1,1", "--j", "1,1",
+      "--alpha", "1"], "share a length"),
+    (["--mc-group", "hyperoctahedral", "--n", "2", "--i", "1,1", "--j", "1"],
+     "share a length"),
+    (["--mc-group", "k_n", "--n", "2", "--i", "1,1", "--j", "1,1", "--alpha", "1*1"],
+     "share a length"),
+    (["--mc-group", "hyperoctahedral", "--n", "2", "--i", "1,1", "--j", "1,1",
+      "--alpha", "1x"], "bad exponent"),
+])
+def test_mc_moment_word_must_be_whole(capsys, argv, message):
+    assert main(["check", "--op", "mc_moment", *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+
+
+def test_mc_moment_reads_alpha_like_moment(capsys):
+    base = ["check", "--op", "mc_moment", "--mc-group", "k_n", "--n", "2",
+            "--i", "1,1", "--j", "1,1"]
+    code, data = run_json(capsys, *base, "--alpha", "1*")
+    assert code == 0 and data["estimate"] == 0.5
+    code, data = run_json(capsys, *base, "--alpha", "o*")
+    assert code == 0 and data["estimate"] == 0.5
+    code, data = run_json(capsys, *base, "--alpha", "11")
+    assert code == 0 and data["estimate"] == 0.0
+
+
+@pytest.mark.parametrize("argv", [
+    ["weingarten", "--group", "o_n", "--k", "10", "--n", "3"],
+    ["gram", "--group", "o_n_star", "--k", "12", "--n", "5"],
+    ["moment", "--group", "o_n", "--n", "2", "--i", ",".join("1" * 10),
+     "--j", ",".join("1" * 10)],
+])
+def test_gram_bound_is_an_error(monkeypatch, capsys, argv):
+    from ncspheres import weingarten
+
+    def no_join(p, q):
+        raise AssertionError("join called above the Gram bound")
+
+    monkeypatch.setattr(weingarten, "join", no_join)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "Gram bound" in captured.err

@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from ncspheres.errors import SingularGramError
-from ncspheres.partitions import PartitionClass, enumerate_partitions, parse_partition
+from ncspheres.errors import SingularGramError, SizeLimitError
+from ncspheres.partitions import PartitionClass, enumerate_partitions, join, parse_partition
+from ncspheres.tensors import delta
 from ncspheres.weingarten import (
     GROUPS,
     SPHERES,
@@ -458,3 +459,157 @@ def test_ergodicity_identity():
                         for a, p in enumerate(ps)
                     )
                     assert left == right
+
+
+# ---------------------------------------------------------------------------
+# integer numerators against the Fraction path
+
+
+def reference_gram(ps, n):
+    return [[Fraction(n) ** join(p, q).block_count for q in ps] for p in ps]
+
+
+def reference_weingarten_sum(w, di, dj):
+    """sum over a, b of di[a] * dj[b] * W[a, b], in Fractions."""
+    total = Fraction(0)
+    for x, row in zip(di, w):
+        for y, v in zip(dj, row):
+            total += x * y * v
+    return total
+
+
+def _differential_words(g, k):
+    if g.field is Field.REAL:
+        return [("1",) * k]
+    return list(itertools.product("1*", repeat=k))
+
+
+@pytest.mark.parametrize("g", GROUPS, ids=lambda g: g.name)
+def test_moments_and_traces_match_the_fraction_path(g):
+    rng = random.Random(GROUPS.index(g))
+    sphere = SphereSpec(g.field, g.level, g.twisted)
+    for k in range(5):
+        for word in _differential_words(g, k):
+            ps = category_pairings(g, word)
+            for n in range(1, 5):
+                tuples = list(itertools.product(range(1, n + 1), repeat=k))
+                if not ps:
+                    i, j = rng.choice(tuples), rng.choice(tuples)
+                    assert moment(g, n, i, j, word) == (1 if k == 0 else 0)
+                    continue
+                try:
+                    w = reference_inverse(reference_gram(ps, n))
+                except ZeroDivisionError:
+                    with pytest.raises(SingularGramError):
+                        moment(g, n, tuples[0], tuples[0], word)
+                    with pytest.raises(SingularGramError):
+                        sphere_trace(sphere, n, tuples[0], word)
+                    continue
+                deltas = {t: [delta(p, t, twisted=g.twisted) for p in ps] for t in tuples}
+                live = [t for t in tuples if any(deltas[t])]
+                picks = rng.sample(live, min(5, len(live))) + [rng.choice(tuples)]
+                for i in picks:
+                    for j in picks:
+                        expect = reference_weingarten_sum(w, deltas[i], deltas[j])
+                        assert moment(g, n, i, j, word) == expect
+                    ones = deltas[(1,) * k]
+                    assert sphere_trace(sphere, n, i, word) == \
+                        reference_weingarten_sum(w, ones, deltas[i])
+
+
+@pytest.mark.parametrize("s", SPHERES, ids=lambda s: s.name)
+def test_gram_rank_products_match_the_fraction_path(s):
+    g = s.isometry_group
+    for conjugated in (False, True):
+        ps = category_pairings(g, "1*1*" if conjugated else "11**")
+        for n in range(1, 5):
+            if not ps:
+                assert gram_rank_products(s, n, conjugated) == 0
+                continue
+            try:
+                w = reference_inverse(reference_gram(ps, n))
+            except ZeroDivisionError:
+                with pytest.raises(SingularGramError):
+                    gram_rank_products(s, n, conjugated)
+                continue
+            pairs = list(itertools.product(range(1, n + 1), repeat=2))
+            di = [delta(p, (1, 1, 1, 1), twisted=g.twisted) for p in ps]
+            rows = [[reference_weingarten_sum(
+                         w, di, [delta(p, (i, j, l, k), twisted=g.twisted) for p in ps])
+                     for (k, l) in pairs] for (i, j) in pairs]
+            assert gram_rank_products(s, n, conjugated) == reference_rank(rows)
+
+
+def _assert_integral(m):
+    assert all(type(x) is int for row in m.num for x in row)
+    assert type(m.den) is int and m.den > 0
+
+
+def _fraction_product(a, b):
+    return [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in zip(*b)]
+            for row in a]
+
+
+def test_exact_matrix_output_matches_fraction_lists():
+    rng = random.Random(2014)
+    cases = [
+        [[1, 2], [3, 4]],  # determinant -2
+        [[0, 1], [1, 0]],  # determinant -1, needs a row swap
+        [[Fraction(1, 2), Fraction(-2, 3)], [5, Fraction(7, 4)]],
+        [[Fraction(-3, 4), 1, 0], [2, Fraction(5, 6), Fraction(1, 9)], [0, 0, 0]],
+    ]
+    cases += [_random_rational_matrix(rng, n, n, rng.randint(n - 1, n))
+              for n in (1, 2, 3, 4, 5) for _ in range(20)]
+    for rows in cases:
+        ref = [[Fraction(x) for x in row] for row in rows]
+        m = ExactMatrix(rows)
+        _assert_integral(m)
+        assert m.rank() == reference_rank(rows)  # and leaves m as it was
+        assert m.data == ref
+        assert [[m[i, j] for j in range(m.ncols)] for i in range(m.nrows)] == ref
+        assert m.to_strings() == [[str(x) for x in row] for row in ref]
+        assert m.row_sums() == [sum(row, Fraction(0)) for row in ref]
+        assert m.transpose().data == [list(col) for col in zip(*ref)]
+        assert (m @ m.transpose()).data == _fraction_product(ref, [list(c) for c in zip(*ref)])
+        try:
+            expect = reference_inverse(rows)
+        except ZeroDivisionError:
+            with pytest.raises(ZeroDivisionError):
+                m.inverse()
+            continue
+        w = m.inverse()
+        _assert_integral(w)
+        assert w.data == expect
+        assert w.to_strings() == [[str(x) for x in row] for row in expect]
+        assert w.row_sums() == [sum(row, Fraction(0)) for row in expect]
+        assert w.transpose().data == [list(col) for col in zip(*expect)]
+        assert (m @ w).data == (w @ m).data == ExactMatrix.identity(m.nrows).data
+        assert (w @ m) == ExactMatrix.identity(m.nrows)
+
+
+def test_gram_and_weingarten_are_integer_numerators():
+    ps = category_pairings(REAL_CLASSICAL, k=4)
+    g = gram(REAL_CLASSICAL, 5, pairings=ps)
+    _assert_integral(g)
+    assert g.den == 1 and g.num == [[25, 5, 5], [5, 25, 5], [5, 5, 25]]
+    w = weingarten_matrix(REAL_CLASSICAL, 5, pairings=ps)
+    _assert_integral(w)
+    assert w.data == reference_inverse(reference_gram(ps, 5))
+
+
+def test_gram_refuses_more_pairings_than_the_bound(monkeypatch):
+    from ncspheres import weingarten
+
+    free = GroupSpec(Field.REAL, Level.FREE)
+    assert gram(free, 3, k=12).nrows == 132 <= weingarten.GRAM_PAIRING_BOUND
+
+    def no_join(p, q):
+        raise AssertionError("join called above the Gram bound")
+
+    monkeypatch.setattr(weingarten, "join", no_join)
+    with pytest.raises(SizeLimitError, match="945 pairings"):
+        gram(REAL_CLASSICAL, 3, k=10)
+    with pytest.raises(SizeLimitError, match="720 pairings"):
+        weingarten_matrix(REAL_HALF, 5, k=12)
+    with pytest.raises(SizeLimitError):
+        moment(REAL_CLASSICAL, 4, (1,) * 10, (1,) * 10)
