@@ -11,17 +11,13 @@ from ncspheres.weingarten import (
     Field,
     GroupSpec,
     Level,
-    category_pairings,
-    gram,
+    gram_and_weingarten,
     row_sum_profile,
 )
-from ncspheres.weingarten import _invert_gram
 
 
 def show(group, n, k=None, alpha=None):
-    ps = category_pairings(group, alpha=alpha, k=k)
-    g = gram(group, n, pairings=ps)
-    w = _invert_gram(g, n, ps)
+    ps, g, w = gram_and_weingarten(group, n, alpha=alpha, k=k)
     label = alpha if alpha else f"k={k}"
     print(f"\n{group.name}  {label}  N={n}   pairings: "
           + " ".join(p.literal() for p in ps))

@@ -64,6 +64,7 @@ from .weingarten import (
     SphereSpec,
     category_pairings,
     gram,
+    gram_and_weingarten,
     gram_rank_products,
     group_by_name,
     moment,

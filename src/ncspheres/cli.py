@@ -43,6 +43,7 @@ from .weingarten import (
     Level,
     category_pairings,
     gram,
+    gram_and_weingarten,
     gram_rank_products,
     group_by_name,
     moment,
@@ -51,7 +52,6 @@ from .weingarten import (
     sphere_by_name,
     sphere_trace,
 )
-from .weingarten import _invert_gram
 
 # operations running (directly or transitively) under each subcommand, for
 # the coverage check
@@ -59,7 +59,7 @@ COMMAND_OPERATIONS = {
     "partitions": ["enumerate_partitions", "is_member", "parse_partition", "kernel"],
     "signature": ["signature", "standard_form", "crossing_count", "kernel"],
     "gram": ["category_pairings", "gram", "row_sum_profile", "join"],
-    "weingarten": ["category_pairings", "gram"],
+    "weingarten": ["category_pairings", "gram", "gram_and_weingarten"],
     "moment": ["moment", "weingarten_matrix", "delta", "is_constant_on_blocks"],
     "trace": ["sphere_trace"],
     "rank": ["gram_rank_products"],
@@ -114,6 +114,14 @@ def _dimension(text: str) -> int:
     return n
 
 
+def _bound(text: str) -> int:
+    """The ``--degree``/``--indices`` arguments: a search bound >= 1."""
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"bound must be at least 1, got {n}")
+    return n
+
+
 def _perm_arg(text: str) -> tuple[int, ...]:
     return tuple(int(c) for c in text)
 
@@ -156,9 +164,7 @@ def cmd_gram(args) -> dict:
 
 def cmd_weingarten(args) -> dict:
     group, alpha, k = _pairing_args(args)
-    ps = category_pairings(group, alpha=alpha, k=k)
-    g = gram(group, args.n, pairings=ps)
-    w = _invert_gram(g, args.n, ps)
+    ps, g, w = gram_and_weingarten(group, args.n, alpha=alpha, k=k)
     return {"group": group.name, "alpha": alpha, "k": k or len(alpha or ""),
             "N": args.n, "pairings": [p.literal() for p in ps],
             "gram": g.to_strings(), "weingarten": w.to_strings()}
@@ -435,8 +441,8 @@ def build_parser() -> argparse.ArgumentParser:
     fmt = argparse.ArgumentParser(add_help=False)
     fmt.add_argument("--format", choices=("json", "csv"), default="json")
     bounds = argparse.ArgumentParser(add_help=False)
-    bounds.add_argument("--degree", type=int, default=6)
-    bounds.add_argument("--indices", type=int, default=4)
+    bounds.add_argument("--degree", type=_bound, default=6)
+    bounds.add_argument("--indices", type=_bound, default=4)
     monomial = argparse.ArgumentParser(add_help=False)
     monomial.add_argument("--perm", action="append", default=[])
     monomial.add_argument("--regime", default="real", choices=relations.REGIMES)

@@ -397,6 +397,13 @@ class Bounds:
     max_indices: int = DEFAULT_MAX_INDICES
 
 
+def _check_bounds(max_degree: int, max_indices: int) -> None:
+    """Reject search bounds below 1, under which no relation can be found."""
+    for name, value in (("max_degree", max_degree), ("max_indices", max_indices)):
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
+
+
 class _MoveTable(dict):
     """Window shape -> moves ``(positions, sign)``: slot ``t`` of the image
     takes the window's letter ``positions[t]``.
@@ -612,8 +619,8 @@ def saturate(system: RelationSystem, max_degree: int = DEFAULT_MAX_DEGREE,
     between rounds, so multi-stage consequences (outer deletions followed
     by shorter rewrites) are found.
     """
-    bounds = Bounds(max_degree, max_indices)
-    engine = _Engine(system, bounds)
+    _check_bounds(max_degree, max_indices)
+    engine = _Engine(system, Bounds(max_degree, max_indices))
     if track_sigmas is None:
         track_sigmas = [s for k in (2, 3)
                         for s in itertools.permutations(range(1, k + 1))
@@ -667,6 +674,7 @@ def reduce(expr: NCCombination, system: RelationSystem,
     reduced combination and a derivation trace.  A zero result is a proof;
     a nonzero result is relative to the bounds.
     """
+    _check_bounds(max_degree, max_indices)
     engine = _Engine(system, Bounds(max_degree, max_indices))
     out: dict[Word, int] = {}
     trace = []
@@ -708,6 +716,7 @@ def classify_monomial_sphere(perms: Iterable[Sequence[int]], regime: SphereSpec 
     empty family the free sphere.  Returns the sphere name, or
     ``"undetermined"`` when the bounds do not settle the question.
     """
+    _check_bounds(max_degree, max_indices)
     fld, twisted = _parse_regime(regime)
     perms = [tuple(p) for p in perms]
     for p in perms:

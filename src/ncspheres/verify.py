@@ -43,12 +43,11 @@ from .weingarten import (
     Level,
     SphereSpec,
     category_pairings,
-    gram,
+    gram_and_weingarten,
     gram_rank_products,
     moment,
     weingarten_matrix,
 )
-from .weingarten import _invert_gram
 
 P = parse_partition
 
@@ -241,11 +240,9 @@ def check_stochasticity(quick: bool = False):
     ns = (3, 4) if quick else (3, 4, 5, 6)
     for n in ns:
         target = n * (n + 1) * (n + 2)
-        ps = category_pairings(half, k=6)
-        g = gram(half, n, pairings=ps)
+        _, g, w = gram_and_weingarten(half, n, k=6)
         if any(x != target for x in g.row_sums()):
             return False, f"gram row sums differ from {target} at N={n}"
-        w = _invert_gram(g, n, ps)
         if any(x != Fraction(1, target) for x in w.row_sums()):
             return False, f"weingarten row sums differ from 1/{target} at N={n}"
     return True, f"row sums N(N+1)(N+2) and its inverse at N in {list(ns)}"
@@ -361,7 +358,7 @@ def check_ergodicity(quick: bool = False):
                     continue
                 for n in ns:
                     try:
-                        w = weingarten_matrix(g, n, pairings=ps)
+                        w = weingarten_matrix(g, n, alpha=alpha, k=k)
                     except SingularGramError:
                         continue  # the Gram matrix degenerates below N = k/2
                     rowsums = w.row_sums()

@@ -11,7 +11,9 @@ symbols.
 
 The Gram matrix ``G(pi, sigma) = N ** |pi v sigma|`` is integral, its
 inverse is computed exactly by fraction-free integer elimination, and
-joint moments of the coordinates follow from the Weingarten sum.
+joint moments of the coordinates follow from the Weingarten sum.  Pairing
+sets and Weingarten matrices are memoised per category and per
+(category, N) in one bounded, process-wide memo.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 import enum
 import itertools
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import ClassVar, Sequence
@@ -203,6 +206,12 @@ class ExactMatrix:
     def transpose(self) -> "ExactMatrix":
         return ExactMatrix([list(col) for col in zip(*self.num)])._over(self.den)
 
+    def copy(self) -> "ExactMatrix":
+        """A matrix with rows of its own; the int entries are shared."""
+        out = ExactMatrix.__new__(ExactMatrix)
+        vars(out).update(vars(self), num=[row[:] for row in self.num])
+        return out
+
     def is_symmetric(self) -> bool:
         return self.num == self.transpose().num
 
@@ -236,30 +245,72 @@ class ExactMatrix:
 
 
 # ---------------------------------------------------------------------------
+# the memo
+
+# Pairing sets keyed by category, Weingarten matrices by (category, N); the
+# least recently used entry goes once the memo holds MEMO_SIZE of them.  All
+# moment, trace and rank queries of degree 4 and 6 at N = 2..5 over the ten
+# groups use 315 keys.  Most entries are small, but the largest W at the
+# Gram bound holds megabytes (105 pairings at N = 5: 1.7 MB).
+MEMO_SIZE = 512
+_memo: OrderedDict = OrderedDict()
+
+
+def _memoised(key, build):
+    """The memo's value under ``key``, built and stored on a miss.  What
+    ``build`` raises propagates, and nothing is stored."""
+    value = _memo.get(key)
+    if value is None:
+        value = build()
+        _memo[key] = value
+        if len(_memo) > MEMO_SIZE:
+            _memo.popitem(last=False)
+    else:
+        _memo.move_to_end(key)
+    return value
+
+
+# ---------------------------------------------------------------------------
 # pairing categories
 
+_CLASSES = {
+    Level.CLASSICAL: PartitionClass.P2,
+    Level.HALF: PartitionClass.P2_STAR,
+    Level.FREE: PartitionClass.NC2,
+}
 
-def category_pairings(g: GroupSpec, alpha=None, k: int | None = None) -> list[Partition]:
-    """Pairings spanning Hom(1, u^{tensor alpha}) for the group.
 
-    Real groups take a plain leg count ``k`` (or use len(alpha)); complex
-    groups color the legs by the exponent word ``alpha``.
-    """
+def _category(g: GroupSpec, alpha=None, k: int | None = None) -> tuple:
+    """Memo key of a pairing category: field, level, and the colour word
+    (complex groups) or the leg count ``k`` (real groups).  The twist does
+    not change the pairings, so twisted partners share one key."""
     word = parse_alpha(alpha)
     if k is None:
         k = len(word)
+    elif alpha is not None and len(word) != k:
+        raise ValueError(f"k={k} disagrees with the length {len(word)} of alpha")
     if g.field is Field.COMPLEX:
         if len(word) != k:
             raise ValueError("complex groups need an exponent word alpha")
-        lower = "".join("o" if c == "1" else "*" for c in word)
-    else:
-        lower = k
-    cls = {
-        Level.CLASSICAL: PartitionClass.P2,
-        Level.HALF: PartitionClass.P2_STAR,
-        Level.FREE: PartitionClass.NC2,
-    }[g.level]
-    return enumerate_partitions(cls, 0, lower)
+        return g.field, g.level, "".join("o" if c == "1" else "*" for c in word)
+    return g.field, g.level, k
+
+
+def _pairings(category: tuple) -> tuple[Partition, ...]:
+    """The memoised pairings of a category; the tuple is shared."""
+    _, level, lower = category
+    return _memoised(category,
+                     lambda: tuple(enumerate_partitions(_CLASSES[level], 0, lower)))
+
+
+def category_pairings(g: GroupSpec, alpha=None, k: int | None = None) -> list[Partition]:
+    """Pairings spanning Hom(1, u^{tensor alpha}) for the group, as a fresh list.
+
+    Real groups take a plain leg count ``k`` (or use len(alpha)); complex
+    groups color the legs by the exponent word ``alpha``.  Given both,
+    ``k`` must be the length of ``alpha``.
+    """
+    return list(_pairings(_category(g, alpha, k)))
 
 
 def _check_dimension(n: int) -> None:
@@ -275,7 +326,7 @@ GRAM_PAIRING_BOUND = 132
 
 
 def gram(g: GroupSpec, n: int, alpha=None, k: int | None = None,
-         pairings: list[Partition] | None = None) -> ExactMatrix:
+         pairings: Sequence[Partition] | None = None) -> ExactMatrix:
     """Gram matrix G(pi, sigma) = N ** |pi v sigma| over the category pairings."""
     _check_dimension(n)
     ps = pairings if pairings is not None else category_pairings(g, alpha, k)
@@ -284,19 +335,49 @@ def gram(g: GroupSpec, n: int, alpha=None, k: int | None = None,
     return ExactMatrix([[n ** join(p, q).block_count for q in ps] for p in ps])
 
 
+def _weingarten(g: GroupSpec, n: int, category: tuple,
+                gm: ExactMatrix | None = None) -> ExactMatrix:
+    """The memoised W of a category at dimension ``n``.  The matrix is
+    shared: read it, and hand out only copies.  On a miss, ``gm`` (the
+    category's Gram matrix at ``n``, if the caller has built it) is
+    inverted; a singular Gram matrix raises on every call."""
+    def build():
+        ps = _pairings(category)
+        inverse_of = gram(g, n, pairings=ps) if gm is None else gm
+        try:
+            return inverse_of.inverse()
+        except ZeroDivisionError:
+            raise SingularGramError(n, len(ps[0].colors) if ps else 0)
+
+    return _memoised((category, n), build)
+
+
 def weingarten_matrix(g: GroupSpec, n: int, alpha=None, k: int | None = None,
-                      pairings: list[Partition] | None = None) -> ExactMatrix:
-    """Exact inverse of the Gram matrix."""
-    ps = pairings if pairings is not None else category_pairings(g, alpha, k)
-    return _invert_gram(gram(g, n, pairings=ps), n, ps)
+                      pairings: Sequence[Partition] | None = None) -> ExactMatrix:
+    """Exact inverse of the Gram matrix, as a fresh copy.
+
+    ``pairings``, if given, must be the category's own pairings; without
+    ``alpha`` and ``k``, their frame names the category.
+    """
+    if pairings and alpha is None and k is None:
+        k = pairings[0].lower
+        if g.field is Field.COMPLEX:
+            alpha = "".join(c.value for c in pairings[0].colors)
+    category = _category(g, alpha, k)
+    if pairings is not None and tuple(pairings) != _pairings(category):
+        raise ValueError("pairings must be the category's pairings")
+    return _weingarten(g, n, category).copy()
 
 
-def _invert_gram(gm: ExactMatrix, n: int, pairings: list[Partition]) -> ExactMatrix:
-    """Inverse of a Gram matrix already built over ``pairings`` at dimension ``n``."""
-    try:
-        return gm.inverse()
-    except ZeroDivisionError:
-        raise SingularGramError(n, len(pairings[0].colors) if pairings else 0)
+def gram_and_weingarten(g: GroupSpec, n: int, alpha=None, k: int | None = None
+                        ) -> tuple[list[Partition], ExactMatrix, ExactMatrix]:
+    """Pairings, Gram matrix and Weingarten matrix of a category, for
+    callers that show the Gram matrix too: it is built once, and inverted
+    only when W is not in the memo."""
+    category = _category(g, alpha, k)
+    ps = _pairings(category)
+    gm = gram(g, n, pairings=ps)
+    return list(ps), gm, _weingarten(g, n, category, gm).copy()
 
 
 def _weingarten_sum(wg: ExactMatrix, di: Sequence[int], dj: Sequence[int]) -> int:
@@ -322,10 +403,11 @@ def moment(g: GroupSpec, n: int, i: Sequence[int], j: Sequence[int],
             raise ValueError(f"index {x} outside 1..{n}")
     if k == 0:
         return Fraction(1)
-    ps = category_pairings(g, word)
+    category = _category(g, word)
+    ps = _pairings(category)
     if not ps:
         return Fraction(0)
-    wg = weingarten_matrix(g, n, pairings=ps)
+    wg = _weingarten(g, n, category)
     di = [delta(p, tuple(i), twisted=g.twisted) for p in ps]
     dj = [delta(p, tuple(j), twisted=g.twisted) for p in ps]
     return Fraction(_weingarten_sum(wg, di, dj), wg.den)
@@ -351,10 +433,11 @@ def gram_rank_products(s: SphereSpec, n: int, conjugated: bool = False) -> int:
     alpha = ("1", "*", "1", "*") if conjugated else ("1", "1", "*", "*")
     pairs = list(itertools.product(range(1, n + 1), repeat=2))
     g = s.isometry_group
-    ps = category_pairings(g, alpha)
+    category = _category(g, alpha)
+    ps = _pairings(category)
     if not ps:
         return 0
-    wg = weingarten_matrix(g, n, pairings=ps)
+    wg = _weingarten(g, n, category)
     di = [delta(p, (1, 1, 1, 1), twisted=g.twisted) for p in ps]
     rows = []
     for (i, j) in pairs:

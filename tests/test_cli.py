@@ -179,6 +179,32 @@ def test_meaningless_sizes_are_errors(capsys, argv, message):
     assert captured.err.startswith("error: ") and message in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["saturate", "--perm", "21", "--degree", "-1"],
+    ["saturate", "--perm", "21", "--indices", "-3"],
+    ["classify", "--perm", "321", "--regime", "real", "--indices", "0"],
+    ["classify", "--perm", "12", "--regime", "complex", "--degree", "0"],
+    ["reduce", "--expr", "ab", "--perm", "21", "--indices", "-2"],
+])
+def test_search_bound_below_one_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "bound must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["gram", "--group", "o_n", "--k", "2", "--alpha", "1", "--n", "2"],
+    ["gram", "--group", "u_n", "--alpha", "1*", "--k", "4", "--n", "2"],
+    ["weingarten", "--group", "o_n_star", "--alpha", "11", "--k", "4", "--n", "3"],
+])
+def test_k_and_alpha_of_different_lengths_are_an_error(capsys, argv):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "disagrees" in captured.err
+
+
 def test_weingarten_builds_the_gram_matrix_once(monkeypatch, capsys):
     from ncspheres import partitions, weingarten
 

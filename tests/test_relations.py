@@ -426,6 +426,24 @@ def test_relation_group_rejects_negative_k():
         relation_group(sphere_relations(sphere_by_name("s_r")), -1)
 
 
+@pytest.mark.parametrize("bounds", [
+    dict(max_degree=0), dict(max_degree=-1), dict(max_indices=0), dict(max_indices=-3),
+])
+def test_search_bounds_below_one_are_rejected(bounds):
+    system = monomial_system([(2, 1)], REAL, False)
+    with pytest.raises(ValueError, match="at least 1"):
+        saturate(system, **bounds)
+    with pytest.raises(ValueError, match="at least 1"):
+        reduce(NCCombination.monomial(parse_word("ab")), system, **bounds)
+    for perms in ([(3, 2, 1)], [(1, 2)]):
+        with pytest.raises(ValueError, match="at least 1"):
+            classify_monomial_sphere(perms, "real", **bounds)
+
+
+def test_relation_group_of_the_empty_word_is_trivial():
+    assert relation_group(sphere_relations(sphere_by_name("s_r")), 0) == {()}
+
+
 def test_relation_group_matches_halfcommuting_predicate():
     half = sphere_relations(sphere_by_name("bar_s_r_star"))
     for k in (3, 4):

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -613,3 +614,240 @@ def test_gram_refuses_more_pairings_than_the_bound(monkeypatch):
         weingarten_matrix(REAL_HALF, 5, k=12)
     with pytest.raises(SizeLimitError):
         moment(REAL_CLASSICAL, 4, (1,) * 10, (1,) * 10)
+
+
+# ---------------------------------------------------------------------------
+# the memo of pairing sets and Weingarten matrices
+
+
+@pytest.fixture
+def cold_memo(monkeypatch):
+    """An empty memo for one test; the process-wide one is put back after."""
+    from collections import OrderedDict
+
+    from ncspheres import weingarten
+
+    monkeypatch.setattr(weingarten, "_memo", OrderedDict())
+    return weingarten
+
+
+@pytest.fixture
+def inversions(monkeypatch):
+    """Counts every exact inversion."""
+    calls = []
+    real_inverse = ExactMatrix.inverse
+
+    def counting_inverse(self):
+        calls.append(self.nrows)
+        return real_inverse(self)
+
+    monkeypatch.setattr(ExactMatrix, "inverse", counting_inverse)
+    return calls
+
+
+def _memo_queries(rng):
+    """Every group at degree <= 4 and N = 1..4, each query next to the same
+    query on the twisted partner, as (label, thunk, expected) triples with
+    the expected value from the Fraction path."""
+    blocks = []
+    for g in GROUPS:
+        if g.twisted:
+            continue
+        partners = [g, GroupSpec(g.field, g.level, True)]
+        partners = list(dict.fromkeys(partners))  # free groups have no twist
+        for k in range(1, 5):
+            for word in _differential_words(g, k):
+                ps = category_pairings(g, word)
+                for n in range(1, 5):
+                    tuples = list(itertools.product(range(1, n + 1), repeat=k))
+                    i, j = rng.choice(tuples), rng.choice(tuples)
+                    try:
+                        w = reference_inverse(reference_gram(ps, n)) if ps else None
+                    except ZeroDivisionError:
+                        w = SingularGramError
+                    block = []
+                    for h in partners:
+                        s = SphereSpec(h.field, h.level, h.twisted)
+                        if w is SingularGramError:
+                            moment_expect = trace_expect = SingularGramError
+                        elif w is None:
+                            moment_expect = trace_expect = Fraction(0)
+                        else:
+                            di = [delta(p, i, twisted=h.twisted) for p in ps]
+                            dj = [delta(p, j, twisted=h.twisted) for p in ps]
+                            ones = [delta(p, (1,) * k, twisted=h.twisted) for p in ps]
+                            moment_expect = reference_weingarten_sum(w, di, dj)
+                            trace_expect = reference_weingarten_sum(w, ones, dj)
+                        block.append((f"moment {h.name} {word} N={n} {i} {j}",
+                                      functools.partial(moment, h, n, i, j, word),
+                                      moment_expect))
+                        block.append((f"trace {s.name} {word} N={n} {j}",
+                                      functools.partial(sphere_trace, s, n, j, word),
+                                      trace_expect))
+                    blocks.append(block)
+    for s in SPHERES:
+        g = s.isometry_group
+        for conjugated in (False, True):
+            ps = category_pairings(g, "1*1*" if conjugated else "11**")
+            for n in range(1, 5):
+                try:
+                    w = reference_inverse(reference_gram(ps, n)) if ps else None
+                except ZeroDivisionError:
+                    expect = SingularGramError
+                else:
+                    pairs = list(itertools.product(range(1, n + 1), repeat=2))
+                    di = [delta(p, (1, 1, 1, 1), twisted=g.twisted) for p in ps]
+                    expect = 0 if w is None else reference_rank(
+                        [[reference_weingarten_sum(
+                            w, di, [delta(p, (i, j, l, k), twisted=g.twisted) for p in ps])
+                          for (k, l) in pairs] for (i, j) in pairs])
+                blocks.append([(f"rank {s.name} {conjugated} N={n}",
+                                functools.partial(gram_rank_products, s, n, conjugated),
+                                expect)])
+    rng.shuffle(blocks)
+    return [query for block in blocks for query in block]
+
+
+def _answer(thunk):
+    try:
+        return thunk()
+    except SingularGramError:
+        return SingularGramError
+
+
+def test_memo_warm_and_cold_results_match_the_fraction_path(cold_memo):
+    queries = _memo_queries(random.Random(8))
+    for label, thunk, expect in queries:  # cold: an empty memo before each
+        cold_memo._memo.clear()
+        assert _answer(thunk) == expect, label
+    cold_memo._memo.clear()
+    for label, thunk, expect in queries:  # filling the memo as it goes
+        assert _answer(thunk) == expect, label
+    random.Random(9).shuffle(queries)
+    for label, thunk, expect in queries:  # warm
+        assert _answer(thunk) == expect, label
+
+
+def test_memo_inverts_each_category_once_per_n(cold_memo, inversions):
+    o_n, bar_o_n = REAL_CLASSICAL, BAR_REAL
+    assert moment(o_n, 3, (1, 1, 2, 2), (1, 1, 2, 2)) == moment(o_n, 3, (1, 1, 2, 2), (1, 1, 2, 2))
+    moment(bar_o_n, 3, (1, 2, 1, 2), (2, 1, 2, 1))  # the twisted partner shares W
+    weingarten_matrix(bar_o_n, 3, k=4)
+    sphere_trace(SphereSpec(Field.REAL, Level.CLASSICAL), 3, (1, 1, 2, 2))
+    assert inversions == [3]
+    weingarten_matrix(o_n, 4, k=4)
+    gram_rank_products(SphereSpec(Field.REAL, Level.CLASSICAL), 4)
+    assert inversions == [3, 3]
+
+
+def test_gram_and_weingarten_builds_nothing_twice(cold_memo, inversions, monkeypatch):
+    joins = []
+    monkeypatch.setattr(cold_memo, "join", lambda p, q: joins.append(1) or join(p, q))
+    ps, g, w = cold_memo.gram_and_weingarten(REAL_HALF, 4, k=6)
+    assert len(joins) == len(ps) ** 2 and inversions == [len(ps)]
+    assert w.data == reference_inverse(g.data)
+    assert cold_memo.gram_and_weingarten(REAL_HALF, 4, k=6)[2] == w
+    assert len(joins) == 2 * len(ps) ** 2 and inversions == [len(ps)]
+    assert weingarten_matrix(GroupSpec(Field.REAL, Level.HALF, True), 4, k=6) == w
+    assert len(joins) == 2 * len(ps) ** 2 and inversions == [len(ps)]
+
+
+def test_singular_gram_raises_on_every_call(cold_memo, inversions):
+    s_r = SphereSpec(Field.REAL, Level.CLASSICAL)
+    for _ in range(2):
+        with pytest.raises(SingularGramError):
+            weingarten_matrix(REAL_CLASSICAL, 1, k=4)
+        with pytest.raises(SingularGramError):
+            moment(REAL_CLASSICAL, 1, (1,) * 4, (1,) * 4)
+        with pytest.raises(SingularGramError):
+            sphere_trace(s_r, 1, (1,) * 4)
+        with pytest.raises(SingularGramError):
+            gram_rank_products(s_r, 1)
+        with pytest.raises(SingularGramError):
+            cold_memo.gram_and_weingarten(BAR_REAL, 1, k=4)
+    assert len(inversions) == 10
+    assert not [key for key in cold_memo._memo if isinstance(key[0], tuple)]
+
+
+def test_mutating_what_the_memo_hands_out_changes_nothing(cold_memo):
+    expect_ps = enumerate_partitions(PartitionClass.P2, 0, 4)
+    expect_w = reference_inverse(reference_gram(expect_ps, 5))
+    expect_moment = moment(REAL_CLASSICAL, 5, (1, 1, 2, 2), (1, 2, 1, 2))
+
+    ps = category_pairings(REAL_CLASSICAL, k=4)
+    ps.reverse()
+    ps.pop()
+    w = weingarten_matrix(REAL_CLASSICAL, 5, k=4)
+    w.num[0][0] += 1
+    w.num.pop()
+    w._over(7)
+    ps2, g2, w2 = cold_memo.gram_and_weingarten(BAR_REAL, 5, k=4)
+    ps2.clear()
+    w2.num[1] = [0, 0, 0]
+    w2.den = 1
+
+    assert category_pairings(BAR_REAL, k=4) == expect_ps
+    assert weingarten_matrix(BAR_REAL, 5, k=4).data == expect_w
+    assert cold_memo.gram_and_weingarten(REAL_CLASSICAL, 5, k=4)[2].data == expect_w
+    assert moment(REAL_CLASSICAL, 5, (1, 1, 2, 2), (1, 2, 1, 2)) == expect_moment
+
+
+def test_memo_over_the_gram_bound_joins_nothing_and_keeps_no_matrix(cold_memo, monkeypatch):
+    def no_join(p, q):
+        raise AssertionError("join called above the Gram bound")
+
+    monkeypatch.setattr(cold_memo, "join", no_join)
+    for _ in range(2):
+        with pytest.raises(SizeLimitError, match="720 pairings"):
+            weingarten_matrix(REAL_HALF, 5, k=12)
+        with pytest.raises(SizeLimitError, match="720 pairings"):
+            cold_memo.gram_and_weingarten(REAL_HALF, 5, k=12)
+        with pytest.raises(SizeLimitError, match="945 pairings"):
+            moment(BAR_REAL, 4, (1,) * 10, (1,) * 10)
+    assert not [key for key in cold_memo._memo if isinstance(key[0], tuple)]
+
+
+def test_memo_holds_at_most_its_bound(cold_memo, monkeypatch):
+    monkeypatch.setattr(cold_memo, "MEMO_SIZE", 3)
+    for n in range(1, 6):
+        moment(REAL_HALF, n + 2, (1, 1), (1, 1))
+    assert len(cold_memo._memo) == 3
+    assert list(cold_memo._memo)[-1][1] == 7  # the newest stays
+    assert moment(REAL_HALF, 3, (1, 1), (1, 1)) == Fraction(1, 3)
+
+
+def test_weingarten_matrix_checks_the_pairings_it_is_given():
+    ps = category_pairings(REAL_CLASSICAL, k=4)
+    with pytest.raises(ValueError, match="category's pairings"):
+        weingarten_matrix(REAL_CLASSICAL, 5, pairings=ps[:2])
+    with pytest.raises(ValueError, match="category's pairings"):
+        weingarten_matrix(REAL_HALF, 5, pairings=ps)
+    with pytest.raises(ValueError, match="category's pairings"):
+        weingarten_matrix(REAL_CLASSICAL, 5, pairings=[])
+    cps = category_pairings(COMPLEX_CLASSICAL, "1*1*")
+    assert weingarten_matrix(COMPLEX_CLASSICAL, 3, pairings=cps) == \
+        weingarten_matrix(COMPLEX_CLASSICAL, 3, alpha="1*1*")
+
+
+@pytest.mark.parametrize("g,kw", [
+    (REAL_CLASSICAL, dict(k=2, alpha="1")),
+    (REAL_HALF, dict(k=4, alpha="11")),
+    (COMPLEX_CLASSICAL, dict(k=4, alpha="1*")),
+    (COMPLEX_CLASSICAL, dict(k=1, alpha="11**")),
+])
+def test_k_and_alpha_must_agree(g, kw):
+    with pytest.raises(ValueError, match="disagrees"):
+        category_pairings(g, **kw)
+    with pytest.raises(ValueError, match="disagrees"):
+        gram(g, 3, **kw)
+    with pytest.raises(ValueError, match="disagrees"):
+        weingarten_matrix(g, 3, **kw)
+
+
+def test_k_and_alpha_of_one_length_name_one_category():
+    assert category_pairings(REAL_CLASSICAL, k=4, alpha="1*1*") == \
+        category_pairings(REAL_CLASSICAL, k=4)
+    assert category_pairings(COMPLEX_CLASSICAL, k=4, alpha="1*1*") == \
+        category_pairings(COMPLEX_CLASSICAL, alpha="1*1*")
+    with pytest.raises(ValueError, match="need an exponent word"):
+        category_pairings(COMPLEX_CLASSICAL, k=4)
