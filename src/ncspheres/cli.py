@@ -58,7 +58,7 @@ from .weingarten import (
 COMMAND_OPERATIONS = {
     "partitions": ["enumerate_partitions", "is_member", "parse_partition", "kernel"],
     "signature": ["signature", "standard_form", "crossing_count", "kernel"],
-    "gram": ["category_pairings", "gram", "row_sum_profile", "join"],
+    "gram": ["category_pairings", "gram", "row_sum_profile"],
     "weingarten": ["category_pairings", "gram", "gram_and_weingarten"],
     "moment": ["moment", "weingarten_matrix", "delta", "is_constant_on_blocks"],
     "trace": ["sphere_trace"],
@@ -74,7 +74,7 @@ COMMAND_OPERATIONS = {
               "check_fixed_vector_identity", "coaction_check",
               "enumerate_signed_permutations", "haar_moment_mc"],
     "verify": ["t_map", "xi_vector", "inner_product", "tensor_concat",
-               "compose", "involution"],
+               "compose", "involution", "join"],
 }
 
 

@@ -12,8 +12,9 @@ symbols.
 The Gram matrix ``G(pi, sigma) = N ** |pi v sigma|`` is integral, its
 inverse is computed exactly by fraction-free integer elimination, and
 joint moments of the coordinates follow from the Weingarten sum.  Pairing
-sets and Weingarten matrices are memoised per category and per
-(category, N) in one bounded, process-wide memo.
+sets, their block-count matrices ``|pi v sigma|`` and Weingarten matrices
+are memoised per category, per pairing set and per (category, N) in one
+bounded, process-wide memo.
 """
 
 from __future__ import annotations
@@ -26,13 +27,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import ClassVar, Sequence
 
-from .errors import SingularGramError, SizeLimitError
-from .partitions import (
-    Partition,
-    PartitionClass,
-    enumerate_partitions,
-    join,
-)
+from .errors import FrameError, PartitionClassError, SingularGramError, SizeLimitError
+from .partitions import Partition, PartitionClass, enumerate_partitions
 from .tensors import delta
 
 
@@ -238,7 +234,11 @@ class ExactMatrix:
         return _eliminate([row[:] for row in self.num], self.ncols)[0]
 
     def to_strings(self) -> list[list[str]]:
-        return [[str(x) for x in row] for row in self.data]
+        """Entries as ``str`` of their Fractions prints them: ``p/q`` in
+        lowest terms, or ``p`` when the entry is an integer."""
+        den = self.den
+        return [[str(x // g) if (g := math.gcd(x, den)) == den else f"{x // g}/{den // g}"
+                 for x in row] for row in self.num]
 
     def __repr__(self):  # pragma: no cover
         return f"ExactMatrix({self.to_strings()})"
@@ -247,11 +247,13 @@ class ExactMatrix:
 # ---------------------------------------------------------------------------
 # the memo
 
-# Pairing sets keyed by category, Weingarten matrices by (category, N); the
-# least recently used entry goes once the memo holds MEMO_SIZE of them.  All
-# moment, trace and rank queries of degree 4 and 6 at N = 2..5 over the ten
-# groups use 315 keys.  Most entries are small, but the largest W at the
-# Gram bound holds megabytes (105 pairings at N = 5: 1.7 MB).
+# Pairing sets keyed by category, block-count matrices by pairing set and
+# Weingarten matrices by (category, N); the least recently used entry goes
+# once the memo holds MEMO_SIZE of them.  All moment, trace and rank queries
+# of degree 4 and 6 at N = 2..5 over the ten groups use 377 keys: 84 pairing
+# sets, 62 block-count matrices and 231 Weingarten matrices.  Most entries
+# are small, but the largest W at the Gram bound holds megabytes (105
+# pairings at N = 5: 1.7 MB).
 MEMO_SIZE = 512
 _memo: OrderedDict = OrderedDict()
 
@@ -325,14 +327,54 @@ def _check_dimension(n: int) -> None:
 GRAM_PAIRING_BOUND = 132
 
 
+def _block_counts(ps: Sequence[Partition]) -> list[list[int]]:
+    """The matrix ``B[a][b] = |p_a v p_b|`` of pairings on one frame.
+
+    The strings of two pairings close into loops, and the legs of each loop
+    form one block of their join.  So each entry counts the loops of a walk
+    that alternates between the two pairings' partners, in O(k) steps.
+    """
+    partners = []
+    for p in ps:
+        if not p.same_frame(ps[0]):
+            raise FrameError("a Gram matrix needs pairings on one frame")
+        if not p.is_pairing():
+            raise PartitionClassError(f"{p.literal()} is not a pairing")
+        mate = [0] * p.n_legs
+        for a, b in p.blocks:
+            mate[a], mate[b] = b, a
+        partners.append(mate)
+    out = [[0] * len(ps) for _ in ps]
+    for a, p in enumerate(partners):
+        for b, q in enumerate(partners[:a + 1]):
+            seen = [False] * len(p)
+            loops = 0
+            for start in range(len(p)):
+                if seen[start]:
+                    continue
+                loops += 1
+                leg = start
+                while not seen[leg]:
+                    seen[leg] = seen[p[leg]] = True
+                    leg = q[p[leg]]
+            out[a][b] = out[b][a] = loops
+    return out
+
+
 def gram(g: GroupSpec, n: int, alpha=None, k: int | None = None,
          pairings: Sequence[Partition] | None = None) -> ExactMatrix:
-    """Gram matrix G(pi, sigma) = N ** |pi v sigma| over the category pairings."""
+    """Gram matrix G(pi, sigma) = N ** |pi v sigma| over the category pairings.
+
+    The exponents ``|pi v sigma|`` do not depend on N; they are memoised
+    per pairing set.
+    """
     _check_dimension(n)
-    ps = pairings if pairings is not None else category_pairings(g, alpha, k)
+    ps = tuple(pairings) if pairings is not None else _pairings(_category(g, alpha, k))
     if len(ps) > GRAM_PAIRING_BOUND:
         raise SizeLimitError(f"{len(ps)} pairings exceed the Gram bound {GRAM_PAIRING_BOUND}")
-    return ExactMatrix([[n ** join(p, q).block_count for q in ps] for p in ps])
+    blocks = _memoised(("blocks", ps), lambda: _block_counts(ps))
+    powers = [n ** e for e in range(max(map(max, blocks), default=0) + 1)]
+    return ExactMatrix([[powers[b] for b in row] for row in blocks])
 
 
 def _weingarten(g: GroupSpec, n: int, category: tuple,

@@ -1,9 +1,15 @@
+import contextlib
+import io
 import json
+from collections import OrderedDict
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ncspheres.cli import COMMAND_OPERATIONS, _parse_expression, build_parser, main
 from ncspheres.relations import NCCombination
+from ncspheres.weingarten import GROUPS, SPHERES
 
 
 def run_cli(capsys, *argv):
@@ -206,19 +212,28 @@ def test_k_and_alpha_of_different_lengths_are_an_error(capsys, argv):
 
 
 def test_weingarten_builds_the_gram_matrix_once(monkeypatch, capsys):
-    from ncspheres import partitions, weingarten
+    from ncspheres import weingarten
 
-    calls = []
-    real_join = partitions.join
+    grams, builds = [], []
+    real_gram, real_block_counts = weingarten.gram, weingarten._block_counts
 
-    def counting_join(p, q):
-        calls.append(1)
-        return real_join(p, q)
+    def counting_gram(*args, **kwargs):
+        grams.append(1)
+        return real_gram(*args, **kwargs)
 
-    monkeypatch.setattr(weingarten, "join", counting_join)
+    def counting_block_counts(ps):
+        builds.append(len(ps))
+        return real_block_counts(ps)
+
+    monkeypatch.setattr(weingarten, "_memo", OrderedDict())
+    monkeypatch.setattr(weingarten, "gram", counting_gram)
+    monkeypatch.setattr(weingarten, "_block_counts", counting_block_counts)
     code, data = run_json(capsys, "weingarten", "--group", "o_n_star", "--k", "6", "--n", "4")
     assert code == 0 and len(data["pairings"]) == 6
-    assert len(calls) == 6 * 6
+    assert grams == [1] and builds == [6]
+    code, data = run_json(capsys, "weingarten", "--group", "o_n_star", "--k", "6", "--n", "5")
+    assert code == 0 and len(data["pairings"]) == 6
+    assert grams == [1, 1] and builds == [6]
 
 
 # ---------------------------------------------------------------------------
@@ -413,11 +428,68 @@ def test_mc_moment_reads_alpha_like_moment(capsys):
 def test_gram_bound_is_an_error(monkeypatch, capsys, argv):
     from ncspheres import weingarten
 
-    def no_join(p, q):
-        raise AssertionError("join called above the Gram bound")
+    def no_block_counts(ps):
+        raise AssertionError("block counts built above the Gram bound")
 
-    monkeypatch.setattr(weingarten, "join", no_join)
+    monkeypatch.setattr(weingarten, "_memo", OrderedDict())
+    monkeypatch.setattr(weingarten, "_block_counts", no_block_counts)
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and "Gram bound" in captured.err
+
+
+# ---------------------------------------------------------------------------
+# random argv: an exit code, never a traceback
+
+
+def _option(name, values):
+    """``[name, value]`` or nothing, so that required options go missing too."""
+    return st.one_of(st.just([]), values.map(lambda v: [name, str(v)]))
+
+
+_DIMENSIONS = st.one_of(st.integers(-1, 6), st.sampled_from(["", "x", "2.5", "+3"]))
+_INDICES = st.one_of(
+    st.lists(st.integers(-1, 4), max_size=6).map(lambda xs: ",".join(map(str, xs))),
+    st.sampled_from(["a", "1,,2", " 1, 2", "1;2"]))
+_WORDS = st.text(alphabet="1*o x", max_size=6)
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(["gram", "weingarten", "moment", "trace", "rank"]))
+    groups = st.sampled_from([g.name for g in GROUPS] + ["o_n_bogus", ""])
+    spheres = st.sampled_from([s.name for s in SPHERES] + ["s_x", ""])
+    if command in ("gram", "weingarten"):
+        options = [_option("--group", groups), _option("--k", st.integers(-2, 7)),
+                   _option("--alpha", _WORDS)]
+    elif command == "moment":
+        options = [_option("--group", groups), _option("--i", _INDICES),
+                   _option("--j", _INDICES), _option("--alpha", _WORDS)]
+    elif command == "trace":
+        options = [_option("--sphere", spheres), _option("--i", _INDICES),
+                   _option("--alpha", _WORDS)]
+    else:
+        options = [_option("--sphere", spheres),
+                   st.sampled_from([[], ["--conjugated"]])]
+    options.append(_option("--n", _DIMENSIONS))
+    return [command] + [word for option in options for word in draw(option)]
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@given(_argv())
+@settings(max_examples=300, deadline=None)
+def test_random_argv_exits_cleanly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        json.loads(out.getvalue(), parse_constant=_no_constant)

@@ -5,7 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from ncspheres.errors import SingularGramError, SizeLimitError
+from ncspheres.errors import (
+    FrameError,
+    PartitionClassError,
+    SingularGramError,
+    SizeLimitError,
+)
 from ncspheres.partitions import PartitionClass, enumerate_partitions, join, parse_partition
 from ncspheres.tensors import delta
 from ncspheres.weingarten import (
@@ -598,16 +603,66 @@ def test_gram_and_weingarten_are_integer_numerators():
     assert w.data == reference_inverse(reference_gram(ps, 5))
 
 
-def test_gram_refuses_more_pairings_than_the_bound(monkeypatch):
-    from ncspheres import weingarten
+def _categories(max_real: int, max_word: int):
+    """A group of each category, with its arguments: real k = 0..max_real
+    and every complex colour word up to length max_word, at every level.
+    Odd k and unbalanced words give the empty categories; the twisted
+    groups share their partners' categories."""
+    for level in Level:
+        for k in range(max_real + 1):
+            yield GroupSpec(Field.REAL, level), dict(k=k)
+        for length in range(max_word + 1):
+            for word in itertools.product("1*", repeat=length):
+                yield GroupSpec(Field.COMPLEX, level), dict(alpha="".join(word))
 
+
+def test_block_counts_match_join_in_every_category():
+    from ncspheres.weingarten import _block_counts
+
+    cases = [*_categories(8, 8), (REAL_HALF, dict(k=10)),
+             (GroupSpec(Field.REAL, Level.FREE), dict(k=10))]
+    for g, kw in cases:
+        ps = category_pairings(g, **kw)
+        expect = [[join(p, q).block_count for q in ps] for p in ps]
+        assert _block_counts(ps) == expect, (g.name, kw)
+
+
+def test_gram_matches_the_join_reference(cold_memo):
+    for g, kw in _categories(6, 4):
+        ps = category_pairings(g, **kw)
+        for n in (1, 2, 5):
+            for group in (g, GroupSpec(g.field, g.level, True)):
+                got = gram(group, n, **kw)
+                assert got.den == 1 and got.data == reference_gram(ps, n), (g.name, kw, n)
+                assert gram(group, n, pairings=ps) == got
+
+
+def test_gram_needs_pairings_on_one_frame():
+    with pytest.raises(PartitionClassError, match="not a pairing"):
+        gram(REAL_CLASSICAL, 3, pairings=[parse_partition("|aabb"), parse_partition("|aaaa")])
+    with pytest.raises(FrameError):
+        gram(REAL_CLASSICAL, 3, pairings=[parse_partition("|aabb"), parse_partition("a|a")])
+
+
+def test_to_strings_prints_the_fractions():
+    rng = random.Random(11)
+    entries = [0, 1, -1, 2, -3, 6, 35, -70, 10 ** 20 + 3]
+    for _ in range(300):
+        nrows, ncols = rng.randint(0, 4), rng.randint(1, 4)
+        m = ExactMatrix([[Fraction(rng.choice(entries), rng.choice([1, 2, 6, 35, 70]))
+                          for _ in range(ncols)] for _ in range(nrows)])
+        m._over(rng.choice([1, 3, 4, 10 ** 12]))
+        assert m.to_strings() == [[str(x) for x in row] for row in m.data]
+
+
+def test_gram_refuses_more_pairings_than_the_bound(cold_memo, monkeypatch):
     free = GroupSpec(Field.REAL, Level.FREE)
-    assert gram(free, 3, k=12).nrows == 132 <= weingarten.GRAM_PAIRING_BOUND
+    assert gram(free, 3, k=12).nrows == 132 <= cold_memo.GRAM_PAIRING_BOUND
 
-    def no_join(p, q):
-        raise AssertionError("join called above the Gram bound")
+    def no_block_counts(ps):
+        raise AssertionError("block counts built above the Gram bound")
 
-    monkeypatch.setattr(weingarten, "join", no_join)
+    monkeypatch.setattr(cold_memo, "_block_counts", no_block_counts)
     with pytest.raises(SizeLimitError, match="945 pairings"):
         gram(REAL_CLASSICAL, 3, k=10)
     with pytest.raises(SizeLimitError, match="720 pairings"):
@@ -741,15 +796,18 @@ def test_memo_inverts_each_category_once_per_n(cold_memo, inversions):
 
 
 def test_gram_and_weingarten_builds_nothing_twice(cold_memo, inversions, monkeypatch):
-    joins = []
-    monkeypatch.setattr(cold_memo, "join", lambda p, q: joins.append(1) or join(p, q))
+    builds = []
+    real_block_counts = cold_memo._block_counts
+    monkeypatch.setattr(cold_memo, "_block_counts",
+                        lambda ps: builds.append(len(ps)) or real_block_counts(ps))
     ps, g, w = cold_memo.gram_and_weingarten(REAL_HALF, 4, k=6)
-    assert len(joins) == len(ps) ** 2 and inversions == [len(ps)]
+    assert builds == [len(ps)] and inversions == [len(ps)]
+    assert g.data == reference_gram(ps, 4)
     assert w.data == reference_inverse(g.data)
     assert cold_memo.gram_and_weingarten(REAL_HALF, 4, k=6)[2] == w
-    assert len(joins) == 2 * len(ps) ** 2 and inversions == [len(ps)]
+    assert builds == [len(ps)] and inversions == [len(ps)]
     assert weingarten_matrix(GroupSpec(Field.REAL, Level.HALF, True), 4, k=6) == w
-    assert len(joins) == 2 * len(ps) ** 2 and inversions == [len(ps)]
+    assert builds == [len(ps)] and inversions == [len(ps)]
 
 
 def test_singular_gram_raises_on_every_call(cold_memo, inversions):
@@ -793,10 +851,10 @@ def test_mutating_what_the_memo_hands_out_changes_nothing(cold_memo):
 
 
 def test_memo_over_the_gram_bound_joins_nothing_and_keeps_no_matrix(cold_memo, monkeypatch):
-    def no_join(p, q):
-        raise AssertionError("join called above the Gram bound")
+    def no_block_counts(ps):
+        raise AssertionError("block counts built above the Gram bound")
 
-    monkeypatch.setattr(cold_memo, "join", no_join)
+    monkeypatch.setattr(cold_memo, "_block_counts", no_block_counts)
     for _ in range(2):
         with pytest.raises(SizeLimitError, match="720 pairings"):
             weingarten_matrix(REAL_HALF, 5, k=12)
