@@ -11,21 +11,23 @@ from ncspheres.weingarten import (
     Field,
     GroupSpec,
     Level,
-    gram_and_weingarten,
-    row_sum_profile,
+    category_pairings,
+    gram,
+    weingarten_matrix,
 )
 
 
 def show(group, n, k=None, alpha=None):
-    ps, g, w = gram_and_weingarten(group, n, alpha=alpha, k=k)
+    ps = category_pairings(group, alpha, k)
+    g, w = gram(group, n, alpha, k), weingarten_matrix(group, n, alpha, k)
     label = alpha if alpha else f"k={k}"
     print(f"\n{group.name}  {label}  N={n}   pairings: "
           + " ".join(p.literal() for p in ps))
     for grow, wrow in zip(g.to_strings(), w.to_strings()):
         print("   G:", " ".join(f"{x:>6s}" for x in grow),
               "   W:", " ".join(f"{x:>10s}" for x in wrow))
-    print("   row sums: G =", str(row_sum_profile(g)[0]),
-          "  W =", str(row_sum_profile(w)[0]))
+    print("   row sums: G =", str(g.row_sums()[0]),
+          "  W =", str(w.row_sums()[0]))
 
 
 def main():

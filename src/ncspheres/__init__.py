@@ -64,11 +64,9 @@ from .weingarten import (
     SphereSpec,
     category_pairings,
     gram,
-    gram_and_weingarten,
     gram_rank_products,
     group_by_name,
     moment,
-    row_sum_profile,
     sphere_by_name,
     sphere_trace,
     weingarten_matrix,

@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import models, relations, verify
-from .errors import NCSphereError
+from .errors import NCSphereError, SizeLimitError
 from .partitions import (
     PartitionClass,
     crossing_count,
@@ -43,24 +43,24 @@ from .weingarten import (
     Level,
     category_pairings,
     gram,
-    gram_and_weingarten,
     gram_rank_products,
     group_by_name,
     moment,
     parse_alpha,
-    row_sum_profile,
     sphere_by_name,
     sphere_trace,
+    weingarten_matrix,
 )
 
 # operations running (directly or transitively) under each subcommand, for
 # the coverage check
 COMMAND_OPERATIONS = {
-    "partitions": ["enumerate_partitions", "is_member", "parse_partition", "kernel"],
-    "signature": ["signature", "standard_form", "crossing_count", "kernel"],
-    "gram": ["category_pairings", "gram", "row_sum_profile"],
-    "weingarten": ["category_pairings", "gram", "gram_and_weingarten"],
-    "moment": ["moment", "weingarten_matrix", "delta", "is_constant_on_blocks"],
+    "partitions": ["enumerate_partitions", "is_member", "kernel"],
+    "signature": ["parse_partition", "signature", "standard_form", "crossing_count", "kernel"],
+    "gram": ["category_pairings", "gram"],
+    "weingarten": ["category_pairings", "gram", "weingarten_matrix"],
+    "moment": ["moment", "category_pairings", "weingarten_matrix", "delta",
+               "is_constant_on_blocks"],
     "trace": ["sphere_trace"],
     "rank": ["gram_rank_products"],
     "classify": ["classify_monomial_sphere", "halfcommuting_membership",
@@ -154,17 +154,19 @@ def _pairing_args(args):
 
 def cmd_gram(args) -> dict:
     group, alpha, k = _pairing_args(args)
-    ps = category_pairings(group, alpha=alpha, k=k)
-    g = gram(group, args.n, pairings=ps)
+    ps = category_pairings(group, alpha, k)
+    g = gram(group, args.n, alpha, k)
     return {"group": group.name, "alpha": alpha, "k": k or len(alpha or ""),
             "N": args.n, "pairings": [p.literal() for p in ps],
             "gram": g.to_strings(),
-            "row_sums": [str(x) for x in row_sum_profile(g)]}
+            "row_sums": [str(x) for x in g.row_sums()]}
 
 
 def cmd_weingarten(args) -> dict:
     group, alpha, k = _pairing_args(args)
-    ps, g, w = gram_and_weingarten(group, args.n, alpha=alpha, k=k)
+    ps = category_pairings(group, alpha, k)
+    g = gram(group, args.n, alpha, k)
+    w = weingarten_matrix(group, args.n, alpha, k)
     return {"group": group.name, "alpha": alpha, "k": k or len(alpha or ""),
             "N": args.n, "pairings": [p.literal() for p in ps],
             "gram": g.to_strings(), "weingarten": w.to_strings()}
@@ -254,16 +256,27 @@ def _system(args) -> relations.RelationSystem:
 
 
 def cmd_reduce(args) -> dict:
-    expr = _parse_expression(args.expr)
+    expr = _parse_expression(args.expr, args.degree)
     out, trace = reduce_expr(expr, _system(args), args.degree, args.indices)
     return {"expr": args.expr, "reduced": str(out), "zero": out.is_zero(),
             "trace": trace}
 
 
-def _parse_expression(text: str) -> NCCombination:
+def _parse_expression(text: str, max_degree: int) -> NCCombination:
     """Tiny expression grammar: words, + -, integer coefficients,
-    parentheses and ^n powers, with juxtaposition as product."""
+    parentheses and ^n powers, with juxtaposition as product.
+
+    A product or power whose words would be longer than ``max_degree``
+    raises ``SizeLimitError`` before it is expanded.
+    """
     pos = 0
+
+    def bounded(length: int) -> None:
+        if length > max_degree:
+            raise SizeLimitError(f"expression degree {length} exceeds the bound {max_degree}")
+
+    def degree(c: NCCombination) -> int:
+        return max(map(len, c.terms), default=0)
 
     def skip_ws():
         nonlocal pos
@@ -288,8 +301,12 @@ def _parse_expression(text: str) -> NCCombination:
         acc = parse_power()
         while True:
             skip_ws()
-            if pos < len(text) and (text[pos].isalnum() or text[pos] == "("):
-                acc = acc * parse_power()
+            if pos < len(text) and (text[pos].islower() or text[pos].isdigit()
+                                    or text[pos] == "("):
+                factor = parse_power()
+                if acc.terms and factor.terms:
+                    bounded(degree(acc) + degree(factor))
+                acc = acc * factor
             else:
                 return acc
 
@@ -302,7 +319,9 @@ def _parse_expression(text: str) -> NCCombination:
             start = pos
             while pos < len(text) and text[pos].isdigit():
                 pos += 1
-            base = base ** int(text[start:pos])
+            exponent = int(text[start:pos])
+            bounded(degree(base) * exponent)
+            base = base ** exponent
         return base
 
     def parse_atom():

@@ -432,7 +432,7 @@ def _restricted_growth_strings(n: int) -> Iterator[tuple[int, ...]]:
     yield from rec(1, 0)
 
 
-def _pairings(n: int) -> Iterator[tuple[int, ...]]:
+def _pairing_words(n: int) -> Iterator[tuple[int, ...]]:
     """All pairings of range(n) as label words, pairs numbered by their
     first element; none for odd ``n``."""
     if n % 2:
@@ -474,7 +474,7 @@ def enumerate_partitions(cls: PartitionClass, upper=0, lower=0,
     if n > bound:
         raise SizeLimitError(f"{n} legs exceeds the enumeration bound {bound}")
     colors = cu + cl
-    words = _pairings(n) if cls in _PAIRING_CLASSES else _restricted_growth_strings(n)
+    words = _pairing_words(n) if cls in _PAIRING_CLASSES else _restricted_growth_strings(n)
     out = [p for p in (kernel(w, k, l, colors) for w in words) if is_member(p, cls)]
     out.sort(key=_linear_blocks)
     return out

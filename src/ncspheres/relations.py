@@ -267,11 +267,20 @@ class RelationSystem:
         return tuple(out)
 
 
+def _check_permutation(p: tuple[int, ...]) -> None:
+    if sorted(p) != list(range(1, len(p) + 1)):
+        raise ValueError(f"not a permutation: {p!r}")
+
+
 def monomial_system(perms: Iterable[Sequence[int]], field: Field,
                     twisted: bool) -> RelationSystem:
-    """The relation system cut out by a permutation set over a regime."""
-    return RelationSystem(field, twisted, tuple(tuple(p) for p in perms),
-                          quadratic=True, selfadjoint=field is Field.REAL)
+    """The relation system cut out by a permutation set over a regime; each
+    permutation is a one-line word of the images of 1..k."""
+    perms = tuple(tuple(p) for p in perms)
+    for p in perms:
+        _check_permutation(p)
+    return RelationSystem(field, twisted, perms, quadratic=True,
+                          selfadjoint=field is Field.REAL)
 
 
 def sphere_relations(s: SphereSpec) -> RelationSystem:
@@ -720,8 +729,7 @@ def classify_monomial_sphere(perms: Iterable[Sequence[int]], regime: SphereSpec 
     fld, twisted = _parse_regime(regime)
     perms = [tuple(p) for p in perms]
     for p in perms:
-        if sorted(p) != list(range(1, len(p) + 1)):
-            raise ValueError(f"not a permutation: {p!r}")
+        _check_permutation(p)
         if len(p) > max_degree - 2:
             raise SizeLimitError("permutation length exceeds the bounds")
     nontrivial = [p for p in perms if p != tuple(range(1, len(p) + 1))]

@@ -43,7 +43,7 @@ from .weingarten import (
     Level,
     SphereSpec,
     category_pairings,
-    gram_and_weingarten,
+    gram,
     gram_rank_products,
     moment,
     weingarten_matrix,
@@ -240,7 +240,7 @@ def check_stochasticity(quick: bool = False):
     ns = (3, 4) if quick else (3, 4, 5, 6)
     for n in ns:
         target = n * (n + 1) * (n + 2)
-        _, g, w = gram_and_weingarten(half, n, k=6)
+        g, w = gram(half, n, k=6), weingarten_matrix(half, n, k=6)
         if any(x != target for x in g.row_sums()):
             return False, f"gram row sums differ from {target} at N={n}"
         if any(x != Fraction(1, target) for x in w.row_sums()):

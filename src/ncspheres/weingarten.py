@@ -12,9 +12,11 @@ symbols.
 The Gram matrix ``G(pi, sigma) = N ** |pi v sigma|`` is integral, its
 inverse is computed exactly by fraction-free integer elimination, and
 joint moments of the coordinates follow from the Weingarten sum.  Pairing
-sets, their block-count matrices ``|pi v sigma|`` and Weingarten matrices
-are memoised per category, per pairing set and per (category, N) in one
-bounded, process-wide memo.
+sets and their block-count matrices ``|pi v sigma|`` are memoised per
+category, Weingarten matrices per (category, N), in one bounded,
+process-wide memo.  Its values are immutable and handed out shared:
+``category_pairings`` returns the memo's tuple and ``weingarten_matrix``
+the memo's W.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import ClassVar, Sequence
 
-from .errors import FrameError, PartitionClassError, SingularGramError, SizeLimitError
+from .errors import SingularGramError, SizeLimitError
 from .partitions import Partition, PartitionClass, enumerate_partitions
 from .tensors import delta
 
@@ -160,23 +162,28 @@ def _eliminate(rows: list[list[int]], ncols: int) -> tuple[int, int]:
     return rank, prev
 
 
+@dataclass(frozen=True, init=False, eq=False)
 class ExactMatrix:
     """Dense rational matrix: integer rows ``num`` over one denominator
-    ``den > 0``.  ``inverse`` and ``rank`` share one integer kernel, and
-    ``Fraction`` entries are built only for output."""
+    ``den > 0``, fixed once built, so that one matrix can be shared.
+    ``inverse`` and ``rank`` share one integer kernel, and ``Fraction``
+    entries are built only for output."""
 
-    def __init__(self, rows: Sequence[Sequence]):
-        """Rows of ints or Fractions, over the lcm of their denominators."""
-        self.nrows, self.ncols = len(rows), len(rows[0]) if rows else 0
-        if any(len(r) != self.ncols for r in rows):
+    num: tuple[tuple[int, ...], ...]
+    den: int
+    nrows: int
+    ncols: int
+
+    def __init__(self, rows: Sequence[Sequence], den: int = 1):
+        """Rows of ints or Fractions, divided by the positive integer ``den``;
+        the rows are held over the lcm of their denominators."""
+        ncols = len(rows[0]) if rows else 0
+        if any(len(r) != ncols for r in rows):
             raise ValueError("ragged rows")
-        self.den = math.lcm(*(x.denominator for row in rows for x in row))
-        self.num = [[x.numerator * (self.den // x.denominator) for x in row] for row in rows]
-
-    def _over(self, den: int) -> "ExactMatrix":
-        """Divide this matrix in place by the positive integer ``den``; returns it."""
-        self.den *= den
-        return self
+        lcm = math.lcm(*(x.denominator for row in rows for x in row))
+        vars(self).update(
+            num=tuple(tuple(x.numerator * (lcm // x.denominator) for x in row) for row in rows),
+            den=lcm * den, nrows=len(rows), ncols=ncols)
 
     @property
     def data(self) -> list[list[Fraction]]:
@@ -197,16 +204,10 @@ class ExactMatrix:
         assert self.ncols == other.nrows
         cols = list(zip(*other.num))
         return ExactMatrix([[sum(x * y for x, y in zip(row, col)) for col in cols]
-                            for row in self.num])._over(self.den * other.den)
+                            for row in self.num], self.den * other.den)
 
     def transpose(self) -> "ExactMatrix":
-        return ExactMatrix([list(col) for col in zip(*self.num)])._over(self.den)
-
-    def copy(self) -> "ExactMatrix":
-        """A matrix with rows of its own; the int entries are shared."""
-        out = ExactMatrix.__new__(ExactMatrix)
-        vars(out).update(vars(self), num=[row[:] for row in self.num])
-        return out
+        return ExactMatrix(list(zip(*self.num)), self.den)
 
     def is_symmetric(self) -> bool:
         return self.num == self.transpose().num
@@ -223,15 +224,15 @@ class ExactMatrix:
         n = self.nrows
         if n != self.ncols:
             raise ValueError("inverse needs a square matrix")
-        aug = [row + [int(i == j) for j in range(n)] for i, row in enumerate(self.num)]
+        aug = [[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(self.num)]
         rank, det = _eliminate(aug, n)
         if rank < n:
             raise ZeroDivisionError("singular matrix")
         scale = self.den if det > 0 else -self.den
-        return ExactMatrix([[x * scale for x in row[n:]] for row in aug])._over(abs(det))
+        return ExactMatrix([[x * scale for x in row[n:]] for row in aug], abs(det))
 
     def rank(self) -> int:
-        return _eliminate([row[:] for row in self.num], self.ncols)[0]
+        return _eliminate([list(row) for row in self.num], self.ncols)[0]
 
     def to_strings(self) -> list[list[str]]:
         """Entries as ``str`` of their Fractions prints them: ``p/q`` in
@@ -247,13 +248,13 @@ class ExactMatrix:
 # ---------------------------------------------------------------------------
 # the memo
 
-# Pairing sets keyed by category, block-count matrices by pairing set and
-# Weingarten matrices by (category, N); the least recently used entry goes
-# once the memo holds MEMO_SIZE of them.  All moment, trace and rank queries
-# of degree 4 and 6 at N = 2..5 over the ten groups use 377 keys: 84 pairing
-# sets, 62 block-count matrices and 231 Weingarten matrices.  Most entries
-# are small, but the largest W at the Gram bound holds megabytes (105
-# pairings at N = 5: 1.7 MB).
+# Pairing sets and block-count matrices keyed by category, Weingarten
+# matrices by (category, N); the least recently used entry goes once the
+# memo holds MEMO_SIZE of them.  All moment, trace and rank queries of
+# degree 4 and 6 (balanced colour words) at N = 2..5 over the ten groups use
+# 480 keys: 84 pairing sets, 84 block-count matrices and 312 Weingarten
+# matrices.  Most entries are small, but the largest W at the Gram bound
+# holds megabytes (105 pairings at N = 5: 1.7 MB).
 MEMO_SIZE = 512
 _memo: OrderedDict = OrderedDict()
 
@@ -298,21 +299,19 @@ def _category(g: GroupSpec, alpha=None, k: int | None = None) -> tuple:
     return g.field, g.level, k
 
 
-def _pairings(category: tuple) -> tuple[Partition, ...]:
-    """The memoised pairings of a category; the tuple is shared."""
-    _, level, lower = category
-    return _memoised(category,
-                     lambda: tuple(enumerate_partitions(_CLASSES[level], 0, lower)))
-
-
-def category_pairings(g: GroupSpec, alpha=None, k: int | None = None) -> list[Partition]:
-    """Pairings spanning Hom(1, u^{tensor alpha}) for the group, as a fresh list.
+def category_pairings(g: GroupSpec, alpha=None, k: int | None = None
+                      ) -> tuple[Partition, ...]:
+    """Pairings spanning Hom(1, u^{tensor alpha}) for the group: the memo's
+    own tuple, shared by every caller.
 
     Real groups take a plain leg count ``k`` (or use len(alpha)); complex
     groups color the legs by the exponent word ``alpha``.  Given both,
     ``k`` must be the length of ``alpha``.
     """
-    return list(_pairings(_category(g, alpha, k)))
+    category = _category(g, alpha, k)
+    _, level, lower = category
+    return _memoised(category,
+                     lambda: tuple(enumerate_partitions(_CLASSES[level], 0, lower)))
 
 
 def _check_dimension(n: int) -> None:
@@ -328,7 +327,7 @@ GRAM_PAIRING_BOUND = 132
 
 
 def _block_counts(ps: Sequence[Partition]) -> list[list[int]]:
-    """The matrix ``B[a][b] = |p_a v p_b|`` of pairings on one frame.
+    """The matrix ``B[a][b] = |p_a v p_b|`` of a category's pairings.
 
     The strings of two pairings close into loops, and the legs of each loop
     form one block of their join.  So each entry counts the loops of a walk
@@ -336,10 +335,6 @@ def _block_counts(ps: Sequence[Partition]) -> list[list[int]]:
     """
     partners = []
     for p in ps:
-        if not p.same_frame(ps[0]):
-            raise FrameError("a Gram matrix needs pairings on one frame")
-        if not p.is_pairing():
-            raise PartitionClassError(f"{p.literal()} is not a pairing")
         mate = [0] * p.n_legs
         for a, b in p.blocks:
             mate[a], mate[b] = b, a
@@ -361,65 +356,36 @@ def _block_counts(ps: Sequence[Partition]) -> list[list[int]]:
     return out
 
 
-def gram(g: GroupSpec, n: int, alpha=None, k: int | None = None,
-         pairings: Sequence[Partition] | None = None) -> ExactMatrix:
+def gram(g: GroupSpec, n: int, alpha=None, k: int | None = None) -> ExactMatrix:
     """Gram matrix G(pi, sigma) = N ** |pi v sigma| over the category pairings.
 
     The exponents ``|pi v sigma|`` do not depend on N; they are memoised
-    per pairing set.
+    per category, after the Gram bound is checked.
     """
     _check_dimension(n)
-    ps = tuple(pairings) if pairings is not None else _pairings(_category(g, alpha, k))
-    if len(ps) > GRAM_PAIRING_BOUND:
-        raise SizeLimitError(f"{len(ps)} pairings exceed the Gram bound {GRAM_PAIRING_BOUND}")
-    blocks = _memoised(("blocks", ps), lambda: _block_counts(ps))
+
+    def build():
+        ps = category_pairings(g, alpha, k)
+        if len(ps) > GRAM_PAIRING_BOUND:
+            raise SizeLimitError(f"{len(ps)} pairings exceed the Gram bound {GRAM_PAIRING_BOUND}")
+        return _block_counts(ps)
+
+    blocks = _memoised(("blocks", _category(g, alpha, k)), build)
     powers = [n ** e for e in range(max(map(max, blocks), default=0) + 1)]
     return ExactMatrix([[powers[b] for b in row] for row in blocks])
 
 
-def _weingarten(g: GroupSpec, n: int, category: tuple,
-                gm: ExactMatrix | None = None) -> ExactMatrix:
-    """The memoised W of a category at dimension ``n``.  The matrix is
-    shared: read it, and hand out only copies.  On a miss, ``gm`` (the
-    category's Gram matrix at ``n``, if the caller has built it) is
-    inverted; a singular Gram matrix raises on every call."""
+def weingarten_matrix(g: GroupSpec, n: int, alpha=None, k: int | None = None) -> ExactMatrix:
+    """Exact inverse of the Gram matrix: the memo's own W per (category, N),
+    shared by every caller.  A singular Gram matrix is never stored, so it
+    raises on every call."""
     def build():
-        ps = _pairings(category)
-        inverse_of = gram(g, n, pairings=ps) if gm is None else gm
         try:
-            return inverse_of.inverse()
+            return gram(g, n, alpha, k).inverse()
         except ZeroDivisionError:
-            raise SingularGramError(n, len(ps[0].colors) if ps else 0)
+            raise SingularGramError(n, category_pairings(g, alpha, k)[0].n_legs)
 
-    return _memoised((category, n), build)
-
-
-def weingarten_matrix(g: GroupSpec, n: int, alpha=None, k: int | None = None,
-                      pairings: Sequence[Partition] | None = None) -> ExactMatrix:
-    """Exact inverse of the Gram matrix, as a fresh copy.
-
-    ``pairings``, if given, must be the category's own pairings; without
-    ``alpha`` and ``k``, their frame names the category.
-    """
-    if pairings and alpha is None and k is None:
-        k = pairings[0].lower
-        if g.field is Field.COMPLEX:
-            alpha = "".join(c.value for c in pairings[0].colors)
-    category = _category(g, alpha, k)
-    if pairings is not None and tuple(pairings) != _pairings(category):
-        raise ValueError("pairings must be the category's pairings")
-    return _weingarten(g, n, category).copy()
-
-
-def gram_and_weingarten(g: GroupSpec, n: int, alpha=None, k: int | None = None
-                        ) -> tuple[list[Partition], ExactMatrix, ExactMatrix]:
-    """Pairings, Gram matrix and Weingarten matrix of a category, for
-    callers that show the Gram matrix too: it is built once, and inverted
-    only when W is not in the memo."""
-    category = _category(g, alpha, k)
-    ps = _pairings(category)
-    gm = gram(g, n, pairings=ps)
-    return list(ps), gm, _weingarten(g, n, category, gm).copy()
+    return _memoised((_category(g, alpha, k), n), build)
 
 
 def _weingarten_sum(wg: ExactMatrix, di: Sequence[int], dj: Sequence[int]) -> int:
@@ -445,11 +411,10 @@ def moment(g: GroupSpec, n: int, i: Sequence[int], j: Sequence[int],
             raise ValueError(f"index {x} outside 1..{n}")
     if k == 0:
         return Fraction(1)
-    category = _category(g, word)
-    ps = _pairings(category)
+    ps = category_pairings(g, word)
     if not ps:
         return Fraction(0)
-    wg = _weingarten(g, n, category)
+    wg = weingarten_matrix(g, n, word)
     di = [delta(p, tuple(i), twisted=g.twisted) for p in ps]
     dj = [delta(p, tuple(j), twisted=g.twisted) for p in ps]
     return Fraction(_weingarten_sum(wg, di, dj), wg.den)
@@ -459,6 +424,13 @@ def sphere_trace(s: SphereSpec, n: int, i: Sequence[int], alpha=None) -> Fractio
     """Canonical trace of z_{i1}^{a1} ... z_{ik}^{ak} on the sphere."""
     ones = (1,) * len(i)
     return moment(s.isometry_group, n, ones, tuple(i), alpha)
+
+
+# The product Gram matrix has N^2 rows of Weingarten sums and is ranked by
+# exact elimination, so its time grows about as N^6.  On a 2-core host
+# (s_c, plain and conjugated): N = 12 takes 0.3 to 0.4 s, N = 16 1.3 to
+# 1.6 s and N = 20 4.1 to 5.7 s; N = 100 would take about a day.
+RANK_DIMENSION_BOUND = 16
 
 
 def gram_rank_products(s: SphereSpec, n: int, conjugated: bool = False) -> int:
@@ -472,14 +444,15 @@ def gram_rank_products(s: SphereSpec, n: int, conjugated: bool = False) -> int:
     share W's denominator, so only their integer numerators are ranked.
     """
     _check_dimension(n)
+    if n > RANK_DIMENSION_BOUND:
+        raise SizeLimitError(f"N={n} exceeds the rank bound {RANK_DIMENSION_BOUND}")
     alpha = ("1", "*", "1", "*") if conjugated else ("1", "1", "*", "*")
     pairs = list(itertools.product(range(1, n + 1), repeat=2))
     g = s.isometry_group
-    category = _category(g, alpha)
-    ps = _pairings(category)
+    ps = category_pairings(g, alpha)
     if not ps:
         return 0
-    wg = _weingarten(g, n, category)
+    wg = weingarten_matrix(g, n, alpha)
     di = [delta(p, (1, 1, 1, 1), twisted=g.twisted) for p in ps]
     rows = []
     for (i, j) in pairs:
@@ -488,8 +461,3 @@ def gram_rank_products(s: SphereSpec, n: int, conjugated: bool = False) -> int:
             for (k, l) in pairs
         ])
     return ExactMatrix(rows).rank()
-
-
-def row_sum_profile(m: ExactMatrix) -> list[Fraction]:
-    """Per-row sums; constant for the stochastic Gram matrices."""
-    return m.row_sums()

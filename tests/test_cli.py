@@ -212,28 +212,23 @@ def test_k_and_alpha_of_different_lengths_are_an_error(capsys, argv):
 
 
 def test_weingarten_builds_the_gram_matrix_once(monkeypatch, capsys):
+    # what is expensive: the block counts |p v q| (once per pairing set) and
+    # the inversion (once per category and N); a Gram matrix is a table of
+    # powers of N over the block counts
     from ncspheres import weingarten
 
-    grams, builds = [], []
-    real_gram, real_block_counts = weingarten.gram, weingarten._block_counts
-
-    def counting_gram(*args, **kwargs):
-        grams.append(1)
-        return real_gram(*args, **kwargs)
-
-    def counting_block_counts(ps):
-        builds.append(len(ps))
-        return real_block_counts(ps)
-
+    builds, inversions = [], []
+    real_block_counts, real_inverse = weingarten._block_counts, weingarten.ExactMatrix.inverse
     monkeypatch.setattr(weingarten, "_memo", OrderedDict())
-    monkeypatch.setattr(weingarten, "gram", counting_gram)
-    monkeypatch.setattr(weingarten, "_block_counts", counting_block_counts)
-    code, data = run_json(capsys, "weingarten", "--group", "o_n_star", "--k", "6", "--n", "4")
-    assert code == 0 and len(data["pairings"]) == 6
-    assert grams == [1] and builds == [6]
-    code, data = run_json(capsys, "weingarten", "--group", "o_n_star", "--k", "6", "--n", "5")
-    assert code == 0 and len(data["pairings"]) == 6
-    assert grams == [1, 1] and builds == [6]
+    monkeypatch.setattr(weingarten, "_block_counts",
+                        lambda ps: builds.append(len(ps)) or real_block_counts(ps))
+    monkeypatch.setattr(weingarten.ExactMatrix, "inverse",
+                        lambda m: inversions.append(m.nrows) or real_inverse(m))
+    for group, n, expect in (("o_n_star", 4, [6]), ("o_n_star", 5, [6, 6]),
+                             ("bar_o_n_star", 4, [6, 6]), ("o_n_star", 5, [6, 6])):
+        code, data = run_json(capsys, "weingarten", "--group", group, "--k", "6", "--n", str(n))
+        assert code == 0 and len(data["pairings"]) == 6
+        assert builds == [6] and inversions == expect
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +260,7 @@ OPERATIONS = [
     "compose", "involution",
     # weingarten
     "category_pairings", "gram", "weingarten_matrix", "moment",
-    "sphere_trace", "gram_rank_products", "row_sum_profile",
+    "sphere_trace", "gram_rank_products",
     # relations
     "sphere_relations", "group_relations", "relation_sign", "saturate",
     "reduce", "classify_monomial_sphere", "relation_group",
@@ -278,25 +273,78 @@ OPERATIONS = [
 ]
 
 
-def test_every_operation_is_reachable():
+# representative argv of each subcommand, one per mode where it has several
+REPRESENTATIVE_ARGV = {
+    "partitions": [["partitions", "--class", "p2", "--lower", "4"]],
+    "signature": [["signature", "--partition", "|abab"]],
+    "gram": [["gram", "--group", "o_n", "--k", "4", "--n", "3"]],
+    "weingarten": [["weingarten", "--group", "o_n", "--k", "4", "--n", "3"]],
+    "moment": [["moment", "--group", "o_n", "--n", "3", "--i", "1,1,2,2", "--j", "1,2,1,2"]],
+    "trace": [["trace", "--sphere", "bar_s_r", "--n", "3", "--i", "1,2,2,1"]],
+    "rank": [["rank", "--sphere", "s_r", "--n", "2"]],
+    "classify": [["classify", "--perm", "321", "--regime", "real"]],
+    "saturate": [["saturate", "--sphere", "bar_s_r", "--k", "3"],
+                 ["saturate", "--group", "bar_o_n_star"]],
+    "reduce": [["reduce", "--expr", "(ab-ba)^2", "--perm", "312"]],
+    "check": [["check", "--op", "relations", "--sphere", "s_r", "--model", "classical_point"],
+              ["check", "--op", "relations", "--sphere", "bar_s_r", "--model", "twisted_point"],
+              ["check", "--op", "relations", "--sphere", "s_c_star2", "--model", "antidiagonal"],
+              ["check", "--op", "relations", "--sphere", "bar_s_r", "--model", "clifford"],
+              ["check", "--op", "relations", "--sphere", "s_r_plus", "--model", "sqrt_positive"],
+              ["check", "--op", "fixed_vector", "--partition", "|abab", "--twisted",
+               "--sphere", "bar_s_r", "--model", "clifford"],
+              ["check", "--op", "intertwiner", "--partition", "ab|ba", "--n", "2"],
+              ["check", "--op", "coaction", "--sphere", "s_r", "--n", "2"],
+              ["check", "--op", "mc_moment", "--n", "2", "--i", "1,1", "--j", "1,1"]],
+    "verify": [["verify", "--suite", "quick"]],
+}
+
+
+def test_every_operation_is_reachable(monkeypatch, capsys):
+    import importlib
+
     covered = {op for ops in COMMAND_OPERATIONS.values() for op in ops}
     missing = [op for op in OPERATIONS if op not in covered]
     assert not missing, f"operations not reachable from any subcommand: {missing}"
-    assert set(COMMAND_OPERATIONS) == {
+    assert set(COMMAND_OPERATIONS) == set(REPRESENTATIVE_ARGV) == {
         "partitions", "signature", "gram", "weingarten", "moment", "trace",
         "rank", "classify", "saturate", "reduce", "check", "verify",
     }
+    # wrap each listed operation under every name a library module looks it up by
+    modules = [importlib.import_module(f"ncspheres.{name}") for name in (
+        "cli", "models", "partitions", "relations", "tensors", "verify", "weingarten")]
+    called = set()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            called.add(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in covered:
+        fn = next(vars(m)[name] for m in modules if name in vars(m))
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, counted(name, fn))
+    for command, argvs in REPRESENTATIVE_ARGV.items():
+        called.clear()
+        for argv in argvs:
+            assert main(argv) == 0, argv
+        capsys.readouterr()
+        not_called = sorted(set(COMMAND_OPERATIONS[command]) - called)
+        assert not not_called, f"{command} never calls {not_called}"
 
 
 def test_expression_parser():
-    expr = _parse_expression("(ab-ba)^2")
+    expr = _parse_expression("(ab-ba)^2", 6)
     assert len(expr.terms) == 4
-    expr2 = _parse_expression("2ab - ab - ab")
+    expr2 = _parse_expression("2ab - ab - ab", 6)
     assert expr2.is_zero()
-    expr3 = _parse_expression("ab*a")
+    expr3 = _parse_expression("ab*a", 6)
     assert list(expr3.terms) == [((0, False), (1, True), (0, False))]
     with pytest.raises(ValueError):
-        _parse_expression("(ab")
+        _parse_expression("(ab", 6)
 
 
 # ---------------------------------------------------------------------------
@@ -439,6 +487,60 @@ def test_gram_bound_is_an_error(monkeypatch, capsys, argv):
     assert captured.err.startswith("error: ") and "Gram bound" in captured.err
 
 
+def test_rank_above_its_bound_is_an_error(monkeypatch, capsys):
+    from ncspheres import weingarten
+
+    def no_sum(*args):
+        raise AssertionError("Weingarten sum above the rank bound")
+
+    monkeypatch.setattr(weingarten, "_weingarten_sum", no_sum)
+    assert main(["rank", "--sphere", "s_c", "--n", "100"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "rank bound" in captured.err
+
+
+@pytest.mark.parametrize("expr,message", [
+    ("a^30000", "exceeds the bound 6"),
+    ("(a+b)^20", "exceeds the bound 6"),
+    ("a^10 - a^10", "exceeds the bound 6"),
+    ("ab(ab*)^3", "exceeds the bound 6"),
+    ("A", "trailing input"),
+    ("ab中", "trailing input"),
+])
+def test_reduce_refuses_an_expression_before_expanding_it(monkeypatch, capsys, expr, message):
+    # a word longer than --degree, or a character no atom reads, must stop
+    # the parser before it multiplies on for minutes or forever
+    real_mul = NCCombination.__mul__
+    products = []
+
+    def bounded_mul(self, other):
+        products.append(1)
+        out = real_mul(self, other)
+        assert len(products) < 100 and all(len(word) <= 6 for word in out.terms)
+        return out
+
+    monkeypatch.setattr(NCCombination, "__mul__", bounded_mul)
+    assert main(["reduce", "--expr", expr, "--perm", "312", "--degree", "6"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["saturate", "--perm", "4"],
+    ["saturate", "--perm", "11"],
+    ["saturate", "--perm", "21", "--perm", "0"],
+    ["reduce", "--expr", "ab", "--perm", "13"],
+    ["classify", "--perm", "13", "--regime", "real"],
+])
+def test_a_word_that_is_not_a_permutation_is_an_error(capsys, argv):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "not a permutation" in captured.err
+
+
 # ---------------------------------------------------------------------------
 # random argv: an exit code, never a traceback
 
@@ -453,26 +555,84 @@ _INDICES = st.one_of(
     st.lists(st.integers(-1, 4), max_size=6).map(lambda xs: ",".join(map(str, xs))),
     st.sampled_from(["a", "1,,2", " 1, 2", "1;2"]))
 _WORDS = st.text(alphabet="1*o x", max_size=6)
+_PARTITIONS = st.text(alphabet="ab|c ", max_size=7)
+# permutations of at most 3 letters, so that no search grows past S_3
+_PERMS = st.one_of(st.permutations([1, 2, 3]).map(lambda p: "".join(map(str, p))),
+                   st.sampled_from(["1", "21", "11", "0", "x", "", "4"]))
+_LEGS = st.one_of(st.integers(-1, 4), st.text(alphabet="o*", min_size=1, max_size=4),
+                  st.sampled_from(["x", ""]))
+# up to three terms, each an atom or a power (exponent up to 40) of a sum
+# of atoms; powers do not nest, so constants stay small
+_ATOMS = st.sampled_from(["a", "b", "ab*", "ba", "2", "0", "A", "(", ""])
+_POWERS = st.tuples(st.lists(_ATOMS, min_size=1, max_size=3), st.integers(0, 40)).map(
+    lambda t: f"({'+'.join(t[0])})^{t[1]}")
+_EXPRESSIONS = st.lists(st.tuples(st.sampled_from(["+", "-", " ", ""]),
+                                  st.one_of(_ATOMS, _POWERS)),
+                        min_size=1, max_size=3).map(lambda ts: "".join(op + t for op, t in ts))
+
+
+def _bounds():
+    return [_option("--degree", st.integers(-1, 4)), _option("--indices", st.integers(-1, 3))]
+
+
+def _flag(name):
+    return st.sampled_from([[], [name]])
+
+
+def _repeated(name, values):
+    return st.lists(values, max_size=2).map(lambda vs: [w for v in vs for w in (name, v)])
 
 
 @st.composite
 def _argv(draw):
-    command = draw(st.sampled_from(["gram", "weingarten", "moment", "trace", "rank"]))
+    command = draw(st.sampled_from(["partitions", "signature", "gram", "weingarten",
+                                    "moment", "trace", "rank", "classify", "saturate",
+                                    "reduce", "check"]))
     groups = st.sampled_from([g.name for g in GROUPS] + ["o_n_bogus", ""])
     spheres = st.sampled_from([s.name for s in SPHERES] + ["s_x", ""])
-    if command in ("gram", "weingarten"):
+    regimes = st.sampled_from(["real", "complex", "real_twisted", "complex_twisted", "x"])
+    dimension = _option("--n", _DIMENSIONS)
+    if command == "partitions":
+        options = [_option("--class", st.sampled_from(["p", "p_even", "p2", "p2_star",
+                                                        "nc2", "x"])),
+                   _option("--upper", _LEGS), _option("--lower", _LEGS)]
+    elif command == "signature":
+        options = [_option("--partition", _PARTITIONS)]
+    elif command in ("gram", "weingarten"):
         options = [_option("--group", groups), _option("--k", st.integers(-2, 7)),
-                   _option("--alpha", _WORDS)]
+                   _option("--alpha", _WORDS), dimension]
     elif command == "moment":
         options = [_option("--group", groups), _option("--i", _INDICES),
-                   _option("--j", _INDICES), _option("--alpha", _WORDS)]
+                   _option("--j", _INDICES), _option("--alpha", _WORDS), dimension]
     elif command == "trace":
         options = [_option("--sphere", spheres), _option("--i", _INDICES),
-                   _option("--alpha", _WORDS)]
+                   _option("--alpha", _WORDS), dimension]
+    elif command == "rank":
+        options = [_option("--sphere", spheres), _flag("--conjugated"), dimension]
+    elif command == "classify":
+        options = [_repeated("--perm", _PERMS), _option("--regime", regimes), *_bounds()]
+    elif command == "saturate":
+        options = [_repeated("--perm", _PERMS), _option("--regime", regimes),
+                   _option("--sphere", spheres), _option("--group", groups),
+                   _option("--k", st.integers(-1, 4)), *_bounds()]
+    elif command == "reduce":
+        options = [_option("--expr", _EXPRESSIONS), _repeated("--perm", _PERMS),
+                   _option("--regime", regimes), _option("--sphere", spheres), *_bounds()]
     else:
-        options = [_option("--sphere", spheres),
-                   st.sampled_from([[], ["--conjugated"]])]
-    options.append(_option("--n", _DIMENSIONS))
+        options = [
+            _option("--op", st.sampled_from(["relations", "fixed_vector", "intertwiner",
+                                             "coaction", "mc_moment", "x"])),
+            _option("--sphere", spheres),
+            _option("--model", st.sampled_from(["classical_point", "twisted_point",
+                                                "antidiagonal", "clifford",
+                                                "sqrt_positive", "x"])),
+            _option("--n", st.integers(-1, 3)), _option("--seed", st.integers(0, 3)),
+            _option("--partition", _PARTITIONS), _flag("--twisted"),
+            _option("--matrix", st.sampled_from(["signed", "haar"])),
+            _option("--samples", st.integers(-1, 5)), _option("--element", st.integers(-1, 50)),
+            _option("--mc-group", st.sampled_from(["orthogonal", "unitary",
+                                                   "hyperoctahedral", "k_n"])),
+            _option("--i", _INDICES), _option("--j", _INDICES), _option("--alpha", _WORDS)]
     return [command] + [word for option in options for word in draw(option)]
 
 
@@ -481,7 +641,7 @@ def _no_constant(name):
 
 
 @given(_argv())
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=600, deadline=None)
 def test_random_argv_exits_cleanly(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -489,7 +649,7 @@ def test_random_argv_exits_cleanly(argv):
             code = main(argv)
         except SystemExit as exc:  # argparse usage errors
             code = exc.code
-    assert code in (0, 1, 2), argv
+    assert code in (0, 1, 2, 3), argv
     assert "Traceback" not in err.getvalue()
     if code == 0:
         json.loads(out.getvalue(), parse_constant=_no_constant)

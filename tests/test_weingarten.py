@@ -5,13 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from ncspheres.errors import (
-    FrameError,
-    PartitionClassError,
-    SingularGramError,
-    SizeLimitError,
-)
-from ncspheres.partitions import PartitionClass, enumerate_partitions, join, parse_partition
+from ncspheres.errors import SingularGramError, SizeLimitError
+from ncspheres.partitions import PartitionClass, enumerate_partitions, join
 from ncspheres.tensors import delta
 from ncspheres.weingarten import (
     GROUPS,
@@ -26,7 +21,6 @@ from ncspheres.weingarten import (
     gram_rank_products,
     group_by_name,
     moment,
-    row_sum_profile,
     sphere_by_name,
     sphere_trace,
     weingarten_matrix,
@@ -134,12 +128,12 @@ def test_inverse_matches_rational_reference(g):
         ns = (4,) if len(ps) > 100 else range(1, 8)
         for n in ns:
             try:
-                expect = reference_inverse(gram(g, n, pairings=ps).data)
+                expect = reference_inverse(gram(g, n, **kw).data)
             except ZeroDivisionError:
                 with pytest.raises(SingularGramError):
-                    weingarten_matrix(g, n, pairings=ps)
+                    weingarten_matrix(g, n, **kw)
             else:
-                assert weingarten_matrix(g, n, pairings=ps).data == expect
+                assert weingarten_matrix(g, n, **kw).data == expect
 
 
 def _random_rational_matrix(rng, nrows, ncols, rank):
@@ -424,15 +418,15 @@ def test_dimension_below_one_is_rejected(n):
 def test_half_liberated_row_sums(n):
     g = gram(REAL_HALF, n, k=6)
     target = n * (n + 1) * (n + 2)
-    assert all(x == target for x in row_sum_profile(g))
+    assert all(x == target for x in g.row_sums())
     w = weingarten_matrix(REAL_HALF, n, k=6)
-    assert all(x == Fraction(1, target) for x in row_sum_profile(w))
+    assert all(x == Fraction(1, target) for x in w.row_sums())
     # each row carries the same value multiset
     assert sorted(g.data[0]) == [n, n, n * n, n * n, n * n, n ** 3]
 
 
-def test_row_sum_profile_identity():
-    assert row_sum_profile(ExactMatrix.identity(3)) == [1, 1, 1]
+def test_row_sums_of_the_identity():
+    assert ExactMatrix.identity(3).row_sums() == [1, 1, 1]
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +442,7 @@ def test_ergodicity_identity():
                 if not ps:
                     continue
                 try:
-                    w = weingarten_matrix(g, n, pairings=ps)
+                    w = weingarten_matrix(g, n, alpha=alpha, k=k)
                 except SingularGramError:
                     continue
                 rowsums = w.row_sums()
@@ -595,10 +589,10 @@ def test_exact_matrix_output_matches_fraction_lists():
 
 def test_gram_and_weingarten_are_integer_numerators():
     ps = category_pairings(REAL_CLASSICAL, k=4)
-    g = gram(REAL_CLASSICAL, 5, pairings=ps)
+    g = gram(REAL_CLASSICAL, 5, k=4)
     _assert_integral(g)
-    assert g.den == 1 and g.num == [[25, 5, 5], [5, 25, 5], [5, 5, 25]]
-    w = weingarten_matrix(REAL_CLASSICAL, 5, pairings=ps)
+    assert g.den == 1 and g.num == ((25, 5, 5), (5, 25, 5), (5, 5, 25))
+    w = weingarten_matrix(REAL_CLASSICAL, 5, k=4)
     _assert_integral(w)
     assert w.data == reference_inverse(reference_gram(ps, 5))
 
@@ -634,14 +628,6 @@ def test_gram_matches_the_join_reference(cold_memo):
             for group in (g, GroupSpec(g.field, g.level, True)):
                 got = gram(group, n, **kw)
                 assert got.den == 1 and got.data == reference_gram(ps, n), (g.name, kw, n)
-                assert gram(group, n, pairings=ps) == got
-
-
-def test_gram_needs_pairings_on_one_frame():
-    with pytest.raises(PartitionClassError, match="not a pairing"):
-        gram(REAL_CLASSICAL, 3, pairings=[parse_partition("|aabb"), parse_partition("|aaaa")])
-    with pytest.raises(FrameError):
-        gram(REAL_CLASSICAL, 3, pairings=[parse_partition("|aabb"), parse_partition("a|a")])
 
 
 def test_to_strings_prints_the_fractions():
@@ -650,8 +636,8 @@ def test_to_strings_prints_the_fractions():
     for _ in range(300):
         nrows, ncols = rng.randint(0, 4), rng.randint(1, 4)
         m = ExactMatrix([[Fraction(rng.choice(entries), rng.choice([1, 2, 6, 35, 70]))
-                          for _ in range(ncols)] for _ in range(nrows)])
-        m._over(rng.choice([1, 3, 4, 10 ** 12]))
+                          for _ in range(ncols)] for _ in range(nrows)],
+                        rng.choice([1, 3, 4, 10 ** 12]))
         assert m.to_strings() == [[str(x) for x in row] for row in m.data]
 
 
@@ -796,18 +782,27 @@ def test_memo_inverts_each_category_once_per_n(cold_memo, inversions):
 
 
 def test_gram_and_weingarten_builds_nothing_twice(cold_memo, inversions, monkeypatch):
+    # block counts are built once per pairing set, W once per (category, N);
+    # a Gram matrix is only a table of powers of N over the block counts
     builds = []
     real_block_counts = cold_memo._block_counts
     monkeypatch.setattr(cold_memo, "_block_counts",
                         lambda ps: builds.append(len(ps)) or real_block_counts(ps))
-    ps, g, w = cold_memo.gram_and_weingarten(REAL_HALF, 4, k=6)
-    assert builds == [len(ps)] and inversions == [len(ps)]
+    ps = category_pairings(REAL_HALF, k=6)
+    g, w = gram(REAL_HALF, 4, k=6), weingarten_matrix(REAL_HALF, 4, k=6)
+    assert builds == [6] and inversions == [6]
     assert g.data == reference_gram(ps, 4)
     assert w.data == reference_inverse(g.data)
-    assert cold_memo.gram_and_weingarten(REAL_HALF, 4, k=6)[2] == w
-    assert builds == [len(ps)] and inversions == [len(ps)]
-    assert weingarten_matrix(GroupSpec(Field.REAL, Level.HALF, True), 4, k=6) == w
-    assert builds == [len(ps)] and inversions == [len(ps)]
+    twisted = GroupSpec(Field.REAL, Level.HALF, True)
+    for h in (REAL_HALF, twisted):
+        assert category_pairings(h, k=6) is ps
+        assert weingarten_matrix(h, 4, k=6) is w
+        assert gram(h, 5, k=6).data == reference_gram(ps, 5)
+        moment(h, 4, (1, 1, 2, 2, 3, 3), (1, 1, 2, 2, 3, 3))
+    assert builds == [6] and inversions == [6]
+    weingarten_matrix(twisted, 5, k=6)
+    moment(REAL_HALF, 5, (1,) * 6, (1,) * 6)
+    assert builds == [6] and inversions == [6, 6]
 
 
 def test_singular_gram_raises_on_every_call(cold_memo, inversions):
@@ -822,31 +817,35 @@ def test_singular_gram_raises_on_every_call(cold_memo, inversions):
         with pytest.raises(SingularGramError):
             gram_rank_products(s_r, 1)
         with pytest.raises(SingularGramError):
-            cold_memo.gram_and_weingarten(BAR_REAL, 1, k=4)
+            weingarten_matrix(BAR_REAL, 1, k=4)
     assert len(inversions) == 10
     assert not [key for key in cold_memo._memo if isinstance(key[0], tuple)]
 
 
 def test_mutating_what_the_memo_hands_out_changes_nothing(cold_memo):
-    expect_ps = enumerate_partitions(PartitionClass.P2, 0, 4)
+    expect_ps = tuple(enumerate_partitions(PartitionClass.P2, 0, 4))
     expect_w = reference_inverse(reference_gram(expect_ps, 5))
     expect_moment = moment(REAL_CLASSICAL, 5, (1, 1, 2, 2), (1, 2, 1, 2))
 
     ps = category_pairings(REAL_CLASSICAL, k=4)
-    ps.reverse()
-    ps.pop()
     w = weingarten_matrix(REAL_CLASSICAL, 5, k=4)
-    w.num[0][0] += 1
-    w.num.pop()
-    w._over(7)
-    ps2, g2, w2 = cold_memo.gram_and_weingarten(BAR_REAL, 5, k=4)
-    ps2.clear()
-    w2.num[1] = [0, 0, 0]
-    w2.den = 1
+    with pytest.raises(AttributeError):
+        ps.reverse()
+    with pytest.raises(TypeError):
+        ps[0], ps[1] = ps[1], ps[0]
+    with pytest.raises(TypeError):
+        w.num[0][0] += 1
+    with pytest.raises(TypeError):
+        w.num[1] = (0, 0, 0)
+    with pytest.raises(AttributeError):
+        w.den = 7
+    with pytest.raises(AttributeError):
+        w.num = ()
 
-    assert category_pairings(BAR_REAL, k=4) == expect_ps
-    assert weingarten_matrix(BAR_REAL, 5, k=4).data == expect_w
-    assert cold_memo.gram_and_weingarten(REAL_CLASSICAL, 5, k=4)[2].data == expect_w
+    assert category_pairings(BAR_REAL, k=4) is ps
+    assert ps == expect_ps
+    assert weingarten_matrix(BAR_REAL, 5, k=4) is w
+    assert w.data == expect_w
     assert moment(REAL_CLASSICAL, 5, (1, 1, 2, 2), (1, 2, 1, 2)) == expect_moment
 
 
@@ -859,7 +858,7 @@ def test_memo_over_the_gram_bound_joins_nothing_and_keeps_no_matrix(cold_memo, m
         with pytest.raises(SizeLimitError, match="720 pairings"):
             weingarten_matrix(REAL_HALF, 5, k=12)
         with pytest.raises(SizeLimitError, match="720 pairings"):
-            cold_memo.gram_and_weingarten(REAL_HALF, 5, k=12)
+            gram(REAL_HALF, 5, k=12)
         with pytest.raises(SizeLimitError, match="945 pairings"):
             moment(BAR_REAL, 4, (1,) * 10, (1,) * 10)
     assert not [key for key in cold_memo._memo if isinstance(key[0], tuple)]
@@ -872,19 +871,6 @@ def test_memo_holds_at_most_its_bound(cold_memo, monkeypatch):
     assert len(cold_memo._memo) == 3
     assert list(cold_memo._memo)[-1][1] == 7  # the newest stays
     assert moment(REAL_HALF, 3, (1, 1), (1, 1)) == Fraction(1, 3)
-
-
-def test_weingarten_matrix_checks_the_pairings_it_is_given():
-    ps = category_pairings(REAL_CLASSICAL, k=4)
-    with pytest.raises(ValueError, match="category's pairings"):
-        weingarten_matrix(REAL_CLASSICAL, 5, pairings=ps[:2])
-    with pytest.raises(ValueError, match="category's pairings"):
-        weingarten_matrix(REAL_HALF, 5, pairings=ps)
-    with pytest.raises(ValueError, match="category's pairings"):
-        weingarten_matrix(REAL_CLASSICAL, 5, pairings=[])
-    cps = category_pairings(COMPLEX_CLASSICAL, "1*1*")
-    assert weingarten_matrix(COMPLEX_CLASSICAL, 3, pairings=cps) == \
-        weingarten_matrix(COMPLEX_CLASSICAL, 3, alpha="1*1*")
 
 
 @pytest.mark.parametrize("g,kw", [
