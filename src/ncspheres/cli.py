@@ -52,6 +52,12 @@ from .weingarten import (
     weingarten_matrix,
 )
 
+# `reduce --expr` expands a power only when its coefficients fit in this many
+# bits: every coefficient of c**n is at most (sum of |c|'s coefficients)**n,
+# and each factor counts at least one bit, so a zero or unit base cannot ask
+# for millions of multiplications either
+POWER_BIT_BOUND = 4096
+
 # operations running (directly or transitively) under each subcommand, for
 # the coverage check
 COMMAND_OPERATIONS = {
@@ -266,8 +272,9 @@ def _parse_expression(text: str, max_degree: int) -> NCCombination:
     """Tiny expression grammar: words, + -, integer coefficients,
     parentheses and ^n powers, with juxtaposition as product.
 
-    A product or power whose words would be longer than ``max_degree``
-    raises ``SizeLimitError`` before it is expanded.
+    A product or power whose words would be longer than ``max_degree``,
+    or a power whose coefficients could need more than ``POWER_BIT_BOUND``
+    bits, raises ``SizeLimitError`` before it is expanded.
     """
     pos = 0
 
@@ -321,6 +328,10 @@ def _parse_expression(text: str, max_degree: int) -> NCCombination:
                 pos += 1
             exponent = int(text[start:pos])
             bounded(degree(base) * exponent)
+            bits = exponent * max(1, sum(map(abs, base.terms.values())).bit_length())
+            if bits > POWER_BIT_BOUND:
+                raise SizeLimitError(f"power needs up to {bits} coefficient bits, "
+                                     f"over the bound {POWER_BIT_BOUND}")
             base = base ** exponent
         return base
 
@@ -345,6 +356,8 @@ def _parse_expression(text: str, max_degree: int) -> NCCombination:
         start = pos
         while pos < len(text) and (text[pos].islower() or text[pos] == "*"):
             pos += 1
+        if pos == start:
+            raise ValueError(f"expected a word, a number or '(' at {text[pos:]!r}")
         return NCCombination.monomial(parse_word(text[start:pos]))
 
     out = parse_sum()

@@ -42,9 +42,6 @@ class PointModel:
     def as_matrices(self) -> list[np.ndarray]:
         return [np.array([[z]], dtype=complex) for z in self.coordinates]
 
-    def norm_defect(self) -> float:
-        return abs(sum(abs(z) ** 2 for z in self.coordinates) - 1.0)
-
     def to_json_dict(self) -> dict:
         return {"kind": "point", "N": self.n, "d": 1,
                 "data": [[z.real, z.imag] for z in self.coordinates]}
@@ -64,12 +61,6 @@ class MatrixModel:
 
     def as_matrices(self) -> list[np.ndarray]:
         return list(self.coordinates)
-
-    def quadratic_defect(self) -> float:
-        eye = np.eye(self.d)
-        left = sum(z @ z.conj().T for z in self.coordinates)
-        right = sum(z.conj().T @ z for z in self.coordinates)
-        return max(np.abs(left - eye).max(), np.abs(right - eye).max())
 
     def to_json_dict(self) -> dict:
         return {"kind": "matrix", "N": self.n, "d": self.d,
@@ -138,19 +129,6 @@ def antidiagonal_model(z: PointModel | Sequence[complex]) -> MatrixModel:
     coords = z.coordinates if isinstance(z, PointModel) else tuple(z)
     mats = tuple(
         np.array([[0, zi], [np.conj(zi), 0]], dtype=complex) for zi in coords
-    )
-    return MatrixModel(mats)
-
-
-def antidiagonal_pair_model(a: Sequence[complex], b: Sequence[complex]) -> MatrixModel:
-    """Coordinates [[0, a_i], [conj(b_i), 0]] from two unit vectors; the
-    products X_i X_j^* are diagonal with scalar entries, so the model
-    satisfies the complex half-liberation relations."""
-    if len(a) != len(b):
-        raise FrameError("the two vectors must share a length")
-    mats = tuple(
-        np.array([[0, ai], [np.conj(bi), 0]], dtype=complex)
-        for ai, bi in zip(a, b)
     )
     return MatrixModel(mats)
 
@@ -273,7 +251,7 @@ def check_sphere_relations(model: Model, sphere: SphereSpec,
         k = len(sigma)
         for idx in itertools.product(range(n), repeat=k):
             kern = tuple(idx)
-            sign = relation_sign(sigma, kern, system)
+            sign = relation_sign(sigma, kern, system.twisted)
             for exps in itertools.product(stars, repeat=k):
                 lhs = eye
                 for t in range(k):

@@ -140,6 +140,37 @@ class Partition:
             out[b].append(leg)
         return tuple(map(tuple, out))
 
+    @functools.cached_property
+    def odd_pairs(self) -> tuple[tuple[int, int], ...]:
+        """Block pairs ``(A, B)``, ``A < B``, with an odd number of same-row
+        leg pairs whose left leg lies in A and right leg in B."""
+        b = self.block_count
+        count = [[0] * b for _ in range(b)]
+        for row in (self.labels[: self.upper], self.labels[self.upper:]):
+            seen = [0] * b
+            for right in row:
+                for left in range(b):
+                    count[left][right] += seen[left]
+                seen[right] += 1
+        return tuple((a, c) for a in range(b) for c in range(a + 1, b) if count[a][c] % 2)
+
+    def twisted_sign(self, v: Sequence[int]) -> int:
+        """Switch parity of the tuple giving block ``A`` the value ``v[A]``
+        (an even partition only): ``-1`` to the number of odd pairs whose
+        two blocks get different values.
+
+        The tuple's row inversions, upper row plus lower row, are the
+        switches that sort each row by value.  They number
+        ``Σ x(A,B)·[v_A > v_B]`` over block pairs, where ``x(A,B)`` counts
+        same-row leg pairs with A's leg first and B's leg second.  Since
+        ``x(A,B) + x(B,A) = |A∩up|·|B∩up| + |A∩low|·|B∩low|`` is even when
+        every block is, ``x(A,B)`` and ``x(B,A)`` have one parity, so only
+        the odd pairs whose values differ count, whichever is larger.  In
+        particular the parity does not depend on how distinct values rank
+        the blocks: any values distinct on the blocks give the signature.
+        """
+        return -1 if sum(v[a] != v[b] for a, b in self.odd_pairs) % 2 else 1
+
     def linear_word(self) -> list[int]:
         """Block labels in the linear order: a restricted growth string."""
         return [*self.labels[: self.upper], *reversed(self.labels[self.upper:])]
@@ -303,20 +334,6 @@ def _row_inversions(labels: Sequence[int]) -> int:
     return inv
 
 
-def _inversion_sign(labels: Sequence[int], upper: int) -> int:
-    """Switch parity of the even partition whose legs carry these block
-    labels (upper row first, then lower row, both left to right).
-
-    Ranking the blocks by label and sorting each row by rank takes
-    ``inv(upper row) + inv(lower row)`` switches.  Exchanging the ranks of
-    two blocks A and B changes that count by |A∩up|·|B∩up| + |A∩low|·|B∩low|,
-    which is even when every block is even, so the parity does not depend on
-    the ranking: any labels constant exactly on the blocks give the same sign.
-    """
-    inv = _row_inversions(labels[:upper]) + _row_inversions(labels[upper:])
-    return -1 if inv % 2 else 1
-
-
 def standard_form(p: Partition, block_order: Sequence[int] | None = None):
     """Noncrossing standard form of an even partition, with switch count.
 
@@ -346,7 +363,7 @@ def signature(p: Partition) -> int:
     """Twisted signature of an even partition: (-1)**switch_count."""
     if not p.has_even_blocks():
         raise PartitionClassError("the signature needs even block sizes")
-    return _inversion_sign(p.labels, p.upper)
+    return p.twisted_sign(range(p.block_count))
 
 
 def crossing_count(p: Partition) -> int:

@@ -11,7 +11,8 @@ induces, over a regime (field plus twist), the family of relations
 one per coincidence pattern of the indices, with the sign forced by
 anticommutation: ``-1`` to the number of inverted position pairs lying in
 distinct blocks (a starred symbol commutes with the plain symbol of the
-same index).
+same index).  This is the twisted Kronecker symbol of the permutation's
+diagram at the indices (``relation_sign``).
 
 The engine closes a relation set under segment rewriting, transitivity and
 contraction of a summed adjacent conjugate pair against the quadratic
@@ -30,12 +31,13 @@ bound-relative.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .errors import SizeLimitError
-from .partitions import _restricted_growth_strings, halfcommuting_membership
+from .partitions import Partition, _restricted_growth_strings, halfcommuting_membership, kernel
 from .weingarten import Field, GroupSpec, Level, SphereSpec
 
 Letter = tuple[int, bool]
@@ -163,9 +165,8 @@ class NCCombination:
         bits = []
         for w, c in sorted(self.terms.items(), key=lambda t: _word_order_key(t[0])):
             sign = "-" if c < 0 else "+"
-            mag = abs(c)
-            body = word_literal(w) if w else "1"
-            bits.append(f"{sign}{'' if mag == 1 else mag}{body}")
+            mag = "" if abs(c) == 1 and w else abs(c)  # a constant prints its value
+            bits.append(f"{sign}{mag}{word_literal(w)}")
         return " ".join(bits).lstrip("+")
 
 
@@ -179,27 +180,34 @@ def _word_order_key(word: Word):
 # the forced sign
 
 
-def relation_sign(sigma: Sequence[int], kernel: Sequence[int], regime) -> int:
-    """Sign making ``w = sign . sigma(w)`` hold over the regime's sphere.
+# the permutation diagrams `relation_sign` reads, least recently used
+# dropped first; S_1..S_6 hold 873 permutations
+SIGMA_DIAGRAM_CACHE = 1024
 
-    Untwisted regimes always give +1.  Twisted regimes count inverted
-    position pairs lying in distinct kernel blocks; equal indices (and an
-    index against its own adjoint) commute and contribute nothing.
+
+@functools.lru_cache(maxsize=SIGMA_DIAGRAM_CACHE)
+def _sigma_diagram(sigma: tuple[int, ...]) -> Partition:
+    """``perm_to_partition`` of sigma's inverse: upper row ``0..k-1``, lower
+    row ``sigma - 1``, so block ``p`` joins position ``p`` of the word to the
+    slot that sigma fills with it."""
+    k = len(sigma)
+    return kernel([*range(k), *(s - 1 for s in sigma)], k, k)
+
+
+def relation_sign(sigma: Sequence[int], kernel: Sequence[int], twisted: bool) -> int:
+    """Sign making ``w = sign . sigma(w)`` hold over a regime with this twist.
+
+    Untwisted regimes always give +1.  A twisted regime gives the twisted
+    symbol of sigma's diagram at the kernel: ``-1`` to the number of
+    inverted position pairs lying in distinct kernel blocks, the odd block
+    pairs of the diagram.  Equal indices (and an index against its own
+    adjoint) commute and contribute nothing.
     """
-    twisted = regime.twisted if hasattr(regime, "twisted") else bool(regime)
     if not twisted:
         return 1
-    k = len(sigma)
-    if len(kernel) != k:
+    if len(kernel) != len(sigma):
         raise ValueError("kernel length does not match the permutation")
-    # position of p in the rearranged word
-    slot = {sigma[t] - 1: t for t in range(k)}
-    inversions = 0
-    for p in range(k):
-        for q in range(p + 1, k):
-            if kernel[p] != kernel[q] and slot[p] > slot[q]:
-                inversions += 1
-    return -1 if inversions % 2 else 1
+    return _sigma_diagram(tuple(sigma)).twisted_sign(kernel)
 
 
 # ---------------------------------------------------------------------------
@@ -250,21 +258,14 @@ class RelationSystem:
     field: Field
     twisted: bool
     perms: tuple[tuple[int, ...], ...]
-    quadratic: bool = True
-    selfadjoint: bool = False
-    sphere: SphereSpec | None = None
 
     @property
     def complex_symbols(self) -> bool:
         return self.field is Field.COMPLEX
 
-    def schemas(self) -> tuple[RelationSchema, ...]:
-        out = []
-        for sigma in self.perms:
-            k = len(sigma)
-            lhs = PatternWord(tuple((i, False) for i in range(k)))
-            out.append(RelationSchema(lhs, sigma))
-        return tuple(out)
+    @property
+    def selfadjoint(self) -> bool:
+        return self.field is Field.REAL
 
 
 def _check_permutation(p: tuple[int, ...]) -> None:
@@ -279,8 +280,7 @@ def monomial_system(perms: Iterable[Sequence[int]], field: Field,
     perms = tuple(tuple(p) for p in perms)
     for p in perms:
         _check_permutation(p)
-    return RelationSystem(field, twisted, perms, quadratic=True,
-                          selfadjoint=field is Field.REAL)
+    return RelationSystem(field, twisted, perms)
 
 
 def sphere_relations(s: SphereSpec) -> RelationSystem:
@@ -289,8 +289,7 @@ def sphere_relations(s: SphereSpec) -> RelationSystem:
         Level.HALF: ((3, 2, 1),),
         Level.FREE: (),
     }[s.level]
-    return RelationSystem(s.field, s.twisted, perms, quadratic=True,
-                          selfadjoint=s.field is Field.REAL, sphere=s)
+    return RelationSystem(s.field, s.twisted, perms)
 
 
 def parse_relation(text: str, regime: SphereSpec) -> RelationSchema:
@@ -315,7 +314,7 @@ def parse_relation(text: str, regime: SphereSpec) -> RelationSchema:
             sigma = cand
             break
     exact = bool(constraint)
-    if not exact and sign != relation_sign(sigma, lhs.kernel, regime):
+    if not exact and sign != relation_sign(sigma, lhs.kernel, regime.twisted):
         raise ValueError("sign does not match the regime-forced sign; "
                          "add a kernel constraint for an exact schema")
     return RelationSchema(lhs, sigma, sign if exact else None, exact)
@@ -585,14 +584,14 @@ class _Engine:
 # saturation and its consumers
 
 
-def _family_instances(sigma: tuple[int, ...], complex_symbols: bool,
-                      regime) -> Iterable[tuple[Word, Word, int]]:
-    """All (lhs, rhs, forced sign) instances of a permutation family,
-    skipping identically-true ones."""
+def _family_instances(sigma: tuple[int, ...],
+                      system: RelationSystem) -> Iterable[tuple[Word, Word, int]]:
+    """All (lhs, rhs, forced sign) instances of a permutation family over
+    the system's regime, skipping identically-true ones."""
     k = len(sigma)
-    exp_choices = ((False, True) if complex_symbols else (False,))
+    exp_choices = ((False, True) if system.complex_symbols else (False,))
     for kern in _restricted_growth_strings(k):
-        sign = relation_sign(sigma, kern, regime)
+        sign = relation_sign(sigma, kern, system.twisted)
         for exps in itertools.product(exp_choices, repeat=k):
             lhs = tuple((kern[p], exps[p]) for p in range(k))
             rhs = tuple(lhs[sigma[t] - 1] for t in range(k))
@@ -612,8 +611,7 @@ class SaturationResult:
         """True iff every instance of the permutation family is derived."""
         return all(
             self.engine.derivable(lhs, rhs, sign)
-            for lhs, rhs, sign in _family_instances(
-                sigma, self.system.complex_symbols, self.system)
+            for lhs, rhs, sign in _family_instances(sigma, self.system)
         )
 
 
@@ -636,8 +634,7 @@ def saturate(system: RelationSystem, max_degree: int = DEFAULT_MAX_DEGREE,
                         if s != tuple(range(1, k + 1))]
     targets = []
     for sigma in track_sigmas:
-        for lhs, rhs, sign in _family_instances(sigma, system.complex_symbols,
-                                                system):
+        for lhs, rhs, sign in _family_instances(sigma, system):
             targets.append((sigma, lhs, rhs, sign))
 
     derived: dict[tuple[Word, Word], int] = {}
@@ -777,7 +774,7 @@ def relation_group(system: RelationSystem, k: int,
     for kern in _restricted_growth_strings(k):
         if len(set(kern)) > (max_indices or k):
             continue
-        wants = {sigma: relation_sign(sigma, kern, system) for sigma in alive}
+        wants = {sigma: relation_sign(sigma, kern, system.twisted) for sigma in alive}
         for exps in itertools.product(exp_choices, repeat=k):
             seed = tuple((kern[p], exps[p]) for p in range(k))
             comp = engine.component(seed)

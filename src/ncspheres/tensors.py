@@ -15,14 +15,13 @@ then the lower row, both left to right.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import FrameError, PartitionClassError
-from .partitions import Partition, _inversion_sign, _roots, is_constant_on_blocks, kernel
+from .partitions import Partition, _roots, is_constant_on_blocks, kernel
 
 Tuples = tuple[int, ...]
 
@@ -31,19 +30,22 @@ def delta(p: Partition, t: Sequence[int], twisted: bool = False) -> int:
     """Generalized Kronecker symbol of a combined (upper+lower) tuple.
 
     The twisted symbol needs even block sizes; its sign is the signature of
-    the kernel of ``t``, read off the row inversions of ``t`` itself.
+    the kernel of ``t``, read off the odd block pairs of ``p`` at the
+    values ``t`` gives the blocks.
     """
     constant = is_constant_on_blocks(p, t)
     if not twisted:
         return int(constant)
     if not p.has_even_blocks():
         raise PartitionClassError("twisted symbols need even block sizes")
-    return _inversion_sign(t, p.upper) if constant else 0
+    return p.twisted_sign([t[b[0]] for b in p.blocks]) if constant else 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SparseTensorMap:
-    """Integer-coefficient map between tensor powers of an N-dim space."""
+    """Integer-coefficient map between tensor powers of an N-dim space.
+
+    Maps compare by their entries and, holding a dict, are not hashable."""
 
     dim: int
     input_arity: int
@@ -61,10 +63,6 @@ class SparseTensorMap:
             == (other.dim, other.input_arity, other.output_arity)
             and dict(self.entries) == dict(other.entries)
         )
-
-    def __hash__(self):  # pragma: no cover
-        return hash((self.dim, self.input_arity, self.output_arity,
-                     tuple(sorted(self.entries.items()))))
 
     def tensor(self, other: "SparseTensorMap") -> "SparseTensorMap":
         if self.dim != other.dim:
@@ -114,19 +112,6 @@ class SparseTensorMap:
             mat[enc(o), enc(i)] = c
         return mat
 
-    def to_json(self) -> str:
-        items = sorted(self.entries.items())
-        return json.dumps({
-            "N": self.dim, "k": self.input_arity, "l": self.output_arity,
-            "entries": [[list(o), list(i), c] for (o, i), c in items],
-        })
-
-    @staticmethod
-    def from_json(text: str) -> "SparseTensorMap":
-        data = json.loads(text)
-        ent = {(tuple(o), tuple(i)): c for o, i, c in data["entries"]}
-        return SparseTensorMap(data["N"], data["k"], data["l"], ent)
-
 
 @dataclass(frozen=True)
 class FixedVector:
@@ -157,8 +142,7 @@ def t_map(p: Partition, n: int, twisted: bool = False) -> SparseTensorMap:
     labels = p.labels
     for assignment in itertools.product(range(1, n + 1), repeat=p.block_count):
         t = [assignment[b] for b in labels]
-        coeff = _inversion_sign(t, k) if twisted else 1
-        entries[(tuple(t[k:]), tuple(t[:k]))] = coeff
+        entries[(tuple(t[k:]), tuple(t[:k]))] = p.twisted_sign(assignment) if twisted else 1
     return SparseTensorMap(n, k, l, entries)
 
 

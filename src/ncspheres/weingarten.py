@@ -189,10 +189,6 @@ class ExactMatrix:
     def data(self) -> list[list[Fraction]]:
         return [[Fraction(x, self.den) for x in row] for row in self.num]
 
-    @staticmethod
-    def identity(n: int) -> "ExactMatrix":
-        return ExactMatrix([[int(i == j) for j in range(n)] for i in range(n)])
-
     def __getitem__(self, idx) -> Fraction:
         i, j = idx
         return Fraction(self.num[i][j], self.den)
@@ -200,17 +196,8 @@ class ExactMatrix:
     def __eq__(self, other) -> bool:
         return isinstance(other, ExactMatrix) and self.data == other.data
 
-    def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
-        assert self.ncols == other.nrows
-        cols = list(zip(*other.num))
-        return ExactMatrix([[sum(x * y for x, y in zip(row, col)) for col in cols]
-                            for row in self.num], self.den * other.den)
-
     def transpose(self) -> "ExactMatrix":
         return ExactMatrix(list(zip(*self.num)), self.den)
-
-    def is_symmetric(self) -> bool:
-        return self.num == self.transpose().num
 
     def row_sums(self) -> list[Fraction]:
         return [Fraction(sum(row), self.den) for row in self.num]

@@ -7,7 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncspheres.cli import COMMAND_OPERATIONS, _parse_expression, build_parser, main
+from ncspheres.cli import (
+    COMMAND_OPERATIONS,
+    POWER_BIT_BOUND,
+    _parse_expression,
+    build_parser,
+    main,
+)
+from ncspheres.errors import SizeLimitError
 from ncspheres.relations import NCCombination
 from ncspheres.weingarten import GROUPS, SPHERES
 
@@ -505,8 +512,14 @@ def test_rank_above_its_bound_is_an_error(monkeypatch, capsys):
     ("(a+b)^20", "exceeds the bound 6"),
     ("a^10 - a^10", "exceeds the bound 6"),
     ("ab(ab*)^3", "exceeds the bound 6"),
-    ("A", "trailing input"),
+    ("A", "expected a word"),
     ("ab中", "trailing input"),
+    ("(1+1)^99999999", "coefficient bits"),
+    ("1^99999999", "coefficient bits"),
+    ("(a-a)^99999999", "coefficient bits"),
+    ("((2^50)^100)", "coefficient bits"),
+    ("-1", "expected a word"),
+    ("()", "expected a word"),
 ])
 def test_reduce_refuses_an_expression_before_expanding_it(monkeypatch, capsys, expr, message):
     # a word longer than --degree, or a character no atom reads, must stop
@@ -525,6 +538,30 @@ def test_reduce_refuses_an_expression_before_expanding_it(monkeypatch, capsys, e
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and message in captured.err
+
+
+def test_constant_powers_are_bounded_in_coefficient_bits():
+    assert POWER_BIT_BOUND == 4096
+    # every factor of 2 counts its two bits: 2^2048 is the largest power of 2
+    assert str(_parse_expression("2^10", 6)) == "1024"
+    assert str(_parse_expression("2^2048", 6)) == str(2 ** 2048)
+    for expr in ("2^2049", "(1+1)^99999999", "1^4097", "(1-1)^4097"):
+        with pytest.raises(SizeLimitError):
+            _parse_expression(expr, 6)
+
+
+@pytest.mark.parametrize("expr,reduced", [
+    ("3", "3"),
+    ("2+ab", "2 +ab"),
+    ("2^10", "1024"),
+    ("a-2", "-2 +a"),
+    ("ab-1", "-1 +ab"),
+    ("1+1-1", "1"),
+    ("(ab-ba)^2", "0"),
+])
+def test_reduce_prints_a_constant_term_as_its_value(capsys, expr, reduced):
+    code, data = run_json(capsys, "reduce", "--expr", expr, "--perm", "312")
+    assert code == 0 and data["reduced"] == reduced
 
 
 @pytest.mark.parametrize("argv", [

@@ -8,7 +8,6 @@ from ncspheres.models import (
     MatrixModel,
     PointModel,
     antidiagonal_model,
-    antidiagonal_pair_model,
     check_fixed_vector_identity,
     check_intertwiner,
     check_sphere_relations,
@@ -38,10 +37,10 @@ def test_classical_point_is_deterministic_and_normalized():
     a = sample_classical_point(Field.REAL, 5, seed=42)
     b = sample_classical_point(Field.REAL, 5, seed=42)
     assert a == b
-    assert a.norm_defect() < 1e-12
+    assert abs(np.linalg.norm(a.coordinates) - 1) < 1e-12
     assert all(abs(z.imag) == 0 for z in a.coordinates)
     c = sample_classical_point(Field.COMPLEX, 5, seed=42)
-    assert c.norm_defect() < 1e-12
+    assert abs(np.linalg.norm(c.coordinates) - 1) < 1e-12
 
 
 def test_point_at_n_equals_one():
@@ -87,12 +86,12 @@ def test_antidiagonal_over_twisted_point_is_twisted_half():
 
 
 def test_antidiagonal_pair_model_complex_half():
+    # coordinates [[0, a_i], [conj(b_i), 0]] from two unit vectors: the
+    # products X_i X_j^* are diagonal with scalar entries
     a = sample_classical_point(Field.COMPLEX, 3, seed=1).coordinates
     b = sample_classical_point(Field.COMPLEX, 3, seed=2).coordinates
-    m = antidiagonal_pair_model(a, b)
+    m = MatrixModel(tuple(np.array([[0, ai], [np.conj(bi), 0]]) for ai, bi in zip(a, b)))
     assert not check_sphere_relations(m, sphere_by_name("s_c_star2"), TOL)
-    with pytest.raises(FrameError):
-        antidiagonal_pair_model(a, b[:2])
 
 
 def test_clifford_models():
@@ -111,7 +110,6 @@ def test_sqrt_positive_model():
     model, comms = sqrt_positive_model(
         (1 / 3, 1 / 3, 1 / 3), (1 / 3, 1 / 3, 1 / 3), (0.1, 0.1 * w, 0.1 * w ** 2)
     )
-    assert model.quadratic_defect() < 1e-10
     assert all(np.abs(x - x.conj().T).max() < 1e-12 for x in model.coordinates)
     assert all(c > 1e-3 for c in comms)  # the squares genuinely do not commute
     assert not check_sphere_relations(model, sphere_by_name("s_r_plus"), TOL)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from ncspheres.errors import FrameError, PartitionClassError, SizeLimitError
 from ncspheres.partitions import (
     _restricted_growth_strings,
+    _row_inversions,
     LegColor,
     Partition,
     PartitionClass,
@@ -24,7 +25,7 @@ from ncspheres.partitions import (
     signature,
     standard_form,
 )
-from ncspheres.tensors import involution, tensor_concat
+from ncspheres.tensors import involution, t_map, tensor_concat
 
 P = parse_partition
 
@@ -299,6 +300,28 @@ def test_signature_matches_standard_form_parity():
                                                                  (6, 31), (8, 379)])
     for p in pool:
         assert signature(p) == (-1) ** standard_form(p)[1], p
+
+
+def reference_inversion_sign(t, upper):
+    """The row-inversion parity of a combined tuple, upper row then lower."""
+    return (-1) ** (_row_inversions(t[:upper]) + _row_inversions(t[upper:]))
+
+
+def test_odd_pair_sign_matches_row_inversion_parity():
+    # every even partition on every frame of at most 8 legs, and every
+    # block assignment at N <= 4 (N <= 3 beyond 6 legs): the odd-pair sign
+    # and the twisted map's entries against the row inversions of the tuple
+    cases = 0
+    for k, l in frames(8):
+        n = 4 if k + l <= 6 else 3
+        for p in enumerate_partitions(PartitionClass.P_EVEN, k, l):
+            m = t_map(p, n, twisted=True).entries
+            for v in itertools.product(range(1, n + 1), repeat=p.block_count):
+                t = [v[b] for b in p.labels]
+                want = reference_inversion_sign(t, k)
+                assert p.twisted_sign(v) == want == m[(tuple(t[k:]), tuple(t[:k]))], (p, v)
+                cases += 1
+    assert cases == 141406
 
 
 def test_signature_rejects_odd_blocks():

@@ -4,7 +4,11 @@ from collections import Counter
 import pytest
 
 from ncspheres.errors import SizeLimitError
-from ncspheres.partitions import _restricted_growth_strings, halfcommuting_membership
+from ncspheres.partitions import (
+    _restricted_growth_strings,
+    halfcommuting_membership,
+    perm_to_partition,
+)
 from ncspheres.relations import (
     SPAN_SIGN_TABLE,
     Bounds,
@@ -25,6 +29,7 @@ from ncspheres.relations import (
     sphere_relations,
     _Engine,
 )
+from ncspheres.tensors import delta
 from ncspheres.weingarten import SPHERES, Field, GroupSpec, Level, SphereSpec, sphere_by_name
 
 REAL = Field.REAL
@@ -46,6 +51,36 @@ def test_relation_sign_examples():
     assert relation_sign((3, 2, 1), (0, 0, 1), True) == 1
     assert relation_sign((2, 1), (0, 0), True) == 1
     assert relation_sign((2, 1), (0, 1), False) == 1
+
+
+def reference_relation_sign(sigma, kernel):
+    """Twisted sign by flipped pairs: -1 to the number of position pairs in
+    distinct kernel blocks whose order the rearrangement reverses."""
+    k = len(sigma)
+    slot = {sigma[t] - 1: t for t in range(k)}  # position of p in the rearranged word
+    inversions = 0
+    for p in range(k):
+        for q in range(p + 1, k):
+            if kernel[p] != kernel[q] and slot[p] > slot[q]:
+                inversions += 1
+    return -1 if inversions % 2 else 1
+
+
+def test_relation_sign_matches_flipped_pairs():
+    # every permutation of S_1..S_6 with every kernel; the sign is also the
+    # twisted symbol of the diagram of sigma's inverse at (i, i o sigma)
+    cases = 0
+    for k in range(1, 7):
+        kernels = list(_restricted_growth_strings(k))
+        for sigma in itertools.permutations(range(1, k + 1)):
+            inverse = sorted(range(1, k + 1), key=lambda t: sigma[t - 1])
+            diagram = perm_to_partition(inverse)
+            for kern in kernels:
+                want = reference_relation_sign(sigma, kern)
+                assert relation_sign(sigma, kern, True) == want
+                assert delta(diagram, [*kern, *(kern[s - 1] for s in sigma)], True) == want
+                cases += 1
+    assert cases == 152795
 
 
 def test_relation_sign_untwisted_always_plus():
@@ -106,16 +141,16 @@ def test_combination_algebra():
 
 def test_sphere_relation_presets():
     tw = sphere_relations(sphere_by_name("bar_s_r"))
-    assert tw.perms == ((2, 1),) and tw.twisted and tw.selfadjoint and tw.quadratic
+    assert tw.perms == ((2, 1),) and tw.twisted and tw.selfadjoint
     free = sphere_relations(sphere_by_name("s_c_plus"))
-    assert free.perms == () and free.quadratic and not free.selfadjoint
+    assert free.perms == () and not free.selfadjoint
     halfc = sphere_relations(sphere_by_name("bar_s_c_star2"))
     assert halfc.perms == ((3, 2, 1),) and halfc.twisted
     # the twisted complex half preset forces abc = -cba on distinct and
     # + otherwise, whatever the adjoints
-    sch = halfc.schemas()[0]
-    assert relation_sign(sch.sigma, (0, 1, 2), halfc) == -1
-    assert relation_sign(sch.sigma, (0, 1, 0), halfc) == 1
+    (sigma,) = halfc.perms
+    assert relation_sign(sigma, (0, 1, 2), halfc.twisted) == -1
+    assert relation_sign(sigma, (0, 1, 0), halfc.twisted) == 1
 
 
 def test_group_relation_presets():

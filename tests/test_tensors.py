@@ -15,7 +15,6 @@ from ncspheres.partitions import (
 )
 from ncspheres.tensors import (
     FixedVector,
-    SparseTensorMap,
     compose,
     delta,
     inner_product,
@@ -255,7 +254,7 @@ def test_functoriality_adjoint():
 
 
 # ---------------------------------------------------------------------------
-# dense conversion and serialization
+# dense conversion
 
 
 def test_dense_shape_and_values():
@@ -265,16 +264,3 @@ def test_dense_shape_and_values():
     # e_1 x e_2 -> -e_2 x e_1: column (1,2) -> code 0*2+1=1, row (2,1) -> 2
     assert dense[2, 1] == -1
     assert dense[0, 0] == 1
-
-
-def test_json_roundtrip():
-    m = t_map(P("ab|ba"), 3, twisted=True)
-    again = SparseTensorMap.from_json(m.to_json())
-    assert again == m
-
-
-def test_json_is_sorted_and_stable():
-    m = t_map(P("|abab"), 2, twisted=True)
-    assert m.to_json() == m.to_json()
-    data = m.to_json()
-    assert data.index("[[1, 1, 1, 1]") < data.index("[[2, 2, 2, 2]")
