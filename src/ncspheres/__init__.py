@@ -28,14 +28,12 @@ from .partitions import (
 )
 from .relations import (
     NCCombination,
-    PatternWord,
     RelationSchema,
     RelationSystem,
     classify_monomial_sphere,
     comult_sign_check,
-    group_relations,
+    group_relation_sign,
     monomial_system,
-    parse_relation,
     parse_word,
     reduce,
     relation_group,

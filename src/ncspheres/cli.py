@@ -32,6 +32,7 @@ from .relations import (
     NCCombination,
     classify_monomial_sphere,
     comult_sign_check,
+    group_relation_sign,
     monomial_system,
     parse_word,
     reduce as reduce_expr,
@@ -72,7 +73,7 @@ COMMAND_OPERATIONS = {
     "classify": ["classify_monomial_sphere", "halfcommuting_membership",
                  "perm_to_partition"],
     "saturate": ["saturate", "sphere_relations", "relation_sign",
-                 "group_relations", "relation_group", "comult_sign_check"],
+                 "group_relation_sign", "relation_group", "comult_sign_check"],
     "reduce": ["reduce", "parse_word"],
     "check": ["sample_classical_point", "twisted_classical_points",
               "antidiagonal_model", "sqrt_positive_model", "clifford_model",
@@ -222,17 +223,16 @@ def cmd_saturate(args) -> dict:
         # group-level presets: report the commutation sign rules and, for
         # the twisted half-liberated groups, the span-table consistency
         g = group_by_name(args.group)
-        grs = relations.group_relations(g)
         out: dict = {"group": g.name}
         out["pair_signs"] = {
-            "same_row": grs.pair_sign((1, 1), (1, 2)),
-            "same_column": grs.pair_sign((1, 1), (2, 1)),
-            "generic": grs.pair_sign((1, 1), (2, 2)),
+            "same_row": group_relation_sign(g, ((1, 1), (1, 2))),
+            "same_column": group_relation_sign(g, ((1, 1), (2, 1))),
+            "generic": group_relation_sign(g, ((1, 1), (2, 2))),
         }
         out["triple_signs"] = {
-            "span_3_3": grs.triple_sign((1, 1), (2, 2), (3, 3)),
-            "span_3_1": grs.triple_sign((1, 1), (2, 1), (3, 1)),
-            "span_2_3": grs.triple_sign((1, 1), (1, 2), (2, 3)),
+            "span_3_3": group_relation_sign(g, ((1, 1), (2, 2), (3, 3))),
+            "span_3_1": group_relation_sign(g, ((1, 1), (2, 1), (3, 1))),
+            "span_2_3": group_relation_sign(g, ((1, 1), (1, 2), (2, 3))),
         }
         if g.level is Level.HALF and g.twisted:
             out["comult_sign_check"] = comult_sign_check(g)
@@ -386,8 +386,7 @@ def cmd_check(args) -> dict:
     if args.op == "fixed_vector":
         p = parse_partition(args.partition)
         out["partition"] = p.literal()
-        out["residual"] = models.check_fixed_vector_identity(
-            p, model, args.twisted, args.tol)
+        out["residual"] = models.check_fixed_vector_identity(p, model, args.twisted)
         out["ok"] = out["residual"] < args.tol
     if args.op == "intertwiner":
         p = parse_partition(args.partition)

@@ -30,6 +30,11 @@ from .weingarten import Field, SphereSpec, _check_dimension
 
 DEFAULT_TOL = 1e-10
 
+# cells of the largest dense matrix `check_intertwiner` may build; it builds
+# N^(2 max(k, l)) of them, so "abcd|abcd" runs up to N = 4 and "abc|cba"
+# up to N = 6
+INTERTWINER_CELL_BOUND = 4 ** 8
+
 
 @dataclass(frozen=True)
 class PointModel:
@@ -197,17 +202,15 @@ def sqrt_positive_model(r: Sequence[float], s: Sequence[float],
     return MatrixModel(tuple(xs)), comm
 
 
-def enumerate_signed_permutations(n: int,
-                                  phases: Sequence[complex] = (1, -1)) -> list[SignedPermutation]:
-    """All phase-decorated permutations; the default signs give the full
-    hyperoctahedral group of order 2^n n!."""
+def enumerate_signed_permutations(n: int) -> list[SignedPermutation]:
+    """All signed permutations: the hyperoctahedral group of order 2^n n!."""
     _check_dimension(n)
     if n > 4:
         raise SizeLimitError("signed permutation enumeration supports n <= 4")
     out = []
     for perm in itertools.permutations(range(1, n + 1)):
-        for ph in itertools.product(phases, repeat=n):
-            out.append(SignedPermutation(perm, tuple(complex(p) for p in ph)))
+        for ph in itertools.product((1 + 0j, -1 + 0j), repeat=n):
+            out.append(SignedPermutation(perm, ph))
     return out
 
 
@@ -269,8 +272,7 @@ def check_sphere_relations(model: Model, sphere: SphereSpec,
 
 
 def check_fixed_vector_identity(p: Partition, model: Model,
-                                twisted: bool = False,
-                                tol: float = DEFAULT_TOL) -> float:
+                                twisted: bool = False) -> float:
     """Residual of the fixed-vector sum: the signed sum of coordinate
     products over all tuples compatible with the partition must equal one
     whenever the partition belongs to the sphere's category."""
@@ -316,10 +318,15 @@ def check_intertwiner(p: Partition, u: np.ndarray, twisted: bool = False,
     """Whether T_p u^{tensor k} = u^{tensor l} T_p within tolerance.
 
     Black legs act by the entrywise conjugate of u, matching tensor powers
-    with conjugate factors.
+    with conjugate factors.  The check is dense, so it refuses a frame and
+    dimension above ``INTERTWINER_CELL_BOUND`` cells.
     """
     u = np.asarray(u, dtype=complex)
     n = u.shape[0]
+    cells = n ** (2 * max(p.upper, p.lower))
+    if cells > INTERTWINER_CELL_BOUND:
+        raise SizeLimitError(f"an intertwiner check of {p.literal()} at N={n} needs "
+                             f"{cells} dense cells, over the bound {INTERTWINER_CELL_BOUND}")
     t = t_map(p, n, twisted).to_dense().astype(complex)
     upper = _rep_power(u, p.colors[: p.upper])
     lower = _rep_power(u, p.colors[p.upper:])

@@ -477,8 +477,7 @@ _PAIRING_CLASSES = {PartitionClass.P2, PartitionClass.NC2, PartitionClass.P2_STA
                     PartitionClass.PERM}
 
 
-def enumerate_partitions(cls: PartitionClass, upper=0, lower=0,
-                         bound: int = ENUMERATION_LEG_BOUND) -> list[Partition]:
+def enumerate_partitions(cls: PartitionClass, upper=0, lower=0) -> list[Partition]:
     """All members of a partition class on the given frame, canonically ordered.
 
     ``upper``/``lower`` are either leg counts (uncolored) or color words
@@ -488,8 +487,8 @@ def enumerate_partitions(cls: PartitionClass, upper=0, lower=0,
     cl = _color_word(lower, lower if isinstance(lower, int) else len(lower))
     k, l = len(cu), len(cl)
     n = k + l
-    if n > bound:
-        raise SizeLimitError(f"{n} legs exceeds the enumeration bound {bound}")
+    if n > ENUMERATION_LEG_BOUND:
+        raise SizeLimitError(f"{n} legs exceeds the enumeration bound {ENUMERATION_LEG_BOUND}")
     colors = cu + cl
     words = _pairing_words(n) if cls in _PAIRING_CLASSES else _restricted_growth_strings(n)
     out = [p for p in (kernel(w, k, l, colors) for w in words) if is_member(p, cls)]

@@ -46,42 +46,18 @@ Word = tuple[Letter, ...]
 DEFAULT_MAX_DEGREE = 6
 DEFAULT_MAX_INDICES = 4
 
+# words one rewriting class may hold before the search refuses it: 8!, the
+# class of eight distinct letters under every rearrangement
+COMPONENT_WORD_BOUND = 40320
+
+LETTERS = "abcdefghijklmnopqrstuvwxyz"
+
 
 # ---------------------------------------------------------------------------
 # words and combinations
 
 
-@dataclass(frozen=True)
-class PatternWord:
-    """A monomial pattern: letters over abstract indices."""
-
-    letters: Word
-
-    @property
-    def length(self) -> int:
-        return len(self.letters)
-
-    @property
-    def kernel(self) -> tuple[int, ...]:
-        """Block label per position, numbered by first occurrence."""
-        return tuple(b for b, _ in _shape(self.letters))
-
-    @property
-    def exponents(self) -> tuple[str, ...]:
-        return tuple("*" if s else "1" for _, s in self.letters)
-
-    def literal(self) -> str:
-        letters = "abcdefghijklmnopqrstuvwxyz"
-        out = []
-        for b, s in self.letters:
-            out.append(letters[b] + ("*" if s else ""))
-        return "".join(out)
-
-    def __str__(self) -> str:
-        return self.literal()
-
-
-def parse_word(text: str) -> PatternWord:
+def parse_word(text: str) -> Word:
     """Parse a word literal such as ``"ab*a"`` (a, b-star, a).
 
     The letter fixes the abstract index block ('a' is block 0, 'b' block 1
@@ -97,11 +73,11 @@ def parse_word(text: str) -> PatternWord:
         star = i + 1 < len(text) and text[i + 1] == "*"
         letters.append((ord(ch) - ord("a"), star))
         i += 2 if star else 1
-    return PatternWord(tuple(letters))
+    return tuple(letters)
 
 
 def word_literal(word: Word) -> str:
-    return PatternWord(word).literal()
+    return "".join(LETTERS[b] + ("*" if s else "") for b, s in word)
 
 
 def _shape(seg: Word) -> Word:
@@ -120,11 +96,9 @@ class NCCombination:
                 self.terms[w] = self.terms.get(w, 0) + c
 
     @staticmethod
-    def monomial(word: PatternWord | Word | str, coeff: int = 1) -> "NCCombination":
+    def monomial(word: Word | str, coeff: int = 1) -> "NCCombination":
         if isinstance(word, str):
             word = parse_word(word)
-        if isinstance(word, PatternWord):
-            word = word.letters
         return NCCombination({word: coeff})
 
     def __add__(self, other: "NCCombination") -> "NCCombination":
@@ -172,8 +146,8 @@ class NCCombination:
 
 def _word_order_key(word: Word):
     """Global normal-form order: degree, kernel code, exponent word, letters."""
-    pw = PatternWord(word)
-    return (len(word), pw.kernel, pw.exponents, word)
+    kern = tuple(b for b, _ in _shape(word))
+    return (len(word), kern, tuple("*" if s else "1" for _, s in word), word)
 
 
 # ---------------------------------------------------------------------------
@@ -216,31 +190,24 @@ def relation_sign(sigma: Sequence[int], kernel: Sequence[int], twisted: bool) ->
 
 @dataclass(frozen=True)
 class RelationSchema:
-    """One permutation family: lhs pattern, permutation, sign and scope.
+    """One exact relation ``lhs = sign . rhs``: the rhs takes its slot ``t``
+    from position ``sigma[t]`` of the lhs, and the schema holds for the
+    kernel and exponents written in the lhs only."""
 
-    ``sign=None`` means the regime-forced sign per kernel; ``exact=True``
-    restricts the schema to the kernel and exponents written in ``lhs``
-    instead of quantifying over all coincidence patterns.
-    """
-
-    lhs: PatternWord
+    lhs: Word
     sigma: tuple[int, ...]
-    sign: int | None = None
-    exact: bool = False
+    sign: int
 
     @property
-    def rhs(self) -> PatternWord:
-        letters = tuple(self.lhs.letters[self.sigma[t] - 1] for t in range(len(self.sigma)))
-        return PatternWord(letters)
+    def rhs(self) -> Word:
+        return tuple(self.lhs[s - 1] for s in self.sigma)
 
     def literal(self) -> str:
         sign = "-" if self.sign == -1 else "+"
-        text = f"{self.lhs.literal()}={sign}{self.rhs.literal()}"
-        if self.exact:
-            labels = sorted(set(self.lhs.kernel))
-            letters = "abcdefghijklmnopqrstuvwxyz"
-            if len(labels) > 1:
-                text += "[" + "≠".join(letters[i] for i in labels) + "]"
+        text = f"{word_literal(self.lhs)}={sign}{word_literal(self.rhs)}"
+        blocks = len({b for b, _ in self.lhs})
+        if blocks > 1:
+            text += "[" + "≠".join(LETTERS[:blocks]) + "]"
         return text
 
 
@@ -292,77 +259,40 @@ def sphere_relations(s: SphereSpec) -> RelationSystem:
     return RelationSystem(s.field, s.twisted, perms)
 
 
-def parse_relation(text: str, regime: SphereSpec) -> RelationSchema:
-    """Parse a relation literal like ``"abc=-cba"`` or ``"ab=+ba[a≠b]"``.
-
-    Without a kernel constraint the schema quantifies over all coincidence
-    patterns (signs recomputed per kernel); with one it is exact.
-    """
-    body, _, constraint = text.partition("[")
-    lhs_text, _, rhs_text = body.partition("=")
-    if not rhs_text or rhs_text[0] not in "+-":
-        raise ValueError(f"relation literal needs '=+' or '=-': {text!r}")
-    sign = 1 if rhs_text[0] == "+" else -1
-    lhs = parse_word(lhs_text.strip())
-    rhs = parse_word(rhs_text[1:].strip())
-    if sorted(lhs.letters) != sorted(rhs.letters):
-        raise ValueError("the two sides must use the same letters")
-    k = lhs.length
-    sigma = None
-    for cand in itertools.permutations(range(1, k + 1)):
-        if all(rhs.letters[t] == lhs.letters[cand[t] - 1] for t in range(k)):
-            sigma = cand
-            break
-    exact = bool(constraint)
-    if not exact and sign != relation_sign(sigma, lhs.kernel, regime.twisted):
-        raise ValueError("sign does not match the regime-forced sign; "
-                         "add a kernel constraint for an exact schema")
-    return RelationSchema(lhs, sigma, sign if exact else None, exact)
-
-
 # ---------------------------------------------------------------------------
 # group-level presets (coordinates u_ij)
 
 
+# the paper's sign of abc = ±cba in the twisted half-liberated groups, by the
+# number of distinct rows and columns among the three coordinates: the
+# reference data `comult_sign_check` tests against the Hopf structure
 SPAN_SIGN_TABLE: dict[tuple[int, int], int] = {
     (r, c): (-1 if (r == 3) != (c == 3) else 1)
     for r in (1, 2, 3) for c in (1, 2, 3)
 }
 
 
-@dataclass(frozen=True)
-class GroupRelationSystem:
-    """Commutation rules among the N*N coordinates of a quantum group."""
-
-    group: GroupSpec
-
-    def pair_sign(self, a: tuple[int, int], b: tuple[int, int]) -> int | None:
-        """Sign in alpha beta = sign beta alpha for coordinates u_a, u_b;
-        None when the group imposes no degree-2 relation."""
-        if self.group.level is not Level.CLASSICAL:
-            return None
-        if not self.group.twisted:
-            return 1
-        if a != b and (a[0] == b[0] or a[1] == b[1]):
-            return -1
-        return 1
-
-    def triple_sign(self, a, b, c) -> int | None:
-        """Sign in alpha beta gamma = sign gamma beta alpha; None for free."""
-        if self.group.level is Level.FREE:
-            return None
-        if not self.group.twisted:
-            return 1
-        if self.group.level is Level.CLASSICAL:
-            return (self.pair_sign(a, b) * self.pair_sign(a, c)
-                    * self.pair_sign(b, c))
-        rows = len({a[0], b[0], c[0]})
-        cols = len({a[1], b[1], c[1]})
-        return SPAN_SIGN_TABLE[(rows, cols)]
+# the coordinate-word lengths at which each level relates a word to its
+# reversal: ab = ±ba and abc = ±cba at the classical level, abc = ±cba only
+# at the half-liberated one
+_REVERSAL_LENGTHS = {Level.CLASSICAL: (2, 3), Level.HALF: (3,), Level.FREE: ()}
 
 
-def group_relations(g: GroupSpec) -> GroupRelationSystem:
-    return GroupRelationSystem(g)
+def group_relation_sign(g: GroupSpec, coords: Sequence[tuple[int, int]]) -> int | None:
+    """Sign in ``u_a u_b = sign u_b u_a`` (two coordinates) or
+    ``u_a u_b u_c = sign u_c u_b u_a`` (three) among the coordinates
+    ``u_ij`` of the group, each given as its pair ``(i, j)``; None where
+    the level imposes no relation of that length.
+
+    The sign is the twisted sign of the reversal taken once at the row
+    indices and once at the column indices; for the twisted half-liberated
+    groups it reproduces ``SPAN_SIGN_TABLE``.
+    """
+    if len(coords) not in _REVERSAL_LENGTHS[g.level]:
+        return None
+    sigma = tuple(range(len(coords), 0, -1))
+    rows, cols = zip(*coords)
+    return relation_sign(sigma, rows, g.twisted) * relation_sign(sigma, cols, g.twisted)
 
 
 def check_span_table(table: Mapping[tuple[int, int], int]) -> bool:
@@ -485,6 +415,9 @@ class _Engine:
                         continue
                     signs[v] = sv
                     nxt.append(v)
+                if len(signs) > COMPONENT_WORD_BOUND:
+                    raise SizeLimitError(f"the rewriting class of a degree-{len(word)} word "
+                                         f"holds more than {COMPONENT_WORD_BOUND} words")
             frontier = nxt
         comp = _Component(signs, collapsed)
         for u in signs:
@@ -651,7 +584,7 @@ def saturate(system: RelationSystem, max_degree: int = DEFAULT_MAX_DEGREE,
             break
 
     schemas = tuple(
-        RelationSchema(PatternWord(lhs), _word_permutation(lhs, rhs), sign, exact=True)
+        RelationSchema(lhs, _word_permutation(lhs, rhs), sign)
         for (lhs, rhs), sign in sorted(derived.items())
     )
     return SaturationResult(system, schemas, engine.truncated, engine)
@@ -710,7 +643,7 @@ REGIMES: dict[str, tuple[Field, bool]] = {
 }
 
 
-def classify_monomial_sphere(perms: Iterable[Sequence[int]], regime: SphereSpec | str,
+def classify_monomial_sphere(perms: Iterable[Sequence[int]], regime: str,
                              max_degree: int = DEFAULT_MAX_DEGREE,
                              max_indices: int = DEFAULT_MAX_INDICES) -> str:
     """Identify the monomial sphere cut out by a set of permutations.
@@ -723,7 +656,10 @@ def classify_monomial_sphere(perms: Iterable[Sequence[int]], regime: SphereSpec 
     ``"undetermined"`` when the bounds do not settle the question.
     """
     _check_bounds(max_degree, max_indices)
-    fld, twisted = _parse_regime(regime)
+    try:
+        fld, twisted = REGIMES[regime]
+    except KeyError:
+        raise ValueError(f"unknown regime {regime!r}")
     perms = [tuple(p) for p in perms]
     for p in perms:
         _check_permutation(p)
@@ -744,17 +680,7 @@ def classify_monomial_sphere(perms: Iterable[Sequence[int]], regime: SphereSpec 
     return "undetermined"
 
 
-def _parse_regime(regime) -> tuple[Field, bool]:
-    if isinstance(regime, SphereSpec):
-        return regime.field, regime.twisted
-    try:
-        return REGIMES[regime]
-    except KeyError:
-        raise ValueError(f"unknown regime {regime!r}")
-
-
-def relation_group(system: RelationSystem, k: int,
-                   max_indices: int | None = None) -> set[tuple[int, ...]]:
+def relation_group(system: RelationSystem, k: int) -> set[tuple[int, ...]]:
     """Permutations of k letters whose forced-sign relation family is
     derivable from the system by same-degree rewriting.
 
@@ -766,14 +692,12 @@ def relation_group(system: RelationSystem, k: int,
         raise ValueError(f"relation_group needs k >= 0, got {k}")
     if k > 6:
         raise SizeLimitError("relation_group supports k <= 6")
-    engine = _Engine(system, Bounds(max_degree=k, max_indices=max_indices or k))
+    engine = _Engine(system, Bounds(max_degree=k, max_indices=k))
     exp_choices = ((False, True) if system.complex_symbols else (False,))
     positions = {sigma: tuple(t - 1 for t in sigma)
                  for sigma in itertools.permutations(range(1, k + 1))}
     alive = set(positions)
     for kern in _restricted_growth_strings(k):
-        if len(set(kern)) > (max_indices or k):
-            continue
         wants = {sigma: relation_sign(sigma, kern, system.twisted) for sigma in alive}
         for exps in itertools.product(exp_choices, repeat=k):
             seed = tuple((kern[p], exps[p]) for p in range(k))

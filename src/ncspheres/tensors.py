@@ -121,13 +121,6 @@ class FixedVector:
     arity: int
     entries: Mapping[Tuples, int]
 
-    def as_map(self) -> SparseTensorMap:
-        return SparseTensorMap(self.dim, 0, self.arity,
-                               {(t, ()): c for t, c in self.entries.items()})
-
-    def to_dense(self) -> np.ndarray:
-        return self.as_map().to_dense()[:, 0]
-
 
 def t_map(p: Partition, n: int, twisted: bool = False) -> SparseTensorMap:
     """The linear map of a partition: entry at (out, in) is delta(p, in+out).

@@ -86,6 +86,40 @@ def test_saturate(capsys):
     assert "ab=+ba[a≠b]" in data["derived"]
 
 
+# the sign rules `saturate --group` prints for each group: the pair signs
+# (same row, same column, generic) and the triple signs (spans 3/3, 3/1, 2/3)
+NONE3 = (None, None, None)
+GROUP_SIGNS = {
+    "o_n": ((1, 1, 1), (1, 1, 1)),
+    "u_n": ((1, 1, 1), (1, 1, 1)),
+    "bar_o_n": ((-1, -1, 1), (1, -1, -1)),
+    "bar_u_n": ((-1, -1, 1), (1, -1, -1)),
+    "o_n_star": (NONE3, (1, 1, 1)),
+    "u_n_star2": (NONE3, (1, 1, 1)),
+    "bar_o_n_star": (NONE3, (1, -1, -1)),
+    "bar_u_n_star2": (NONE3, (1, -1, -1)),
+    "o_n_plus": (NONE3, NONE3),
+    "u_n_plus": (NONE3, NONE3),
+}
+
+
+def test_group_signs_cover_every_group():
+    assert set(GROUP_SIGNS) == {g.name for g in GROUPS}
+
+
+@pytest.mark.parametrize("group", sorted(GROUP_SIGNS))
+def test_saturate_group_output_is_pinned(capsys, group):
+    pairs, triples = GROUP_SIGNS[group]
+    want = {"group": group,
+            "pair_signs": dict(zip(("same_row", "same_column", "generic"), pairs)),
+            "triple_signs": dict(zip(("span_3_3", "span_3_1", "span_2_3"), triples))}
+    if group in ("bar_o_n_star", "bar_u_n_star2"):
+        want["comult_sign_check"] = True
+    code, out = run_cli(capsys, "saturate", "--group", group)
+    assert code == 0
+    assert out == json.dumps(want, indent=2) + "\n"
+
+
 def test_reduce(capsys):
     code, data = run_json(capsys, "reduce", "--expr", "(ab-ba)^2",
                           "--perm", "312", "--regime", "real")
@@ -269,7 +303,7 @@ OPERATIONS = [
     "category_pairings", "gram", "weingarten_matrix", "moment",
     "sphere_trace", "gram_rank_products",
     # relations
-    "sphere_relations", "group_relations", "relation_sign", "saturate",
+    "sphere_relations", "group_relation_sign", "relation_sign", "saturate",
     "reduce", "classify_monomial_sphere", "relation_group",
     "comult_sign_check",
     # models
@@ -428,6 +462,15 @@ def test_haar_intertwiner_check_needs_a_sample(capsys, samples):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and "at least 1 sample" in captured.err
+
+
+def test_intertwiner_check_refuses_a_dense_frame_past_the_bound(capsys):
+    # 6^8 cells per matrix: refused before any dense map is built
+    assert main(["check", "--op", "intertwiner", "--partition", "abcd|abcd",
+                 "--matrix", "haar", "--samples", "20", "--n", "6"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "dense cells" in captured.err
 
 
 def test_sqrt_positive_model_needs_three_coordinates(capsys):

@@ -5,6 +5,7 @@ import pytest
 
 from ncspheres.errors import DomainError, FrameError, SizeLimitError
 from ncspheres.models import (
+    INTERTWINER_CELL_BOUND,
     MatrixModel,
     PointModel,
     antidiagonal_model,
@@ -178,6 +179,18 @@ def test_unitary_intertwines_colored_pairing():
         assert check_intertwiner(cap, u, twisted=False, tol=1e-8)
 
 
+def test_intertwiner_check_refuses_large_dense_frames():
+    # the largest dense matrix has N^(2 max(k, l)) cells: 4^8 is the bound,
+    # 5^8 is past it, whether the legs sit on both rows or on one
+    (u4,) = haar_orthogonal(4, 1, seed=3)
+    assert 4 ** 8 == INTERTWINER_CELL_BOUND
+    assert check_intertwiner(P("abcd|abcd"), u4, tol=1e-8)
+    (u5,) = haar_orthogonal(5, 1, seed=3)
+    for p in ("abcd|abcd", "|aabb", "aabb|"):
+        with pytest.raises(SizeLimitError, match="dense cells"):
+            check_intertwiner(P(p), u5)
+
+
 # ---------------------------------------------------------------------------
 # Monte Carlo moments
 
@@ -331,15 +344,15 @@ def _eval_schema(schema, model):
     d = mats[0].shape[0]
     n = model.n
     worst = 0.0
-    blocks = sorted(set(b for b, _ in schema.lhs.letters))
+    blocks = sorted(set(b for b, _ in schema.lhs))
     for values in itertools.permutations(range(n), len(blocks)):
         assign = dict(zip(blocks, values))
         lhs = np.eye(d, dtype=complex)
-        for b, star in schema.lhs.letters:
+        for b, star in schema.lhs:
             m = mats[assign[b]]
             lhs = lhs @ (m.conj().T if star else m)
         rhs = np.eye(d, dtype=complex)
-        for b, star in schema.rhs.letters:
+        for b, star in schema.rhs:
             m = mats[assign[b]]
             rhs = rhs @ (m.conj().T if star else m)
         worst = max(worst, float(np.abs(lhs - schema.sign * rhs).max()))

@@ -10,27 +10,26 @@ from ncspheres.partitions import (
     perm_to_partition,
 )
 from ncspheres.relations import (
+    COMPONENT_WORD_BOUND,
     SPAN_SIGN_TABLE,
     Bounds,
     NCCombination,
-    PatternWord,
-    RelationSchema,
     check_span_table,
     classify_monomial_sphere,
     comult_sign_check,
-    group_relations,
+    group_relation_sign,
     monomial_system,
-    parse_relation,
     parse_word,
     reduce,
     relation_group,
     relation_sign,
     saturate,
     sphere_relations,
+    word_literal,
     _Engine,
 )
 from ncspheres.tensors import delta
-from ncspheres.weingarten import SPHERES, Field, GroupSpec, Level, SphereSpec, sphere_by_name
+from ncspheres.weingarten import GROUPS, SPHERES, Field, GroupSpec, Level, sphere_by_name
 
 REAL = Field.REAL
 COMPLEX = Field.COMPLEX
@@ -108,29 +107,17 @@ def test_relation_sign_multiplicative():
 
 
 def test_parse_word_shares_the_index_frame():
-    assert parse_word("ab").letters == ((0, False), (1, False))
-    assert parse_word("ba").letters == ((1, False), (0, False))
-    assert parse_word("ab*a").letters == ((0, False), (1, True), (0, False))
-    assert parse_word("ab*a").literal() == "ab*a"
-
-
-def test_parse_relation():
-    regime = SphereSpec(REAL, Level.CLASSICAL, True)
-    sch = parse_relation("abc=-cba", regime)
-    assert sch.sigma == (3, 2, 1) and sch.sign is None and not sch.exact
-    exact = parse_relation("ab=-ba[a≠b]", regime)
-    assert exact.exact and exact.sign == -1
-    with pytest.raises(ValueError):
-        parse_relation("ab=+ba", regime)  # wrong forced sign without constraint
-    with pytest.raises(ValueError):
-        parse_relation("ab=-ca", regime)
+    assert parse_word("ab") == ((0, False), (1, False))
+    assert parse_word("ba") == ((1, False), (0, False))
+    assert parse_word("ab*a") == ((0, False), (1, True), (0, False))
+    assert word_literal(parse_word("ab*a")) == "ab*a"
 
 
 def test_combination_algebra():
     ab, ba = mono("ab"), mono("ba")
     sq = (ab - ba) ** 2
-    assert sq.terms[parse_word("abab").letters] == 1
-    assert sq.terms[parse_word("abba").letters] == -1
+    assert sq.terms[parse_word("abab")] == 1
+    assert sq.terms[parse_word("abba")] == -1
     assert len(sq.terms) == 4
     assert (ab - ab).is_zero()
 
@@ -154,20 +141,72 @@ def test_sphere_relation_presets():
 
 
 def test_group_relation_presets():
-    bar_o = group_relations(GroupSpec(REAL, Level.CLASSICAL, True))
-    assert bar_o.pair_sign((1, 1), (1, 2)) == -1  # same row
-    assert bar_o.pair_sign((1, 1), (2, 1)) == -1  # same column
-    assert bar_o.pair_sign((1, 1), (2, 2)) == 1
-    assert bar_o.pair_sign((1, 1), (1, 1)) == 1
-    o_n = group_relations(GroupSpec(REAL, Level.CLASSICAL))
-    assert o_n.pair_sign((1, 1), (1, 2)) == 1
-    free = group_relations(GroupSpec(REAL, Level.FREE))
-    assert free.pair_sign((1, 1), (1, 2)) is None
-    bar_star = group_relations(GroupSpec(REAL, Level.HALF, True))
-    assert bar_star.pair_sign((1, 1), (1, 2)) is None
-    assert bar_star.triple_sign((1, 1), (2, 2), (3, 3)) == 1   # span (3,3)
-    assert bar_star.triple_sign((1, 1), (2, 1), (3, 1)) == -1  # span (3,1)
-    assert bar_star.triple_sign((1, 1), (1, 2), (2, 3)) == -1  # span (2,3)
+    bar_o = GroupSpec(REAL, Level.CLASSICAL, True)
+    assert group_relation_sign(bar_o, ((1, 1), (1, 2))) == -1  # same row
+    assert group_relation_sign(bar_o, ((1, 1), (2, 1))) == -1  # same column
+    assert group_relation_sign(bar_o, ((1, 1), (2, 2))) == 1
+    assert group_relation_sign(bar_o, ((1, 1), (1, 1))) == 1
+    o_n = GroupSpec(REAL, Level.CLASSICAL)
+    assert group_relation_sign(o_n, ((1, 1), (1, 2))) == 1
+    free = GroupSpec(REAL, Level.FREE)
+    assert group_relation_sign(free, ((1, 1), (1, 2))) is None
+    bar_star = GroupSpec(REAL, Level.HALF, True)
+    assert group_relation_sign(bar_star, ((1, 1), (1, 2))) is None
+    assert group_relation_sign(bar_star, ((1, 1), (2, 2), (3, 3))) == 1   # span (3,3)
+    assert group_relation_sign(bar_star, ((1, 1), (2, 1), (3, 1))) == -1  # span (3,1)
+    assert group_relation_sign(bar_star, ((1, 1), (1, 2), (2, 3))) == -1  # span (2,3)
+
+
+def reference_pair_sign(g, a, b):
+    """The commutation sign of u_a and u_b written out by hand."""
+    if g.level is not Level.CLASSICAL:
+        return None
+    if not g.twisted:
+        return 1
+    if a != b and (a[0] == b[0] or a[1] == b[1]):
+        return -1
+    return 1
+
+
+def reference_triple_sign(g, a, b, c):
+    """The sign of abc = ±cba: a product of pair signs at the classical
+    level, the span table at the half-liberated one."""
+    if g.level is Level.FREE:
+        return None
+    if not g.twisted:
+        return 1
+    if g.level is Level.CLASSICAL:
+        return (reference_pair_sign(g, a, b) * reference_pair_sign(g, a, c)
+                * reference_pair_sign(g, b, c))
+    return SPAN_SIGN_TABLE[(len({a[0], b[0], c[0]}), len({a[1], b[1], c[1]}))]
+
+
+def test_group_relation_sign_matches_the_hand_rules():
+    # every pair and triple of the 9 coordinates at N = 3, for all ten groups
+    coords = list(itertools.product((1, 2, 3), repeat=2))
+    cases = 0
+    for g in GROUPS:
+        for a, b in itertools.product(coords, repeat=2):
+            assert group_relation_sign(g, (a, b)) == reference_pair_sign(g, a, b), (g, a, b)
+            cases += 1
+        for a, b, c in itertools.product(coords, repeat=3):
+            assert group_relation_sign(g, (a, b, c)) == reference_triple_sign(g, a, b, c), (
+                g, a, b, c)
+            cases += 1
+    assert cases == 8100
+
+
+def test_half_level_triple_signs_are_the_span_table():
+    coords = list(itertools.product((1, 2, 3), repeat=2))
+    seen = set()
+    for g in GROUPS:
+        if g.level is not Level.HALF or not g.twisted:
+            continue
+        for triple in itertools.product(coords, repeat=3):
+            span = tuple(len({x[axis] for x in triple}) for axis in (0, 1))
+            assert group_relation_sign(g, triple) == SPAN_SIGN_TABLE[span], (g, triple)
+            seen.add(span)
+    assert seen == set(SPAN_SIGN_TABLE)
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +248,7 @@ def test_saturate_depth4_halfcase():
     assert any(s.literal() == "abc=+cba[a≠b≠c]" for s in res.schemas)
     # but not plain commutation
     assert not any(
-        s.lhs.length == 2 and len(set(s.lhs.kernel)) == 2 for s in res.schemas
+        len(s.lhs) == 2 and len({b for b, _ in s.lhs}) == 2 for s in res.schemas
     )
 
 
@@ -325,8 +364,8 @@ def test_rule_table_matches_linear_scan_on_hand_promoted_rules():
     # rules saturate never promotes: a pattern not numbered by first
     # occurrence, and a rule that fixes its own pattern
     engine = _Engine(monomial_system([(2, 1)], COMPLEX, True), Bounds())
-    engine.promote(parse_word("ba*c").letters, parse_word("cba*").letters, -1)
-    engine.promote(parse_word("ab").letters, parse_word("ab").letters, -1)
+    engine.promote(parse_word("ba*c"), parse_word("cba*"), -1)
+    engine.promote(parse_word("ab"), parse_word("ab"), -1)
     for kern in _restricted_growth_strings(4):
         for stars in itertools.product((False, True), repeat=4):
             engine.component(tuple(zip(kern, stars)))
@@ -367,6 +406,27 @@ def test_reduce_free_system_is_identity():
 def test_reduce_degree_bound():
     with pytest.raises(SizeLimitError):
         reduce(mono("abababa"), monomial_system([(2, 1)], REAL, False))
+
+
+@pytest.mark.parametrize("word", ["abcdefghi", "abcdefghij", "ab" * 12])
+def test_reduce_refuses_a_rewriting_class_past_the_word_bound(word):
+    # every rearrangement of these words lies in one class: 9!, 10! and
+    # C(24, 12) words, all past the bound of 8! words
+    system = monomial_system([(2, 1)], REAL, False)
+    with pytest.raises(SizeLimitError, match=str(COMPONENT_WORD_BOUND)):
+        reduce(mono(word), system, max_degree=len(word))
+
+
+def test_reduce_keeps_small_classes_of_long_words():
+    # the bound counts the words a class holds, not its degree: a class of
+    # a few words past degree 8 is still reduced
+    word = "ab" * 12
+    out, _ = reduce(mono(word), monomial_system([], REAL, False), max_degree=24)
+    assert out == mono(word)
+    # ten words: the places of b among nine a's
+    out, _ = reduce(mono("b" + "a" * 9), monomial_system([(2, 1)], REAL, False),
+                    max_degree=10)
+    assert out == mono("a" * 9 + "b")
 
 
 # ---------------------------------------------------------------------------
