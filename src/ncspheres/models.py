@@ -32,8 +32,14 @@ DEFAULT_TOL = 1e-10
 
 # cells of the largest dense matrix `check_intertwiner` may build; it builds
 # N^(2 max(k, l)) of them, so "abcd|abcd" runs up to N = 4 and "abc|cba"
-# up to N = 6
+# up to N = 6.  It also bounds the N^blocks index tuples the fixed-vector
+# check sums over, one matrix product per leg each, so "|aabbccddee" runs
+# up to N = 9
 INTERTWINER_CELL_BOUND = 4 ** 8
+
+# the largest matrix dimension `clifford_model` may build: n coordinates
+# need 2^ceil(n/2), so it serves n <= 12
+CLIFFORD_DIMENSION_BOUND = 2 ** 6
 
 
 @dataclass(frozen=True)
@@ -162,8 +168,13 @@ def _pauli_strings(n: int) -> list[np.ndarray]:
 def clifford_model(n: int, phases: Sequence[complex] | None = None) -> MatrixModel:
     """Rescaled Clifford generators: x_i x_j = -x_j x_i for i != j and
     sum x_i^2 = 1.  With unit phases the coordinates phase_i * x_i satisfy
-    the twisted complex sphere relations instead."""
+    the twisted complex sphere relations instead.  Refuses a dimension
+    above ``CLIFFORD_DIMENSION_BOUND``."""
     _check_dimension(n)
+    d = 2 ** ((n + 1) // 2)
+    if d > CLIFFORD_DIMENSION_BOUND:
+        raise SizeLimitError(f"a Clifford model with {n} coordinates has dimension {d}, "
+                             f"over the bound {CLIFFORD_DIMENSION_BOUND}")
     gammas = _pauli_strings(n)
     scale = 1.0 / np.sqrt(n)
     if phases is None:
@@ -275,11 +286,16 @@ def check_fixed_vector_identity(p: Partition, model: Model,
                                 twisted: bool = False) -> float:
     """Residual of the fixed-vector sum: the signed sum of coordinate
     products over all tuples compatible with the partition must equal one
-    whenever the partition belongs to the sphere's category."""
+    whenever the partition belongs to the sphere's category.  Refuses more
+    than ``INTERTWINER_CELL_BOUND`` tuples."""
     if p.upper != 0:
         raise FrameError("the identity runs over lower-row-only partitions")
-    mats = model.as_matrices()
     n = model.n
+    tuples = n ** p.block_count
+    if tuples > INTERTWINER_CELL_BOUND:
+        raise SizeLimitError(f"the fixed-vector sum of {p.literal()} at N={n} runs over "
+                             f"{tuples} tuples, over the bound {INTERTWINER_CELL_BOUND}")
+    mats = model.as_matrices()
     d = mats[0].shape[0]
     vec = xi_vector(p, n, twisted)
     stars = [c is LegColor.BLACK for c in p.colors]

@@ -34,7 +34,8 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from operator import itemgetter
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import SizeLimitError
 from .partitions import Partition, _restricted_growth_strings, halfcommuting_membership, kernel
@@ -42,6 +43,8 @@ from .weingarten import Field, GroupSpec, Level, SphereSpec
 
 Letter = tuple[int, bool]
 Word = tuple[Letter, ...]
+# a rewrite move on a window: the map to its image, and the relation's sign
+Move = tuple[Callable[[Word], Word], int]
 
 DEFAULT_MAX_DEGREE = 6
 DEFAULT_MAX_INDICES = 4
@@ -343,8 +346,10 @@ def _check_bounds(max_degree: int, max_indices: int) -> None:
 
 
 class _MoveTable(dict):
-    """Window shape -> moves ``(positions, sign)``: slot ``t`` of the image
-    takes the window's letter ``positions[t]``.
+    """Window shape -> moves ``(take, sign)``: ``take`` rearranges a window
+    of that shape into its image.  It is an ``itemgetter`` of the window
+    positions in image order; a move rearranges at least two letters, so
+    it returns a tuple.
 
     The base permutations' moves of a shape are filled in at its first
     lookup, so the table holds only the shapes the engine meets; filling
@@ -357,10 +362,10 @@ class _MoveTable(dict):
         self.base = [(sigma, tuple(t - 1 for t in sigma)) for sigma in perms]
         self.twisted = twisted
 
-    def __missing__(self, shape: Word) -> list[tuple[tuple[int, ...], int]]:
+    def __missing__(self, shape: Word) -> list[Move]:
         kern = [b for b, _ in shape]
         moves = self[shape] = [
-            (positions, relation_sign(sigma, kern, self.twisted))
+            (itemgetter(*positions), relation_sign(sigma, kern, self.twisted))
             for sigma, positions in self.base
             if len(sigma) == len(shape)
             and any(shape[j] != shape[t] for t, j in enumerate(positions))
@@ -371,7 +376,11 @@ class _MoveTable(dict):
 class _Engine:
     """Signed reachability over words, with quadratic contraction.
 
-    Every rewrite rule lives in one table from window shape to moves.
+    Every rewrite rule lives in one table from window shape to moves.  A
+    second table maps each raw window met so far to its shape's list of
+    moves, the very list object the first table holds, so ``_shape`` runs
+    once per distinct window and a promoted rule, appended to that list,
+    shows through it at once.
     """
 
     def __init__(self, system: RelationSystem, bounds: Bounds):
@@ -379,6 +388,7 @@ class _Engine:
         self.bounds = bounds
         self.extra_rules: list[tuple[Word, Word, int]] = []
         self._moves = _MoveTable(system.perms, system.twisted)
+        self._window_moves: dict[Word, list[Move]] = {}
         self._lengths = {len(sigma) for sigma in system.perms}
         self._components: dict[Word, _Component] = {}
         self._derived_cache: dict[tuple[Word, Word], int | None] = {}
@@ -390,11 +400,15 @@ class _Engine:
     def _neighbors(self, word: Word):
         """(word, sign) for every move of every window of ``word``."""
         n = len(word)
+        window_moves = self._window_moves
         for m in self._lengths:
             for w in range(n - m + 1):
-                for positions, sign in self._moves[_shape(word[w:w + m])]:
-                    img = tuple(word[w + j] for j in positions)
-                    yield word[:w] + img + word[w + m:], sign
+                window = word[w:w + m]
+                moves = window_moves.get(window)
+                if moves is None:
+                    moves = window_moves[window] = self._moves[_shape(window)]
+                for take, sign in moves:
+                    yield word[:w] + take(window) + word[w + m:], sign
 
     def component(self, word: Word) -> _Component:
         comp = self._components.get(word)
@@ -502,15 +516,40 @@ class _Engine:
         return got == sign
 
     def promote(self, lhs: Word, rhs: Word, sign: int):
-        """Install a derived relation as a rewrite rule for later rounds."""
+        """Install a derived relation as a rewrite rule for later rounds.
+
+        A rule whose ``rhs`` already lies in the cached rewriting class of
+        ``lhs``, with the sign the class gives it (any sign in a collapsed
+        class), keeps every cached class; ``saturate`` reads each rule it
+        promotes off that class, so the class is at hand.  This is exact.
+        A move applies to a window by its shape alone, so the chain of
+        moves linking ``lhs`` to ``rhs`` also runs, with the same sign,
+        inside every longer word holding a window of the same shape; a
+        collapsed class of ``lhs`` embeds in that word's class the same
+        way and collapses it too.  The new move thus only joins words
+        already in one class, with the sign that class already gives them
+        or inside a class already collapsed, whose signs no caller reads:
+        no class changes its words, its ``collapsed`` flag or, when not
+        collapsed, its relative signs.  A rule derived through a
+        contraction has its ``rhs`` outside the class and may join
+        classes, so it drops them all.  The derivation cache is dropped
+        either way, since it holds the ``None`` placeholders that cut
+        recursion cycles.
+        """
         rule = (lhs, rhs, sign)
         if rule not in self.extra_rules:
             self.extra_rules.append(rule)
+            comp = self._components.get(lhs)
+            implied = comp is not None and rhs in comp.signs and (
+                comp.collapsed or comp.signs[rhs] * comp.signs[lhs] == sign)
             if rhs != lhs:
-                positions = tuple(p - 1 for p in _word_permutation(lhs, rhs))
-                self._moves[_shape(lhs)].append((positions, sign))
+                positions = (p - 1 for p in _word_permutation(lhs, rhs))
+                self._moves[_shape(lhs)].append((itemgetter(*positions), sign))
                 self._lengths.add(len(lhs))
-            self.invalidate()
+            if implied:
+                self._derived_cache.clear()
+            else:
+                self.invalidate()
 
 
 # ---------------------------------------------------------------------------

@@ -473,6 +473,21 @@ def test_intertwiner_check_refuses_a_dense_frame_past_the_bound(capsys):
     assert captured.err.startswith("error: ") and "dense cells" in captured.err
 
 
+@pytest.mark.parametrize("argv,message", [
+    # a Clifford model of 14 coordinates has dimension 2^7, past 2^6
+    (["check", "--op", "relations", "--sphere", "bar_s_r", "--model", "clifford",
+      "--n", "14"], "dimension"),
+    # 10^5 index tuples, past 4^8
+    (["check", "--op", "fixed_vector", "--sphere", "s_r", "--model", "classical_point",
+      "--partition", "|aabbccddee", "--n", "10"], "tuples"),
+])
+def test_dense_model_checks_refuse_sizes_past_their_bounds(capsys, argv, message):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+
+
 def test_sqrt_positive_model_needs_three_coordinates(capsys):
     argv = ["check", "--op", "relations", "--sphere", "s_r_plus", "--model", "sqrt_positive"]
     code, data = run_json(capsys, *argv)

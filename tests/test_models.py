@@ -5,6 +5,7 @@ import pytest
 
 from ncspheres.errors import DomainError, FrameError, SizeLimitError
 from ncspheres.models import (
+    CLIFFORD_DIMENSION_BOUND,
     INTERTWINER_CELL_BOUND,
     MatrixModel,
     PointModel,
@@ -104,6 +105,16 @@ def test_clifford_models():
     assert not check_sphere_relations(z, sphere_by_name("bar_s_c"), TOL)
     with pytest.raises(DomainError):
         clifford_model(2, phases=(2.0, 1.0))
+
+
+def test_clifford_model_refuses_a_dimension_past_the_bound():
+    # n coordinates need dimension 2^ceil(n/2): n = 12 is the last within
+    # the bound, and 13 is refused before any matrix is built
+    assert CLIFFORD_DIMENSION_BOUND == 2 ** 6
+    assert clifford_model(12).as_matrices()[0].shape == (64, 64)
+    for n in (13, 14):
+        with pytest.raises(SizeLimitError, match="dimension"):
+            clifford_model(n)
 
 
 def test_sqrt_positive_model():
@@ -302,6 +313,14 @@ def test_fixed_vector_identity_colored_points():
     z = sample_classical_point(Field.COMPLEX, 3, seed=8)
     for p in category_pairings(g, alpha="1*1*"):
         assert check_fixed_vector_identity(p, z, twisted=False) < TOL
+
+
+def test_fixed_vector_identity_refuses_tuples_past_the_bound():
+    # the sum runs over N^blocks tuples: 9^5 is within 4^8, 10^5 is past it
+    p = P("|aabbccddee")
+    assert 9 ** 5 <= INTERTWINER_CELL_BOUND < 10 ** 5
+    with pytest.raises(SizeLimitError, match="tuples"):
+        check_fixed_vector_identity(p, sample_classical_point(Field.REAL, 10, 0))
 
 
 def test_fixed_vector_needs_lower_frame():
