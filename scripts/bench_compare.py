@@ -4,13 +4,15 @@
     python scripts/bench_compare.py --base REV --out BENCH_13.json
     python scripts/bench_compare.py --base REV --change REV2 --pairs 5 --workload relation_engine
 
-The base's committed files are extracted with ``git archive`` into a fresh
-directory, as is ``--change`` when given; without it the change is this
-checkout as it stands.  For each workload the script runs alternating
-pairs of the unchanged ``perfbench/run.py --trace 0``, one run of each
-side per pair, with the same seed inside a pair and seeds 1, 2, ... across
-pairs; the side that runs first alternates from pair to pair, so a drift
-of the host's speed favours neither.
+The committed files of ``--base`` and of ``--change`` (default ``HEAD``)
+are extracted with ``git archive`` into fresh directories, so the
+repository gains no worktree and uncommitted edits are not measured.  For
+each workload the script runs alternating pairs of the unchanged
+``perfbench/run.py --trace 0`` for the ``run_seconds`` of
+``BENCHMARK.json``, one run of each side per pair, with the same seed
+inside a pair and seeds 1, 2, ... across pairs; the side that runs first
+alternates from pair to pair, so a drift of the host's speed favours
+neither.
 
 The output JSON holds the environment, and for every workload and
 end-to-end metric named in ``BENCHMARK.json`` the per-pair values, the
@@ -40,14 +42,10 @@ ROOT = Path(__file__).resolve().parent.parent
 RUN_TIMEOUT_S = 600
 
 
-def git(*args: str) -> str:
-    return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True,
-                          text=True).stdout.strip()
-
-
 def extract(rev: str, into: Path) -> tuple[Path, str]:
     """The committed files of ``rev`` in a new directory, and its full sha."""
-    sha = git("rev-parse", "--verify", rev + "^{commit}")
+    sha = subprocess.run(["git", "rev-parse", "--verify", rev + "^{commit}"], cwd=ROOT,
+                         check=True, capture_output=True, text=True).stdout.strip()
     into.mkdir()
     archive = subprocess.run(["git", "archive", "--format=tar", sha], cwd=ROOT,
                              check=True, capture_output=True).stdout
@@ -116,10 +114,9 @@ def loadavg() -> list[str] | None:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--base", required=True, help="revision to compare against")
-    ap.add_argument("--change", help="revision to measure (default: this checkout as it is)")
+    ap.add_argument("--change", default="HEAD", help="revision to measure (default: HEAD)")
     ap.add_argument("--out", required=True, type=Path, help="JSON file to write")
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=25, help="--seconds of each run")
     ap.add_argument("--workload", action="append",
                     help="workload to run (repeatable; default: every one)")
     ap.add_argument("--scratch", type=Path, help="parent of the extracted checkouts")
@@ -133,24 +130,20 @@ def main(argv=None) -> int:
         ap.error(f"unknown workload(s): {', '.join(sorted(unknown))}")
 
     report = {"base": None, "change": None, "environment": environment(),
-              "pairs": args.pairs, "seconds": args.seconds, "seeds": list(range(1, args.pairs + 1)),
+              "pairs": args.pairs, "seconds": spec["run_seconds"],
+              "seeds": list(range(1, args.pairs + 1)),
               "loadavg_start": loadavg(), "workloads": {}}
     started = time.perf_counter()
     with tempfile.TemporaryDirectory(prefix="bench-compare-", dir=args.scratch) as tmp:
         sides = {}
-        sides["base"], report["base"] = extract(args.base, Path(tmp) / "base")
-        if args.change:
-            sides["change"], report["change"] = extract(args.change, Path(tmp) / "change")
-        else:
-            sides["change"] = ROOT
-            dirty = bool(git("status", "--porcelain", "--untracked-files=no"))
-            report["change"] = git("rev-parse", "HEAD") + ("+dirty" if dirty else "")
+        for side in ("base", "change"):
+            sides[side], report[side] = extract(getattr(args, side), Path(tmp) / side)
         for workload in workloads:
             runs: dict[str, list[dict]] = {"base": [], "change": []}
             for seed in report["seeds"]:
                 order = ("base", "change") if seed % 2 else ("change", "base")
                 for side in order:
-                    runs[side].append(run_once(sides[side], workload, seed, args.seconds))
+                    runs[side].append(run_once(sides[side], workload, seed, report["seconds"]))
                 print(f"{workload} seed {seed}: wall_s base "
                       f"{runs['base'][-1]['metrics']['wall_s']['value']:.3f} change "
                       f"{runs['change'][-1]['metrics']['wall_s']['value']:.3f}", flush=True)
