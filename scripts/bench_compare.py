@@ -42,8 +42,8 @@ ROOT = Path(__file__).resolve().parent.parent
 RUN_TIMEOUT_S = 600
 
 
-def extract(rev: str, into: Path) -> tuple[Path, str]:
-    """The committed files of ``rev`` in a new directory, and its full sha."""
+def extract(rev: str, into: Path) -> str:
+    """Write the committed files of ``rev`` into a new directory; its full sha."""
     sha = subprocess.run(["git", "rev-parse", "--verify", rev + "^{commit}"], cwd=ROOT,
                          check=True, capture_output=True, text=True).stdout.strip()
     into.mkdir()
@@ -51,7 +51,7 @@ def extract(rev: str, into: Path) -> tuple[Path, str]:
                              check=True, capture_output=True).stdout
     with tarfile.open(fileobj=io.BytesIO(archive)) as files:
         files.extractall(into, filter="data")
-    return into, sha
+    return sha
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -135,9 +135,9 @@ def main(argv=None) -> int:
               "loadavg_start": loadavg(), "workloads": {}}
     started = time.perf_counter()
     with tempfile.TemporaryDirectory(prefix="bench-compare-", dir=args.scratch) as tmp:
-        sides = {}
-        for side in ("base", "change"):
-            sides[side], report[side] = extract(getattr(args, side), Path(tmp) / side)
+        sides = {side: Path(tmp) / side for side in ("base", "change")}
+        for side, checkout in sides.items():
+            report[side] = extract(getattr(args, side), checkout)
         for workload in workloads:
             runs: dict[str, list[dict]] = {"base": [], "change": []}
             for seed in report["seeds"]:
