@@ -1,16 +1,15 @@
 #!/usr/bin/env python3
-"""Compare the benchmark of this checkout against a base revision.
+"""Compare the benchmark of HEAD against a base revision.
 
     python scripts/bench_compare.py --base REV --out BENCH_13.json
-    python scripts/bench_compare.py --base REV --change REV2 --pairs 5 --workload relation_engine
 
-The committed files of ``--base`` and of ``--change`` (default ``HEAD``)
-are extracted with ``git archive`` into fresh directories, so the
-repository gains no worktree and uncommitted edits are not measured.  For
-each workload the script runs alternating pairs of the unchanged
+The committed files of ``--base`` and of ``HEAD`` are extracted with
+``git archive`` into fresh directories, so the repository gains no
+worktree and uncommitted edits are not measured.  For each workload of
+``BENCHMARK.json`` the script runs ten alternating pairs of the unchanged
 ``perfbench/run.py --trace 0`` for the ``run_seconds`` of
 ``BENCHMARK.json``, one run of each side per pair, with the same seed
-inside a pair and seeds 1, 2, ... across pairs; the side that runs first
+inside a pair and seeds 1 to 10 across pairs; the side that runs first
 alternates from pair to pair, so a drift of the host's speed favours
 neither.
 
@@ -40,6 +39,8 @@ ROOT = Path(__file__).resolve().parent.parent
 # a run holds its workers for --seconds, then times its remaining set-up
 # probes; past this a run is taken as hung
 RUN_TIMEOUT_S = 600
+# the gain rule compares ten alternating pairs
+PAIRS = 10
 
 
 def extract(rev: str, into: Path) -> str:
@@ -114,31 +115,21 @@ def loadavg() -> list[str] | None:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--base", required=True, help="revision to compare against")
-    ap.add_argument("--change", default="HEAD", help="revision to measure (default: HEAD)")
     ap.add_argument("--out", required=True, type=Path, help="JSON file to write")
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--workload", action="append",
-                    help="workload to run (repeatable; default: every one)")
     ap.add_argument("--scratch", type=Path, help="parent of the extracted checkouts")
     args = ap.parse_args(argv)
-    if args.pairs < 2:
-        ap.error("--pairs must be at least 2 for an interquartile range")
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    workloads = args.workload or [w["name"] for w in spec["workloads"]]
-    unknown = set(workloads) - {w["name"] for w in spec["workloads"]}
-    if unknown:
-        ap.error(f"unknown workload(s): {', '.join(sorted(unknown))}")
 
     report = {"base": None, "change": None, "environment": environment(),
-              "pairs": args.pairs, "seconds": spec["run_seconds"],
-              "seeds": list(range(1, args.pairs + 1)),
+              "pairs": PAIRS, "seconds": spec["run_seconds"],
+              "seeds": list(range(1, PAIRS + 1)),
               "loadavg_start": loadavg(), "workloads": {}}
     started = time.perf_counter()
     with tempfile.TemporaryDirectory(prefix="bench-compare-", dir=args.scratch) as tmp:
         sides = {side: Path(tmp) / side for side in ("base", "change")}
-        for side, checkout in sides.items():
-            report[side] = extract(getattr(args, side), checkout)
-        for workload in workloads:
+        report["base"] = extract(args.base, sides["base"])
+        report["change"] = extract("HEAD", sides["change"])
+        for workload in (w["name"] for w in spec["workloads"]):
             runs: dict[str, list[dict]] = {"base": [], "change": []}
             for seed in report["seeds"]:
                 order = ("base", "change") if seed % 2 else ("change", "base")
@@ -156,7 +147,7 @@ def main(argv=None) -> int:
             if name != "failed":
                 print(f"{workload:<18} {name:<12} base {m['base']['median']:>10.4g} "
                       f"change {m['change']['median']:>10.4g} {m['unit']:<5} "
-                      f"{m['pairs_favouring_change']}/{args.pairs} pairs favour the change")
+                      f"{m['pairs_favouring_change']}/{PAIRS} pairs favour the change")
     return 0
 
 

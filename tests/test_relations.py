@@ -12,7 +12,7 @@ from ncspheres.partitions import (
 from ncspheres import relations
 from ncspheres.relations import (
     COMPONENT_WORD_BOUND,
-    REGIMES as RELATION_REGIMES,
+    REGIMES,
     SPAN_SIGN_TABLE,
     Bounds,
     NCCombination,
@@ -334,19 +334,53 @@ def _assert_neighbors_match_reference(engine):
             engine.system, word)
 
 
-REGIMES = [(REAL, False), (REAL, True), (COMPLEX, False), (COMPLEX, True)]
+class _InvalidatingEngine(_Engine):
+    """Reference engine: every new promoted rule drops every cached class."""
+
+    def promote(self, lhs, rhs, sign):
+        known = len(self.extra_rules)
+        super().promote(lhs, rhs, sign)
+        if len(self.extra_rules) > known:
+            self.invalidate()
 
 
-@pytest.mark.parametrize("field,twisted", REGIMES,
-                         ids=["real", "real_twisted", "complex", "complex_twisted"])
-def test_rule_table_matches_linear_scan_after_saturation(field, twisted):
-    # every S_3 and S_4 singleton, with the components classify visits
+def _assert_cached_classes_match_fresh_search(engine):
+    """Every cached class equals a search from scratch under the engine's
+    final move table: same words, same ``collapsed`` flag, and the same
+    relative signs when not collapsed."""
+    classes = {id(comp): (word, comp) for word, comp in engine._components.items()}
+    engine.invalidate()
+    for root, cached in classes.values():
+        fresh = engine.component(root)
+        assert fresh.signs.keys() == cached.signs.keys(), (engine.system, root)
+        assert fresh.collapsed == cached.collapsed, (engine.system, root)
+        if not cached.collapsed:
+            for u, sign in cached.signs.items():
+                assert fresh.signs[u] * fresh.signs[root] == sign * cached.signs[root], (
+                    engine.system, root, u)
+
+
+@pytest.mark.parametrize("regime", list(REGIMES))
+def test_rule_table_matches_linear_scan_after_saturation(monkeypatch, regime):
+    # every S_3 and S_4 singleton, with the components classify visits; the
+    # engine keeps a class across a rule promotion when the rule's two sides
+    # already lie in it, the reference drops every class each time
+    field, twisted = REGIMES[regime]
     for k in (3, 4):
         for perm in itertools.permutations(range(1, k + 1)):
-            res = saturate(monomial_system([perm], field, twisted))
+            system = monomial_system([perm], field, twisted)
+            verdict = classify_monomial_sphere([perm], regime)
+            res = saturate(system)
+            with monkeypatch.context() as patch:
+                patch.setattr(relations, "_Engine", _InvalidatingEngine)
+                assert classify_monomial_sphere([perm], regime) == verdict, perm
+                ref = saturate(system)
+            assert type(ref.engine) is _InvalidatingEngine
+            assert (res.schemas, res.truncated) == (ref.schemas, ref.truncated), perm
             res.has_family((2, 1))
             res.has_family((3, 2, 1))
             _assert_neighbors_match_reference(res.engine)
+            _assert_cached_classes_match_fresh_search(res.engine)
 
 
 def test_rule_table_matches_linear_scan_on_relation_group_engines():
@@ -378,54 +412,6 @@ def test_rule_table_moves_starred_words_in_the_real_regime():
     # the base permutations act on every window, starred letters included
     out, _ = reduce(mono("ab*") - mono("b*a"), monomial_system([(2, 1)], REAL, False))
     assert out.is_zero()
-
-
-class _InvalidatingEngine(_Engine):
-    """Reference engine: every new promoted rule drops every cached class."""
-
-    def promote(self, lhs, rhs, sign):
-        known = len(self.extra_rules)
-        super().promote(lhs, rhs, sign)
-        if len(self.extra_rules) > known:
-            self.invalidate()
-
-
-def _assert_cached_classes_match_fresh_search(engine):
-    """Every cached class equals a search from scratch under the engine's
-    final move table: same words, same ``collapsed`` flag, and the same
-    relative signs when not collapsed."""
-    classes = {id(comp): (word, comp) for word, comp in engine._components.items()}
-    engine.invalidate()
-    for root, cached in classes.values():
-        fresh = engine.component(root)
-        assert fresh.signs.keys() == cached.signs.keys(), (engine.system, root)
-        assert fresh.collapsed == cached.collapsed, (engine.system, root)
-        if not cached.collapsed:
-            for u, sign in cached.signs.items():
-                assert fresh.signs[u] * fresh.signs[root] == sign * cached.signs[root], (
-                    engine.system, root, u)
-
-
-@pytest.mark.parametrize("regime", ["real", "real_twisted", "complex", "complex_twisted"])
-def test_promotion_keeps_only_classes_a_fresh_search_gives(monkeypatch, regime):
-    # the engine keeps a class across a rule promotion when the rule's two
-    # sides already lie in it; the reference drops every class each time
-    field, twisted = RELATION_REGIMES[regime]
-    for k in (3, 4):
-        for perm in itertools.permutations(range(1, k + 1)):
-            system = monomial_system([perm], field, twisted)
-            verdict = classify_monomial_sphere([perm], regime)
-            res = saturate(system)
-            with monkeypatch.context() as patch:
-                patch.setattr(relations, "_Engine", _InvalidatingEngine)
-                assert classify_monomial_sphere([perm], regime) == verdict, perm
-                ref = saturate(system)
-            assert type(ref.engine) is _InvalidatingEngine
-            assert (res.schemas, res.truncated) == (ref.schemas, ref.truncated), perm
-            res.has_family((2, 1))
-            res.has_family((3, 2, 1))
-            _assert_neighbors_match_reference(res.engine)
-            _assert_cached_classes_match_fresh_search(res.engine)
 
 
 # ---------------------------------------------------------------------------
