@@ -16,7 +16,7 @@ from ncspheres.models import (
     antidiagonal_model,
     check_intertwiner,
     check_sphere_relations,
-    haar_orthogonal,
+    haar_batch,
     sample_classical_point,
     sqrt_positive_model,
 )
@@ -43,10 +43,11 @@ def main():
           f"square commutators={[f'{c:.4f}' for c in comm]}")
 
     crossing = parse_partition("ab|ba")
-    u = haar_orthogonal(3, 1, seed=3)[0]
-    print(f"Haar rotation: untwisted crossing intertwines="
-          f"{check_intertwiner(crossing, u, twisted=False)}, "
-          f"twisted intertwines={check_intertwiner(crossing, u, twisted=True)}")
+    u = haar_batch(Field.REAL, 3, 1, seed=3)
+    (untwisted,) = check_intertwiner(crossing, u, twisted=False)
+    (twisted,) = check_intertwiner(crossing, u, twisted=True)
+    print(f"Haar rotation: untwisted crossing intertwines={untwisted}, "
+          f"twisted intertwines={twisted}")
 
 
 if __name__ == "__main__":

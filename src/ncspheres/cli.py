@@ -391,11 +391,10 @@ def cmd_check(args) -> dict:
     if args.op == "intertwiner":
         p = parse_partition(args.partition)
         if args.matrix == "signed":
-            mats = [g.matrix() for g in models.enumerate_signed_permutations(args.n)]
+            mats = models.enumerate_signed_permutations(args.n)
         else:
-            mats = list(models.haar_orthogonal(args.n, args.samples, args.seed))
-        passed = [models.check_intertwiner(p, u, args.twisted, args.tol)
-                  for u in mats]
+            mats = models.haar_batch(Field.REAL, args.n, args.samples, args.seed)
+        passed = models.check_intertwiner(p, mats, args.twisted, args.tol)
         out.update({"partition": p.literal(), "matrix": args.matrix,
                     "pass_count": sum(passed), "total": len(passed)})
     if args.op == "coaction":

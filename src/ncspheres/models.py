@@ -1,10 +1,12 @@
 """Finite-dimensional numeric witnesses for the spheres and groups.
 
-Point models are unit vectors (the classical points); matrix models carry
-one d-by-d matrix per coordinate.  Both expose their coordinates as
-matrices so relation checks, fixed-vector sums and coactions evaluate
-uniformly; an empty violation list from `check_sphere_relations` means
-every defining relation of the sphere holds within tolerance.
+A model keeps its N coordinates as one stacked complex array of shape
+(N, d, d); a point (a classical point of a sphere) is the case d = 1.
+Relation checks, fixed-vector sums and coactions multiply letters gathered
+from that stack, so points and matrix models evaluate uniformly; an empty
+violation list from `check_sphere_relations` means every defining relation
+of the sphere holds within tolerance.  Groups act through stacks too: the
+signed permutations and Haar samples are (count, N, N) arrays.
 
 The twisted spheres have no commutative points beyond the coordinate
 axes, but they do have small matrix models: rescaled anticommuting
@@ -16,7 +18,9 @@ relation engine evaluate against.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -33,78 +37,58 @@ DEFAULT_TOL = 1e-10
 # cells of the largest dense matrix `check_intertwiner` may build; it builds
 # N^(2 max(k, l)) of them, so "abcd|abcd" runs up to N = 4 and "abc|cba"
 # up to N = 6.  It also bounds the N^blocks index tuples the fixed-vector
-# check sums over, one matrix product per leg each, so "|aabbccddee" runs
-# up to N = 9
+# check sums over, so "|aabbccddee" runs up to N = 9
 INTERTWINER_CELL_BOUND = 4 ** 8
+
+# multiply-adds of the fixed-vector sum: one d-by-d product, d^3 of them,
+# per leg per tuple.  "|aabbccddee" on a point at N = 9 takes 590490; the
+# Clifford model of 12 coordinates (d = 64) admits no nonempty partition
+FIXED_VECTOR_WORK_BOUND = 2 ** 20
 
 # the largest matrix dimension `clifford_model` may build: n coordinates
 # need 2^ceil(n/2), so it serves n <= 12
 CLIFFORD_DIMENSION_BOUND = 2 ** 6
 
 
-@dataclass(frozen=True)
-class PointModel:
-    coordinates: tuple[complex, ...]
+@dataclass(frozen=True, eq=False)
+class Model:
+    """N coordinates as one complex array of shape (N, d, d)."""
+
+    coordinates: np.ndarray
 
     @property
     def n(self) -> int:
-        return len(self.coordinates)
-
-    def as_matrices(self) -> list[np.ndarray]:
-        return [np.array([[z]], dtype=complex) for z in self.coordinates]
-
-    def to_json_dict(self) -> dict:
-        return {"kind": "point", "N": self.n, "d": 1,
-                "data": [[z.real, z.imag] for z in self.coordinates]}
-
-
-@dataclass(frozen=True)
-class MatrixModel:
-    coordinates: tuple[np.ndarray, ...]
-
-    @property
-    def n(self) -> int:
-        return len(self.coordinates)
+        return self.coordinates.shape[0]
 
     @property
     def d(self) -> int:
-        return self.coordinates[0].shape[0]
+        return self.coordinates.shape[1]
 
-    def as_matrices(self) -> list[np.ndarray]:
-        return list(self.coordinates)
+    @functools.cached_property
+    def letters(self) -> np.ndarray:
+        """The coordinates and their adjoints, shape (2, N, d, d): the
+        letter z_i is ``letters[0, i]`` and z_i* is ``letters[1, i]``."""
+        z = self.coordinates
+        return np.stack((z, z.conj().transpose(0, 2, 1)))
 
     def to_json_dict(self) -> dict:
+        if self.d == 1:
+            return {"kind": "point", "N": self.n, "d": 1,
+                    "data": [[z.real, z.imag] for z in self.coordinates[:, 0, 0]]}
         return {"kind": "matrix", "N": self.n, "d": self.d,
                 "data": [[[x.real, x.imag] for x in m.flatten()]
                          for m in self.coordinates]}
 
 
-Model = PointModel | MatrixModel
-
-
-@dataclass(frozen=True)
-class SignedPermutation:
-    """A permutation of 1..N with a sign (or unit phase) per slot."""
-
-    perm: tuple[int, ...]
-    phases: tuple[complex, ...]
-
-    @property
-    def n(self) -> int:
-        return len(self.perm)
-
-    def matrix(self) -> np.ndarray:
-        m = np.zeros((self.n, self.n), dtype=complex)
-        for i in range(self.n):
-            m[i, self.perm[i] - 1] = self.phases[i]
-        return m
+def _point(coordinates) -> Model:
+    return Model(np.asarray(coordinates, dtype=complex).reshape(-1, 1, 1))
 
 
 # ---------------------------------------------------------------------------
 # model constructors
 
 
-def sample_classical_point(field: Field, n: int, seed: int) -> PointModel:
+def sample_classical_point(field: Field, n: int, seed: int) -> Model:
     """Uniform point on the classical sphere: normalized Gaussian vector."""
     _check_dimension(n)
     rng = np.random.default_rng(seed)
@@ -112,36 +96,33 @@ def sample_classical_point(field: Field, n: int, seed: int) -> PointModel:
         v = rng.standard_normal(n)
     else:
         v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    v = v / np.linalg.norm(v)
-    return PointModel(tuple(complex(x) for x in v))
+    return _point(v / np.linalg.norm(v))
 
 
-TWISTED_PHASES = (1 + 0j, 1j, -1 + 0j, -1j)
-
-
-def twisted_classical_points(field: Field, n: int) -> list[PointModel]:
+def twisted_classical_points(field: Field, n: int) -> list[Model]:
     """The classical points of the twisted spheres: one nonzero coordinate,
     signed in the real case and on the unit circle in the complex case."""
     _check_dimension(n)
-    phases = (1 + 0j, -1 + 0j) if field is Field.REAL else TWISTED_PHASES
+    phases = (1 + 0j, -1 + 0j) if field is Field.REAL else (1 + 0j, 1j, -1 + 0j, -1j)
     out = []
     for i in range(n):
         for w in phases:
             coords = [0j] * n
             coords[i] = w
-            out.append(PointModel(tuple(coords)))
+            out.append(_point(coords))
     return out
 
 
-def antidiagonal_model(z: PointModel | Sequence[complex]) -> MatrixModel:
+def antidiagonal_model(z: Model) -> Model:
     """2x2 self-adjoint coordinates with a complex point on the
     antidiagonal; they half-commute, so the model lives on the real
     half-liberated sphere (twisted input gives the twisted version)."""
-    coords = z.coordinates if isinstance(z, PointModel) else tuple(z)
-    mats = tuple(
-        np.array([[0, zi], [np.conj(zi), 0]], dtype=complex) for zi in coords
-    )
-    return MatrixModel(mats)
+    if z.d != 1:
+        raise DomainError(f"the antidiagonal construction takes a point, got d={z.d}")
+    mats = np.zeros((z.n, 2, 2), dtype=complex)
+    mats[:, 0, 1] = z.coordinates[:, 0, 0]
+    mats[:, 1, 0] = z.coordinates[:, 0, 0].conj()
+    return Model(mats)
 
 
 def _pauli_strings(n: int) -> list[np.ndarray]:
@@ -165,25 +146,18 @@ def _pauli_strings(n: int) -> list[np.ndarray]:
     return out
 
 
-def clifford_model(n: int, phases: Sequence[complex] | None = None) -> MatrixModel:
+def clifford_model(n: int) -> Model:
     """Rescaled Clifford generators: x_i x_j = -x_j x_i for i != j and
-    sum x_i^2 = 1.  With unit phases the coordinates phase_i * x_i satisfy
-    the twisted complex sphere relations instead.  Refuses a dimension
-    above ``CLIFFORD_DIMENSION_BOUND``."""
+    sum x_i^2 = 1.  Unit phases times the coordinates satisfy the twisted
+    complex sphere relations instead.  Refuses a dimension above
+    ``CLIFFORD_DIMENSION_BOUND``."""
     _check_dimension(n)
     d = 2 ** ((n + 1) // 2)
     if d > CLIFFORD_DIMENSION_BOUND:
         raise SizeLimitError(f"a Clifford model with {n} coordinates has dimension {d}, "
                              f"over the bound {CLIFFORD_DIMENSION_BOUND}")
-    gammas = _pauli_strings(n)
     scale = 1.0 / np.sqrt(n)
-    if phases is None:
-        phases = (1.0,) * n
-    if len(phases) != n:
-        raise DomainError(f"need one phase per coordinate: {len(phases)} phases for n={n}")
-    if any(abs(abs(p) - 1) > 1e-14 for p in phases):
-        raise DomainError("phases must lie on the unit circle")
-    return MatrixModel(tuple(p * scale * g for p, g in zip(phases, gammas)))
+    return Model(np.stack([scale * g for g in _pauli_strings(n)]))
 
 
 def sqrt_positive_model(r: Sequence[float], s: Sequence[float],
@@ -210,28 +184,26 @@ def sqrt_positive_model(r: Sequence[float], s: Sequence[float],
         xs.append(vecs @ np.diag(np.sqrt(vals)) @ vecs.conj().T)
     comm = [float(np.abs(ys[i] @ ys[j] - ys[j] @ ys[i]).max())
             for i, j in ((0, 1), (0, 2), (1, 2))]
-    return MatrixModel(tuple(xs)), comm
+    return Model(np.stack(xs)), comm
 
 
-def enumerate_signed_permutations(n: int) -> list[SignedPermutation]:
-    """All signed permutations: the hyperoctahedral group of order 2^n n!."""
+def enumerate_signed_permutations(n: int) -> np.ndarray:
+    """All signed permutation matrices, the hyperoctahedral group of order
+    2^n n!, as one (2^n n!, n, n) stack: row i of an element holds its sign
+    in column perm(i); permutations vary slowest, signs fastest."""
     _check_dimension(n)
     if n > 4:
         raise SizeLimitError("signed permutation enumeration supports n <= 4")
-    out = []
-    for perm in itertools.permutations(range(1, n + 1)):
-        for ph in itertools.product((1 + 0j, -1 + 0j), repeat=n):
-            out.append(SignedPermutation(perm, ph))
+    out = np.zeros((2 ** n * math.factorial(n), n, n), dtype=complex)
+    rows = range(n)
+    for g, (perm, signs) in enumerate(itertools.product(
+            itertools.permutations(rows), itertools.product((1, -1), repeat=n))):
+        out[g, rows, perm] = signs
     return out
 
 
 # ---------------------------------------------------------------------------
 # relation checks
-
-
-def _coordinate(mats: list[np.ndarray], index: int, star: bool) -> np.ndarray:
-    m = mats[index]
-    return m.conj().T if star else m
 
 
 def check_sphere_relations(model: Model, sphere: SphereSpec,
@@ -242,43 +214,33 @@ def check_sphere_relations(model: Model, sphere: SphereSpec,
     the model satisfies the relation system within tolerance.
     """
     system = sphere_relations(sphere)
-    mats = model.as_matrices()
-    n = model.n
-    d = mats[0].shape[0]
-    eye = np.eye(d)
+    letters = model.letters
+    z, z_star = letters
+    eye = np.eye(model.d)
     violations: list[tuple[str, float]] = []
-
-    def record(desc: str, residual: float):
+    for desc, lhs in (("sum z z* = 1", sum(z @ z_star)), ("sum z* z = 1", sum(z_star @ z))):
+        residual = float(np.abs(lhs - eye).max())
         if residual > tol:
             violations.append((desc, residual))
+    if not system.complex_symbols:
+        for i, residual in enumerate(np.abs(z - z_star).max(axis=(1, 2))):
+            if residual > tol:
+                violations.append((f"z_{i + 1} self-adjoint", float(residual)))
 
-    left = sum(m @ m.conj().T for m in mats)
-    right = sum(m.conj().T @ m for m in mats)
-    record("sum z z* = 1", float(np.abs(left - eye).max()))
-    record("sum z* z = 1", float(np.abs(right - eye).max()))
-    if system.selfadjoint:
-        for i, m in enumerate(mats):
-            record(f"z_{i + 1} self-adjoint", float(np.abs(m - m.conj().T).max()))
-
-    stars = ((False, True) if system.complex_symbols else (False,))
+    stars = (0, 1) if system.complex_symbols else (0,)
     for sigma in system.perms:
         k = len(sigma)
-        for idx in itertools.product(range(n), repeat=k):
-            kern = tuple(idx)
-            sign = relation_sign(sigma, kern, system.twisted)
-            for exps in itertools.product(stars, repeat=k):
-                lhs = eye
-                for t in range(k):
-                    lhs = lhs @ _coordinate(mats, idx[t], exps[t])
-                rhs = eye
-                for t in range(k):
-                    p = sigma[t] - 1
-                    rhs = rhs @ _coordinate(mats, idx[p], exps[p])
-                word = "".join(
-                    f"z{q + 1}{'*' if e else ''}" for q, e in zip(idx, exps)
-                )
-                record(f"{word} = {sign:+d} sigma{sigma}",
-                       float(np.abs(lhs - sign * rhs).max()))
+        exps = np.array(list(itertools.product(stars, repeat=k)))
+        order = [q - 1 for q in sigma]
+        for idx in itertools.product(range(model.n), repeat=k):
+            sign = relation_sign(sigma, idx, system.twisted)
+            words = letters[exps, idx].swapaxes(0, 1)  # position t holds (E, d, d)
+            lhs = functools.reduce(np.matmul, words)
+            rhs = functools.reduce(np.matmul, words[order])
+            residuals = np.abs(lhs - sign * rhs).max(axis=(1, 2))
+            for e in np.flatnonzero(residuals > tol):
+                word = "".join(f"z{q + 1}{'*' if s else ''}" for q, s in zip(idx, exps[e]))
+                violations.append((f"{word} = {sign:+d} sigma{sigma}", float(residuals[e])))
     return violations
 
 
@@ -287,34 +249,35 @@ def check_fixed_vector_identity(p: Partition, model: Model,
     """Residual of the fixed-vector sum: the signed sum of coordinate
     products over all tuples compatible with the partition must equal one
     whenever the partition belongs to the sphere's category.  Refuses more
-    than ``INTERTWINER_CELL_BOUND`` tuples."""
+    than ``INTERTWINER_CELL_BOUND`` tuples, or more than
+    ``FIXED_VECTOR_WORK_BOUND`` multiply-adds (tuples x legs x d^3)."""
     if p.upper != 0:
         raise FrameError("the identity runs over lower-row-only partitions")
-    n = model.n
+    n, d = model.n, model.d
     tuples = n ** p.block_count
     if tuples > INTERTWINER_CELL_BOUND:
         raise SizeLimitError(f"the fixed-vector sum of {p.literal()} at N={n} runs over "
                              f"{tuples} tuples, over the bound {INTERTWINER_CELL_BOUND}")
-    mats = model.as_matrices()
-    d = mats[0].shape[0]
+    work = tuples * p.lower * d ** 3
+    if work > FIXED_VECTOR_WORK_BOUND:
+        raise SizeLimitError(f"the fixed-vector sum of {p.literal()} at N={n}, d={d} takes "
+                             f"{tuples} tuples x {p.lower} legs x d^3 = {work} multiply-adds, "
+                             f"over the bound {FIXED_VECTOR_WORK_BOUND}")
     vec = xi_vector(p, n, twisted)
-    stars = [c is LegColor.BLACK for c in p.colors]
+    # per leg, the N letters it can carry (z or z*), as a list of views
+    legs = [list(model.letters[int(c is LegColor.BLACK)]) for c in p.colors]
     total = np.zeros((d, d), dtype=complex)
     for tup, coeff in vec.entries.items():
-        prod = np.eye(d, dtype=complex)
-        for t, j in enumerate(tup):
-            prod = prod @ _coordinate(mats, j - 1, stars[t])
-        total += coeff * prod
+        total += coeff * functools.reduce(np.matmul, [leg[j - 1] for leg, j in zip(legs, tup)])
     return float(np.abs(total - np.eye(d)).max())
 
 
-def coaction_check(g: SignedPermutation | np.ndarray, model: Model,
-                   sphere: SphereSpec, tol: float = DEFAULT_TOL) -> bool:
+def coaction_check(g: np.ndarray, model: Model, sphere: SphereSpec,
+                   tol: float = DEFAULT_TOL) -> bool:
     """Transform the coordinates by a classical isometry and re-check the
     sphere relations: z_i -> sum_j g_ij z_j."""
-    gm = g.matrix() if isinstance(g, SignedPermutation) else np.asarray(g)
-    moved = np.tensordot(gm, np.stack(model.as_matrices()), axes=1)
-    return not check_sphere_relations(MatrixModel(tuple(moved)), sphere, tol)
+    moved = np.tensordot(g, model.coordinates, axes=1)
+    return not check_sphere_relations(Model(moved), sphere, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -329,57 +292,48 @@ def _rep_power(u: np.ndarray, colors: Sequence[LegColor]) -> np.ndarray:
     return out
 
 
-def check_intertwiner(p: Partition, u: np.ndarray, twisted: bool = False,
-                      tol: float = DEFAULT_TOL) -> bool:
-    """Whether T_p u^{tensor k} = u^{tensor l} T_p within tolerance.
+def check_intertwiner(p: Partition, us: np.ndarray, twisted: bool = False,
+                      tol: float = DEFAULT_TOL) -> list[bool]:
+    """Whether T_p u^{tensor k} = u^{tensor l} T_p within tolerance, for
+    each matrix u of the (count, N, N) stack ``us``.
 
     Black legs act by the entrywise conjugate of u, matching tensor powers
     with conjugate factors.  The check is dense, so it refuses a frame and
     dimension above ``INTERTWINER_CELL_BOUND`` cells.
     """
-    u = np.asarray(u, dtype=complex)
-    n = u.shape[0]
+    us = np.asarray(us, dtype=complex)
+    if us.ndim != 3 or us.shape[1] != us.shape[2]:
+        raise DomainError(f"need a stack of square matrices, got shape {us.shape}")
+    n = us.shape[1]
     cells = n ** (2 * max(p.upper, p.lower))
     if cells > INTERTWINER_CELL_BOUND:
         raise SizeLimitError(f"an intertwiner check of {p.literal()} at N={n} needs "
                              f"{cells} dense cells, over the bound {INTERTWINER_CELL_BOUND}")
     t = t_map(p, n, twisted).to_dense().astype(complex)
-    upper = _rep_power(u, p.colors[: p.upper])
-    lower = _rep_power(u, p.colors[p.upper:])
-    residual = np.abs(t @ upper - lower @ t).max()
-    return bool(residual <= tol)
+    upper, lower = p.colors[: p.upper], p.colors[p.upper:]
+    return [bool(np.abs(t @ _rep_power(u, upper) - _rep_power(u, lower) @ t).max() <= tol)
+            for u in us]
 
 
 # ---------------------------------------------------------------------------
 # Haar sampling
 
 
-def _check_samples(samples: int):
+def haar_batch(field: Field, n: int, samples: int, seed: int) -> np.ndarray:
+    """Batch of Haar orthogonal (real field) or unitary (complex field)
+    matrices, shape (samples, n, n), from phase-fixed QR of Gaussian
+    matrices."""
+    _check_dimension(n)
     if samples < 1:
         raise ValueError(f"a Haar sample batch needs at least 1 sample, got {samples}")
-
-
-def haar_orthogonal(n: int, samples: int, seed: int) -> np.ndarray:
-    """Batch of Haar orthogonal matrices from sign-fixed QR."""
-    _check_dimension(n)
-    _check_samples(samples)
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((samples, n, n))
+    if field is Field.COMPLEX:
+        g = g + 1j * rng.standard_normal((samples, n, n))
     q, r = np.linalg.qr(g)
-    d = np.sign(np.einsum("sii->si", r))
-    d[d == 0] = 1.0
-    return q * d[:, None, :]
-
-
-def haar_unitary(n: int, samples: int, seed: int) -> np.ndarray:
-    _check_dimension(n)
-    _check_samples(samples)
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((samples, n, n)) + 1j * rng.standard_normal((samples, n, n))
-    q, r = np.linalg.qr(g)
-    diag = np.einsum("sii->si", r)
-    phase = diag / np.abs(diag)
-    return q * phase.conj()[:, None, :]
+    diag = np.einsum("sii->si", r).copy()
+    diag[diag == 0] = 1  # diag/|diag| alone would give 0/0 there
+    return q * (diag / np.abs(diag)).conj()[:, None, :]
 
 
 def _word_entries(word, n: int) -> list[tuple[int, int, bool]]:
@@ -422,11 +376,11 @@ def haar_moment_mc(group: str, n: int, word, samples: int = 100_000,
                 total += 1.0
         return total / len(perms), 0.0
     if group == "orthogonal":
-        u = haar_orthogonal(n, samples, seed)
+        u = haar_batch(Field.REAL, n, samples, seed)
     elif group == "unitary":
-        u = haar_unitary(n, samples, seed)
+        u = haar_batch(Field.COMPLEX, n, samples, seed)
     elif group == "hyperoctahedral":
-        u = np.stack([g.matrix() for g in enumerate_signed_permutations(n)])
+        u = enumerate_signed_permutations(n)
     else:
         raise ValueError(f"unknown group {group!r}")
     vals = np.ones(len(u), dtype=u.dtype)

@@ -233,10 +233,6 @@ class RelationSystem:
     def complex_symbols(self) -> bool:
         return self.field is Field.COMPLEX
 
-    @property
-    def selfadjoint(self) -> bool:
-        return self.field is Field.REAL
-
 
 def _check_permutation(p: tuple[int, ...]) -> None:
     if sorted(p) != list(range(1, len(p) + 1)):

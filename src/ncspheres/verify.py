@@ -268,17 +268,16 @@ def check_intertwiners(quick: bool = False):
     crossing, reversal = P("ab|ba"), P("abc|cba")
     ns = (2,) if quick else (2, 3)
     for n in ns:
-        for g in models.enumerate_signed_permutations(n):
-            u = g.matrix()
-            if not models.check_intertwiner(crossing, u, twisted=True, tol=1e-10):
-                return False, f"signed permutation fails the twisted crossing at N={n}"
-            if not models.check_intertwiner(reversal, u, twisted=True, tol=1e-10):
-                return False, f"signed permutation fails the twisted reversal at N={n}"
-    for u in models.haar_orthogonal(3, 20, seed=2024):
-        if not models.check_intertwiner(crossing, u, twisted=False, tol=1e-8):
-            return False, "a Haar rotation fails the untwisted crossing"
-        if models.check_intertwiner(crossing, u, twisted=True, tol=1e-8):
-            return False, "a Haar rotation passed the twisted crossing"
+        us = models.enumerate_signed_permutations(n)
+        if not all(models.check_intertwiner(crossing, us, twisted=True, tol=1e-10)):
+            return False, f"signed permutation fails the twisted crossing at N={n}"
+        if not all(models.check_intertwiner(reversal, us, twisted=True, tol=1e-10)):
+            return False, f"signed permutation fails the twisted reversal at N={n}"
+    us = models.haar_batch(Field.REAL, 3, 20, seed=2024)
+    if not all(models.check_intertwiner(crossing, us, twisted=False, tol=1e-8)):
+        return False, "a Haar rotation fails the untwisted crossing"
+    if any(models.check_intertwiner(crossing, us, twisted=True, tol=1e-8)):
+        return False, "a Haar rotation passed the twisted crossing"
     return True, "exhaustive signed permutations pass; 20/20 Haar samples separate"
 
 
@@ -315,9 +314,9 @@ def _random_sphere_points(s: SphereSpec, n: int, count: int, seed: int):
             phase = complex(rng.choice((-1.0, 1.0)))
         else:
             phase = complex(np.exp(2j * np.pi * rng.random()))
-        coords = [0j] * n
+        coords = np.zeros((n, 1, 1), dtype=complex)
         coords[axis] = phase
-        pts.append(models.PointModel(tuple(coords)))
+        pts.append(models.Model(coords))
     return pts
 
 
@@ -339,7 +338,7 @@ def check_fixed_vector_identity(quick: bool = False):
                         r = models.check_fixed_vector_identity(p, pt, s.twisted)
                         if r >= 1e-10:
                             return False, (f"residual {r:.2e} on {s.name}, "
-                                           f"pairing {p}, point {pt.coordinates}")
+                                           f"pairing {p}, point {pt.coordinates.ravel()}")
                         checked += 1
     return True, f"{checked} residuals below 1e-10"
 

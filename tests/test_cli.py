@@ -480,6 +480,10 @@ def test_intertwiner_check_refuses_a_dense_frame_past_the_bound(capsys):
     # 10^5 index tuples, past 4^8
     (["check", "--op", "fixed_vector", "--sphere", "s_r", "--model", "classical_point",
       "--partition", "|aabbccddee", "--n", "10"], "tuples"),
+    # 12^4 tuples x 8 legs x 64^3 at d = 64: refused at once, where the
+    # products alone would run for seconds
+    (["check", "--op", "fixed_vector", "--sphere", "bar_s_r", "--model", "clifford",
+      "--n", "12", "--partition", "|aabbccdd", "--twisted"], "multiply-adds"),
 ])
 def test_dense_model_checks_refuse_sizes_past_their_bounds(capsys, argv, message):
     assert main(argv) == 1

@@ -6,9 +6,9 @@ import pytest
 from ncspheres.errors import DomainError, FrameError, SizeLimitError
 from ncspheres.models import (
     CLIFFORD_DIMENSION_BOUND,
+    FIXED_VECTOR_WORK_BOUND,
     INTERTWINER_CELL_BOUND,
-    MatrixModel,
-    PointModel,
+    Model,
     antidiagonal_model,
     check_fixed_vector_identity,
     check_intertwiner,
@@ -16,16 +16,22 @@ from ncspheres.models import (
     clifford_model,
     coaction_check,
     enumerate_signed_permutations,
+    haar_batch,
     haar_moment_mc,
-    haar_orthogonal,
-    haar_unitary,
     sample_classical_point,
     sqrt_positive_model,
     twisted_classical_points,
 )
-from ncspheres.partitions import PartitionClass, enumerate_partitions, parse_partition
-from ncspheres.relations import monomial_system, saturate
-from ncspheres.weingarten import Field, category_pairings, group_by_name, sphere_by_name
+from ncspheres.partitions import LegColor, PartitionClass, enumerate_partitions, parse_partition
+from ncspheres.relations import monomial_system, relation_sign, saturate, sphere_relations
+from ncspheres.tensors import t_map, xi_vector
+from ncspheres.weingarten import (
+    SPHERES,
+    Field,
+    category_pairings,
+    group_by_name,
+    sphere_by_name,
+)
 
 P = parse_partition
 TOL = 1e-10
@@ -38,16 +44,17 @@ TOL = 1e-10
 def test_classical_point_is_deterministic_and_normalized():
     a = sample_classical_point(Field.REAL, 5, seed=42)
     b = sample_classical_point(Field.REAL, 5, seed=42)
-    assert a == b
+    assert a.coordinates.shape == (5, 1, 1) and a.d == 1
+    assert np.array_equal(a.coordinates, b.coordinates)
     assert abs(np.linalg.norm(a.coordinates) - 1) < 1e-12
-    assert all(abs(z.imag) == 0 for z in a.coordinates)
+    assert not a.coordinates.imag.any()
     c = sample_classical_point(Field.COMPLEX, 5, seed=42)
     assert abs(np.linalg.norm(c.coordinates) - 1) < 1e-12
 
 
 def test_point_at_n_equals_one():
     p = sample_classical_point(Field.REAL, 1, seed=7)
-    assert abs(abs(p.coordinates[0]) - 1) < 1e-12
+    assert abs(abs(p.coordinates[0, 0, 0]) - 1) < 1e-12
 
 
 def test_twisted_point_families():
@@ -61,7 +68,7 @@ def test_twisted_point_families():
 
 
 def test_generic_point_fails_twisted_relations():
-    bad = PointModel((2 ** -0.5 + 0j, 2 ** -0.5 + 0j))
+    bad = Model(np.full((2, 1, 1), 2 ** -0.5 + 0j))
     assert check_sphere_relations(bad, sphere_by_name("bar_s_r"), TOL)
 
 
@@ -92,7 +99,7 @@ def test_antidiagonal_pair_model_complex_half():
     # products X_i X_j^* are diagonal with scalar entries
     a = sample_classical_point(Field.COMPLEX, 3, seed=1).coordinates
     b = sample_classical_point(Field.COMPLEX, 3, seed=2).coordinates
-    m = MatrixModel(tuple(np.array([[0, ai], [np.conj(bi), 0]]) for ai, bi in zip(a, b)))
+    m = Model(np.array([[[0, ai], [np.conj(bi), 0]] for ai, bi in zip(a.ravel(), b.ravel())]))
     assert not check_sphere_relations(m, sphere_by_name("s_c_star2"), TOL)
 
 
@@ -100,18 +107,20 @@ def test_clifford_models():
     for n in (2, 3, 4):
         m = clifford_model(n)
         assert not check_sphere_relations(m, sphere_by_name("bar_s_r"), TOL)
-    phases = (1.0, np.exp(0.3j), np.exp(1.1j))
-    z = clifford_model(3, phases=phases)
+    z = _phased_clifford((1.0, np.exp(0.3j), np.exp(1.1j)))
     assert not check_sphere_relations(z, sphere_by_name("bar_s_c"), TOL)
-    with pytest.raises(DomainError):
-        clifford_model(2, phases=(2.0, 1.0))
+
+
+def _phased_clifford(phases):
+    # unit phases times the Clifford coordinates: a twisted complex witness
+    return Model(np.asarray(phases)[:, None, None] * clifford_model(len(phases)).coordinates)
 
 
 def test_clifford_model_refuses_a_dimension_past_the_bound():
     # n coordinates need dimension 2^ceil(n/2): n = 12 is the last within
     # the bound, and 13 is refused before any matrix is built
     assert CLIFFORD_DIMENSION_BOUND == 2 ** 6
-    assert clifford_model(12).as_matrices()[0].shape == (64, 64)
+    assert clifford_model(12).coordinates.shape == (12, 64, 64)
     for n in (13, 14):
         with pytest.raises(SizeLimitError, match="dimension"):
             clifford_model(n)
@@ -137,10 +146,9 @@ def test_sqrt_positive_degenerate_input():
 
 
 def test_enumerate_signed_permutations():
-    assert len(enumerate_signed_permutations(2)) == 8
-    assert len(enumerate_signed_permutations(3)) == 48
-    for g in enumerate_signed_permutations(2):
-        m = g.matrix()
+    assert enumerate_signed_permutations(2).shape == (8, 2, 2)
+    assert enumerate_signed_permutations(3).shape == (48, 3, 3)
+    for m in enumerate_signed_permutations(2):
         assert np.abs(m @ m.conj().T - np.eye(2)).max() < 1e-12
     with pytest.raises(SizeLimitError):
         enumerate_signed_permutations(5)
@@ -170,33 +178,31 @@ def test_models_match_their_spheres():
 def test_signed_permutations_intertwine_twisted_diagrams():
     crossing, reversal = P("ab|ba"), P("abc|cba")
     for n in (2, 3):
-        for g in enumerate_signed_permutations(n):
-            u = g.matrix()
-            assert check_intertwiner(crossing, u, twisted=True, tol=TOL)
-            assert check_intertwiner(reversal, u, twisted=True, tol=TOL)
+        us = enumerate_signed_permutations(n)
+        assert all(check_intertwiner(crossing, us, twisted=True, tol=TOL))
+        assert all(check_intertwiner(reversal, us, twisted=True, tol=TOL))
 
 
 def test_haar_orthogonal_intertwines_untwisted_not_twisted():
     crossing = P("ab|ba")
-    for u in haar_orthogonal(3, 20, seed=123):
-        assert check_intertwiner(crossing, u, twisted=False, tol=1e-8)
-        assert not check_intertwiner(crossing, u, twisted=True, tol=1e-8)
+    us = haar_batch(Field.REAL, 3, 20, seed=123)
+    assert check_intertwiner(crossing, us, twisted=False, tol=1e-8) == [True] * 20
+    assert check_intertwiner(crossing, us, twisted=True, tol=1e-8) == [False] * 20
 
 
 def test_unitary_intertwines_colored_pairing():
     # the cap joining z to z* is invariant under any unitary
     cap = P("|aa:o*")
-    for u in haar_unitary(3, 5, seed=5):
-        assert check_intertwiner(cap, u, twisted=False, tol=1e-8)
+    assert all(check_intertwiner(cap, haar_batch(Field.COMPLEX, 3, 5, seed=5), tol=1e-8))
 
 
 def test_intertwiner_check_refuses_large_dense_frames():
     # the largest dense matrix has N^(2 max(k, l)) cells: 4^8 is the bound,
     # 5^8 is past it, whether the legs sit on both rows or on one
-    (u4,) = haar_orthogonal(4, 1, seed=3)
+    u4 = haar_batch(Field.REAL, 4, 1, seed=3)
     assert 4 ** 8 == INTERTWINER_CELL_BOUND
-    assert check_intertwiner(P("abcd|abcd"), u4, tol=1e-8)
-    (u5,) = haar_orthogonal(5, 1, seed=3)
+    assert check_intertwiner(P("abcd|abcd"), u4, tol=1e-8) == [True]
+    u5 = haar_batch(Field.REAL, 5, 1, seed=3)
     for p in ("abcd|abcd", "|aabb", "aabb|"):
         with pytest.raises(SizeLimitError, match="dense cells"):
             check_intertwiner(P(p), u5)
@@ -245,8 +251,8 @@ def test_builders_reject_dimension_below_one(n):
         lambda: twisted_classical_points(Field.COMPLEX, n),
         lambda: clifford_model(n),
         lambda: enumerate_signed_permutations(n),
-        lambda: haar_orthogonal(n, 4, seed=0),
-        lambda: haar_unitary(n, 4, seed=0),
+        lambda: haar_batch(Field.REAL, n, 4, seed=0),
+        lambda: haar_batch(Field.COMPLEX, n, 4, seed=0),
     ] + [lambda group=group: haar_moment_mc(group, n, [], samples=4)
          for group in ("orthogonal", "unitary", "hyperoctahedral", "k_n")]
     for build in builders:
@@ -272,7 +278,7 @@ def test_mc_sweep_matches_exact_moments():
         ((1, 1, 2, 2, 3, 3), (1, 1, 1, 1, 1, 1)),
     ]
     for n in (3, 4):
-        batch = haar_orthogonal(n, 40000, seed=100 + n)
+        batch = haar_batch(Field.REAL, n, 40000, seed=100 + n)
         for i, j in words:
             vals = np.ones(batch.shape[0])
             for a, b in zip(i, j):
@@ -323,6 +329,19 @@ def test_fixed_vector_identity_refuses_tuples_past_the_bound():
         check_fixed_vector_identity(p, sample_classical_point(Field.REAL, 10, 0))
 
 
+def test_fixed_vector_identity_refuses_work_past_the_bound():
+    # tuples x legs x d^3 multiply-adds: the Clifford model of 6 coordinates
+    # (d = 8) admits |aabbcc (216 x 6 x 512), not |aabbccdd (1296 x 8 x 512),
+    # and at d = 64 even 12^4 tuples of |aabbcc dd are refused up front
+    assert 9 ** 5 * 10 <= FIXED_VECTOR_WORK_BOUND < 6 ** 4 * 8 * 8 ** 3
+    m = clifford_model(6)
+    assert check_fixed_vector_identity(P("|aabbcc"), m, twisted=True) < TOL
+    for p, model in (("|aabbccdd", m), ("|aabbccdd", clifford_model(12)),
+                     ("|aabb", clifford_model(10))):
+        with pytest.raises(SizeLimitError, match="multiply-adds"):
+            check_fixed_vector_identity(P(p), model, twisted=True)
+
+
 def test_fixed_vector_needs_lower_frame():
     with pytest.raises(FrameError):
         check_fixed_vector_identity(P("a|a"), sample_classical_point(Field.REAL, 2, 0))
@@ -343,7 +362,7 @@ def test_coaction_signed_permutation_preserves_twisted_points():
 def test_coaction_orthogonal_on_classical_point():
     sphere = sphere_by_name("s_r")
     pt = sample_classical_point(Field.REAL, 3, seed=3)
-    for u in haar_orthogonal(3, 5, seed=4):
+    for u in haar_batch(Field.REAL, 3, 5, seed=4):
         assert coaction_check(u, pt, sphere)
 
 
@@ -359,8 +378,8 @@ def test_coaction_signed_permutation_on_clifford():
 
 
 def _eval_schema(schema, model):
-    mats = model.as_matrices()
-    d = mats[0].shape[0]
+    mats = model.coordinates
+    d = model.d
     n = model.n
     worst = 0.0
     blocks = sorted(set(b for b, _ in schema.lhs))
@@ -383,13 +402,13 @@ def test_saturated_schemas_hold_in_models():
     # model of the base system
     cases = [
         (monomial_system([(3, 1, 2)], Field.REAL, False),
-         PointModel(tuple(sample_classical_point(Field.REAL, 3, 11).coordinates))),
+         sample_classical_point(Field.REAL, 3, 11)),
         (monomial_system([(3, 1, 2)], Field.REAL, True), clifford_model(3)),
         (monomial_system([(2, 1)], Field.REAL, True), clifford_model(3)),
         (monomial_system([(3, 2, 1)], Field.REAL, False),
          antidiagonal_model(sample_classical_point(Field.COMPLEX, 3, 12))),
         (monomial_system([(3, 1, 2)], Field.COMPLEX, True),
-         clifford_model(3, phases=(1.0, 1j, np.exp(0.4j)))),
+         _phased_clifford((1.0, 1j, np.exp(0.4j)))),
     ]
     for system, model in cases:
         result = saturate(system)
@@ -403,16 +422,11 @@ def test_saturated_schemas_hold_in_models():
 
 
 @pytest.mark.parametrize("samples", [0, -3])
-@pytest.mark.parametrize("batch", [haar_orthogonal, haar_unitary])
-def test_haar_batches_need_a_sample(batch, samples):
+@pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX],
+                         ids=["haar_orthogonal", "haar_unitary"])
+def test_haar_batches_need_a_sample(field, samples):
     with pytest.raises(ValueError, match="at least 1 sample"):
-        batch(2, samples, seed=0)
-
-
-@pytest.mark.parametrize("phases", [(1, 1), (1, 1, 1, 1)])
-def test_clifford_model_needs_one_phase_per_coordinate(phases):
-    with pytest.raises(DomainError, match="one phase per coordinate"):
-        clifford_model(3, phases=phases)
+        haar_batch(field, 2, samples, seed=0)
 
 
 def _reference_moment(group, n, word, samples, seed):
@@ -423,17 +437,17 @@ def _reference_moment(group, n, word, samples, seed):
         for g in elems:
             prod = 1.0 + 0j
             for i, j, star in word:
-                x = g.matrix()[i - 1, j - 1]
+                x = g[i - 1, j - 1]
                 prod *= np.conj(x) if star else x
             total += prod.real
         return total / len(elems), 0.0
     if group == "orthogonal":
-        u = haar_orthogonal(n, samples, seed)
+        u = haar_batch(Field.REAL, n, samples, seed)
         vals = np.ones(samples)
         for i, j, _ in word:
             vals = vals * u[:, i - 1, j - 1]
         return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(samples))
-    u = haar_unitary(n, samples, seed)
+    u = haar_batch(Field.COMPLEX, n, samples, seed)
     vals = np.ones(samples, dtype=complex)
     for i, j, star in word:
         factor = u[:, i - 1, j - 1]
@@ -452,3 +466,142 @@ def test_mc_moment_matches_the_per_group_reference(group):
                 got = haar_moment_mc(group, n, entries, samples=50, seed=seed)
                 want = _reference_moment(group, n, entries, 50, seed)
                 assert [x.hex() for x in got] == [float(x).hex() for x in want], entries
+
+
+# ---------------------------------------------------------------------------
+# the stacked checks against per-tuple references
+
+
+def _reference_relations(model, sphere, tol=TOL):
+    """Per-tuple relation check: each word multiplied from np.eye."""
+    system = sphere_relations(sphere)
+    mats = list(model.coordinates)
+    eye = np.eye(model.d)
+    out = []
+
+    def letter(i, star):
+        return mats[i].conj().T if star else mats[i]
+
+    def record(desc, residual):
+        if residual > tol:
+            out.append((desc, residual))
+
+    record("sum z z* = 1", float(np.abs(sum(m @ m.conj().T for m in mats) - eye).max()))
+    record("sum z* z = 1", float(np.abs(sum(m.conj().T @ m for m in mats) - eye).max()))
+    if not system.complex_symbols:
+        for i, m in enumerate(mats):
+            record(f"z_{i + 1} self-adjoint", float(np.abs(m - m.conj().T).max()))
+    stars = (False, True) if system.complex_symbols else (False,)
+    for sigma in system.perms:
+        k = len(sigma)
+        for idx in itertools.product(range(model.n), repeat=k):
+            sign = relation_sign(sigma, idx, system.twisted)
+            for exps in itertools.product(stars, repeat=k):
+                lhs, rhs = eye, eye
+                for t in range(k):
+                    lhs = lhs @ letter(idx[t], exps[t])
+                    q = sigma[t] - 1
+                    rhs = rhs @ letter(idx[q], exps[q])
+                word = "".join(f"z{q + 1}{'*' if e else ''}" for q, e in zip(idx, exps))
+                record(f"{word} = {sign:+d} sigma{sigma}", float(np.abs(lhs - sign * rhs).max()))
+    return out
+
+
+def _reference_fixed_vector(p, model, twisted):
+    """Per-tuple fixed-vector sum: each product multiplied from np.eye."""
+    mats = list(model.coordinates)
+    total = np.zeros((model.d, model.d), dtype=complex)
+    for tup, coeff in xi_vector(p, model.n, twisted).entries.items():
+        prod = np.eye(model.d, dtype=complex)
+        for c, j in zip(p.colors, tup):
+            m = mats[j - 1]
+            prod = prod @ (m.conj().T if c is LegColor.BLACK else m)
+        total += coeff * prod
+    return float(np.abs(total - np.eye(model.d)).max())
+
+
+def _every_builder():
+    w = np.exp(2j * np.pi / 3)
+    sqrt_model, _ = sqrt_positive_model((1 / 3,) * 3, (1 / 3,) * 3, (0.1, 0.1 * w, 0.1 * w ** 2))
+    return [
+        sample_classical_point(Field.REAL, 3, 4),
+        sample_classical_point(Field.COMPLEX, 3, 5),
+        twisted_classical_points(Field.REAL, 3)[3],
+        twisted_classical_points(Field.COMPLEX, 2)[5],
+        antidiagonal_model(sample_classical_point(Field.COMPLEX, 3, 6)),
+        antidiagonal_model(twisted_classical_points(Field.COMPLEX, 3)[1]),
+        clifford_model(3),
+        clifford_model(4),
+        _phased_clifford((1.0, 1j, np.exp(0.4j))),
+        sqrt_model,
+        # on no sphere at all: every residual is generic, so a swapped
+        # letter or a reordered product shows
+        Model(np.random.default_rng(7).standard_normal((3, 2, 2, 2)) @ (1, 1j)),
+    ]
+
+
+def test_stacked_relation_check_matches_the_per_tuple_reference():
+    violated = 0
+    for model in _every_builder():
+        for sphere in SPHERES:
+            got = check_sphere_relations(model, sphere, TOL)
+            want = _reference_relations(model, sphere)
+            assert [d for d, _ in got] == [d for d, _ in want], (sphere.name, model.n, model.d)
+            assert all(abs(a - b) <= 1e-12 for (_, a), (_, b) in zip(got, want))
+            violated += bool(got)
+    assert violated > 30  # the comparison covers violations, not only empty lists
+
+
+def test_stacked_fixed_vector_sum_matches_the_per_tuple_reference():
+    colored = [p for alpha in ("1*", "1*1*", "11**", "1*1*1*")
+               for p in category_pairings(group_by_name("u_n"), alpha=alpha)]
+    uncolored = [p for l in (2, 4, 6) for p in enumerate_partitions(PartitionClass.P2, 0, l)]
+    for model in _every_builder():
+        for p in uncolored + colored:
+            for twisted in (False, True):
+                got = check_fixed_vector_identity(p, model, twisted)
+                assert abs(got - _reference_fixed_vector(p, model, twisted)) <= 1e-12
+
+
+def _reference_intertwiner(p, u, twisted, tol):
+    t = t_map(p, u.shape[0], twisted).to_dense().astype(complex)
+    powers = []
+    for colors in (p.colors[: p.upper], p.colors[p.upper:]):
+        out = np.eye(1, dtype=complex)
+        for c in colors:
+            out = np.kron(out, np.conj(u) if c is LegColor.BLACK else u)
+        powers.append(out)
+    return bool(np.abs(t @ powers[0] - powers[1] @ t).max() <= tol)
+
+
+def test_stacked_intertwiner_verdicts_match_per_matrix_verdicts():
+    stacks = [enumerate_signed_permutations(2), enumerate_signed_permutations(3),
+              haar_batch(Field.REAL, 3, 6, seed=1), haar_batch(Field.COMPLEX, 2, 6, seed=2)]
+    outcomes = set()
+    for us in stacks:
+        for p in ("ab|ba", "abc|cba", "a|a", "|aa", "|aa:o*", "aab|b", "ab|ab:o*o*"):
+            for twisted in (False, True):
+                got = check_intertwiner(P(p), us, twisted, 1e-8)
+                assert got == [_reference_intertwiner(P(p), u, twisted, 1e-8) for u in us]
+                outcomes.update(got)
+    assert outcomes == {True, False}
+
+
+def test_signed_permutation_stack_keeps_the_enumeration_order():
+    for n in (1, 2, 3, 4):
+        want = []
+        for perm in itertools.permutations(range(1, n + 1)):
+            for signs in itertools.product((1 + 0j, -1 + 0j), repeat=n):
+                m = np.zeros((n, n), dtype=complex)
+                for i in range(n):
+                    m[i, perm[i] - 1] = signs[i]
+                want.append(m)
+        got = enumerate_signed_permutations(n)
+        assert got.dtype == complex and np.array_equal(got, np.stack(want))
+
+
+def test_stacked_checks_refuse_the_wrong_shapes():
+    with pytest.raises(DomainError, match="stack"):
+        check_intertwiner(P("ab|ba"), np.eye(2))
+    with pytest.raises(DomainError, match="point"):
+        antidiagonal_model(clifford_model(2))

@@ -130,9 +130,9 @@ def test_combination_algebra():
 
 def test_sphere_relation_presets():
     tw = sphere_relations(sphere_by_name("bar_s_r"))
-    assert tw.perms == ((2, 1),) and tw.twisted and tw.selfadjoint
+    assert tw.perms == ((2, 1),) and tw.twisted and not tw.complex_symbols
     free = sphere_relations(sphere_by_name("s_c_plus"))
-    assert free.perms == () and not free.selfadjoint
+    assert free.perms == () and free.complex_symbols
     halfc = sphere_relations(sphere_by_name("bar_s_c_star2"))
     assert halfc.perms == ((3, 2, 1),) and halfc.twisted
     # the twisted complex half preset forces abc = -cba on distinct and
