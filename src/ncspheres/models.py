@@ -52,9 +52,17 @@ CLIFFORD_DIMENSION_BOUND = 2 ** 6
 
 @dataclass(frozen=True, eq=False)
 class Model:
-    """N coordinates as one complex array of shape (N, d, d)."""
+    """N coordinates as one (N, d, d) complex array; a point has d = 1."""
 
     coordinates: np.ndarray
+
+    def __post_init__(self):
+        # a read-only copy, so the cached letters cannot go stale
+        z = np.array(self.coordinates, dtype=complex)
+        if z.ndim != 3 or z.shape[1] != z.shape[2]:
+            raise DomainError(f"need coordinates of shape (N, d, d), got {z.shape}")
+        z.flags.writeable = False
+        object.__setattr__(self, "coordinates", z)
 
     @property
     def n(self) -> int:
@@ -81,7 +89,7 @@ class Model:
 
 
 def _point(coordinates) -> Model:
-    return Model(np.asarray(coordinates, dtype=complex).reshape(-1, 1, 1))
+    return Model(np.reshape(coordinates, (-1, 1, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -104,13 +112,7 @@ def twisted_classical_points(field: Field, n: int) -> list[Model]:
     signed in the real case and on the unit circle in the complex case."""
     _check_dimension(n)
     phases = (1 + 0j, -1 + 0j) if field is Field.REAL else (1 + 0j, 1j, -1 + 0j, -1j)
-    out = []
-    for i in range(n):
-        for w in phases:
-            coords = [0j] * n
-            coords[i] = w
-            out.append(_point(coords))
-    return out
+    return [_point([w if j == i else 0j for j in range(n)]) for i in range(n) for w in phases]
 
 
 def antidiagonal_model(z: Model) -> Model:
@@ -234,7 +236,8 @@ def check_sphere_relations(model: Model, sphere: SphereSpec,
         order = [q - 1 for q in sigma]
         for idx in itertools.product(range(model.n), repeat=k):
             sign = relation_sign(sigma, idx, system.twisted)
-            words = letters[exps, idx].swapaxes(0, 1)  # position t holds (E, d, d)
+            # words[t] holds the t-th letter of every star pattern
+            words = letters[exps, idx].swapaxes(0, 1)
             lhs = functools.reduce(np.matmul, words)
             rhs = functools.reduce(np.matmul, words[order])
             residuals = np.abs(lhs - sign * rhs).max(axis=(1, 2))
@@ -260,9 +263,8 @@ def check_fixed_vector_identity(p: Partition, model: Model,
                              f"{tuples} tuples, over the bound {INTERTWINER_CELL_BOUND}")
     work = tuples * p.lower * d ** 3
     if work > FIXED_VECTOR_WORK_BOUND:
-        raise SizeLimitError(f"the fixed-vector sum of {p.literal()} at N={n}, d={d} takes "
-                             f"{tuples} tuples x {p.lower} legs x d^3 = {work} multiply-adds, "
-                             f"over the bound {FIXED_VECTOR_WORK_BOUND}")
+        raise SizeLimitError(f"the fixed-vector sum of {p.literal()} at N={n}, d={d} needs "
+                             f"{work} multiply-adds, over the bound {FIXED_VECTOR_WORK_BOUND}")
     vec = xi_vector(p, n, twisted)
     # per leg, the N letters it can carry (z or z*), as a list of views
     legs = [list(model.letters[int(c is LegColor.BLACK)]) for c in p.colors]

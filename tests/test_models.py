@@ -605,3 +605,17 @@ def test_stacked_checks_refuse_the_wrong_shapes():
         check_intertwiner(P("ab|ba"), np.eye(2))
     with pytest.raises(DomainError, match="point"):
         antidiagonal_model(clifford_model(2))
+    with pytest.raises(DomainError, match="shape"):
+        Model(np.eye(2))
+
+
+def test_model_coordinates_are_a_read_only_copy():
+    # the adjoint letters are cached, so the coordinates must not change
+    z = np.zeros((2, 1, 1))
+    z[0] = 1
+    m = Model(z)
+    z[0] = 5
+    assert m.coordinates[0, 0, 0] == 1 and m.coordinates.dtype == complex
+    with pytest.raises(ValueError):
+        m.coordinates[0] = 2
+    assert not check_sphere_relations(m, sphere_by_name("s_r"), TOL)
