@@ -45,6 +45,13 @@ INTERTWINER_CELL_BOUND = 4 ** 8
 # Clifford model of 12 coordinates (d = 64) admits no nonempty partition
 FIXED_VECTOR_WORK_BOUND = 2 ** 20
 
+# entries of the (samples, N, N) stack `haar_batch` draws at once, 32 MB of
+# reals; the paper suite's Monte Carlo check draws 1.6M (100000 at N = 4)
+HAAR_ENTRY_BOUND = 2 ** 22
+
+# a partition is checked on many models in a row: its last fixed vector is kept
+_last_xi_vector = functools.lru_cache(maxsize=1)(xi_vector)
+
 # the largest matrix dimension `clifford_model` may build: n coordinates
 # need 2^ceil(n/2), so it serves n <= 12
 CLIFFORD_DIMENSION_BOUND = 2 ** 6
@@ -265,11 +272,10 @@ def check_fixed_vector_identity(p: Partition, model: Model,
     if work > FIXED_VECTOR_WORK_BOUND:
         raise SizeLimitError(f"the fixed-vector sum of {p.literal()} at N={n}, d={d} needs "
                              f"{work} multiply-adds, over the bound {FIXED_VECTOR_WORK_BOUND}")
-    vec = xi_vector(p, n, twisted)
     # per leg, the N letters it can carry (z or z*), as a list of views
     legs = [list(model.letters[int(c is LegColor.BLACK)]) for c in p.colors]
     total = np.zeros((d, d), dtype=complex)
-    for tup, coeff in vec.entries.items():
+    for tup, coeff in _last_xi_vector(p, n, twisted).entries.items():
         total += coeff * functools.reduce(np.matmul, [leg[j - 1] for leg, j in zip(legs, tup)])
     return float(np.abs(total - np.eye(d)).max())
 
@@ -328,6 +334,9 @@ def haar_batch(field: Field, n: int, samples: int, seed: int) -> np.ndarray:
     _check_dimension(n)
     if samples < 1:
         raise ValueError(f"a Haar sample batch needs at least 1 sample, got {samples}")
+    if samples * n * n > HAAR_ENTRY_BOUND:
+        raise SizeLimitError(
+            f"{samples} samples at N={n} exceed the Haar entry bound {HAAR_ENTRY_BOUND}")
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((samples, n, n))
     if field is Field.COMPLEX:

@@ -449,9 +449,9 @@ def _restricted_growth_strings(n: int) -> Iterator[tuple[int, ...]]:
     yield from rec(1, 0)
 
 
-def _pairing_words(n: int) -> Iterator[tuple[int, ...]]:
+def _pairing_words(n: int, noncrossing: bool = False) -> Iterator[tuple[int, ...]]:
     """All pairings of range(n) as label words, pairs numbered by their
-    first element; none for odd ``n``."""
+    first element; none for odd ``n``, and only noncrossing ones with ``noncrossing``."""
     if n % 2:
         return
     word: list = [None] * n
@@ -468,6 +468,8 @@ def _pairing_words(n: int) -> Iterator[tuple[int, ...]]:
                 word[j] = label
                 yield from rec(i + 1, label + 1)
                 word[j] = None
+            elif noncrossing:  # a partner past a paired leg would cross its string
+                break
         word[i] = None
 
     yield from rec(0, 0)
@@ -490,7 +492,10 @@ def enumerate_partitions(cls: PartitionClass, upper=0, lower=0) -> list[Partitio
     if n > ENUMERATION_LEG_BOUND:
         raise SizeLimitError(f"{n} legs exceeds the enumeration bound {ENUMERATION_LEG_BOUND}")
     colors = cu + cl
-    words = _pairing_words(n) if cls in _PAIRING_CLASSES else _restricted_growth_strings(n)
+    if cls is PartitionClass.NC2:  # pruned in the linear order: the lower row reversed
+        words = ((*w[:k], *reversed(w[k:])) for w in _pairing_words(n, noncrossing=True))
+    else:
+        words = _pairing_words(n) if cls in _PAIRING_CLASSES else _restricted_growth_strings(n)
     out = [p for p in (kernel(w, k, l, colors) for w in words) if is_member(p, cls)]
     out.sort(key=_linear_blocks)
     return out

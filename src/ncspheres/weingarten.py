@@ -10,9 +10,9 @@ never changes the pairing set, only the signs inside the Kronecker
 symbols.
 
 The Gram matrix ``G(pi, sigma) = N ** |pi v sigma|`` is integral, its
-inverse is computed exactly by fraction-free integer elimination, and
+inverse is solved exactly, one column per orbit of the leg symmetries, and
 joint moments of the coordinates follow from the Weingarten sum.  Pairing
-sets and their block-count matrices ``|pi v sigma|`` are memoised per
+sets, block counts ``|pi v sigma|`` and leg symmetries are memoised per
 category, Weingarten matrices per (category, N), in one bounded,
 process-wide memo.  Its values are immutable and handed out shared:
 ``category_pairings`` returns the memo's tuple and ``weingarten_matrix``
@@ -125,18 +125,14 @@ def parse_alpha(alpha) -> tuple[str, ...]:
 
 
 def _eliminate(rows: list[list[int]], ncols: int) -> tuple[int, int]:
-    """Fraction-free Gauss-Jordan elimination (Bareiss 1968), in place.
+    """Fraction-free forward elimination (Bareiss 1968), in place.
 
     Pivots are sought in the first ``ncols`` columns; further columns (an
-    augmented block) are carried along.  Each step replaces every other
-    row by ``(piv * row - f * pivot_row) // prev``, where ``prev`` is the
-    previous pivot.  By Sylvester's identity every entry stays a minor of
-    the input, so each division is exact.  Columns left of the current
-    one are no longer read and are not updated.
-
-    Returns the rank and the last pivot.  For a nonsingular square block
-    the last pivot is its determinant up to sign, every pivot row carries
-    it on the diagonal, and the augmented block ends multiplied by it.
+    augmented block) are carried along.  Each step replaces every row below
+    the pivot row by ``(piv * row - f * pivot_row) // prev``, ``prev`` the
+    previous pivot; by Sylvester's identity each entry stays a minor of the
+    input, so each division is exact.  Returns the rank and the last pivot:
+    for a nonsingular square block, its determinant up to sign.
     """
     nrows = len(rows)
     rank, prev = 0, 1
@@ -145,16 +141,13 @@ def _eliminate(rows: list[list[int]], ncols: int) -> tuple[int, int]:
         if pivot is None:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        tail = rows[rank][col:]
-        piv = tail[0]
-        for r, row in enumerate(rows):
-            if r == rank:
-                continue
+        piv, *tail = rows[rank][col:]
+        for row in rows[rank + 1:]:
             f = row[col]
             if f:
-                row[col:] = [(piv * x - f * y) // prev for x, y in zip(row[col:], tail)]
+                row[col + 1:] = [(piv * x - f * y) // prev for x, y in zip(row[col + 1:], tail)]
             else:
-                row[col:] = [piv * x // prev for x in row[col:]]
+                row[col + 1:] = [piv * x // prev for x in row[col + 1:]]
         prev = piv
         rank += 1
         if rank == nrows:
@@ -202,21 +195,40 @@ class ExactMatrix:
     def row_sums(self) -> list[Fraction]:
         return [Fraction(sum(row), self.den) for row in self.num]
 
-    def inverse(self) -> "ExactMatrix":
+    def inverse(self, generators: Sequence[Sequence[int]] = ()) -> "ExactMatrix":
         """Exact inverse by fraction-free elimination; raises on singular input.
 
-        The augmented block ends as ``det * num^-1``, so the inverse of
-        ``num / den`` is that block times ``den`` (signed as ``det``) over ``|det|``.
-        """
+        Each generator ``g``, an index permutation with ``M[g[a], g[b]] ==
+        M[a, b]``, gives the inverse the same symmetry, so one column per
+        orbit is solved: back substitution gives ``x = det * num^-1 e_r``, an
+        adjugate column up to sign.  The inverse of ``num / den`` is
+        ``den * x / det``; other columns are known ones permuted."""
         n = self.nrows
         if n != self.ncols:
             raise ValueError("inverse needs a square matrix")
-        aug = [[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(self.num)]
+        steps = {}  # column c -> (known column b, generator g) with c = g[b]
+        for r in range(n):
+            queue = [] if r in steps else [r]
+            steps.setdefault(r, None)
+            for b in queue:
+                fresh = {g[b]: (b, g) for g in generators if g[b] not in steps}
+                steps.update(fresh)
+                queue += fresh
+        reps = [r for r, step in steps.items() if step is None]
+        aug = [[*row, *(int(i == r) for r in reps)] for i, row in enumerate(self.num)]
         rank, det = _eliminate(aug, n)
         if rank < n:
             raise ZeroDivisionError("singular matrix")
+        cols: list = [None] * n
+        for t, r in enumerate(reps, n):
+            cols[r] = x = [0] * n
+            for i, row in reversed(list(enumerate(aug))):
+                x[i] = (det * row[t] - sum(u * v for u, v in zip(row[i + 1:], x[i + 1:]))) // row[i]
+        for c, step in steps.items():
+            if step:  # W[g[a], c] = W[a, b]
+                cols[c] = [v for _, v in sorted(zip(step[1], cols[step[0]]))]
         scale = self.den if det > 0 else -self.den
-        return ExactMatrix([[x * scale for x in row[n:]] for row in aug], abs(det))
+        return ExactMatrix([[x * scale for x in row] for row in zip(*cols)], abs(det))
 
     def rank(self) -> int:
         return _eliminate([list(row) for row in self.num], self.ncols)[0]
@@ -306,10 +318,10 @@ def _check_dimension(n: int) -> None:
         raise ValueError(f"dimension N={n} must be at least 1")
 
 
-# Full elimination on a 2-core host at N=5: 105 pairings (o_n, k=8) take 4 s,
-# 120 (o_n_star, k=10) 8 s, 132 (o_n_plus, k=12) 11 s.  The next counts the
-# enumeration reaches, 720 (o_n_star, k=12) and 945 (o_n, k=10), would take
-# (720/132)^3 = 160 times as long or more, at cubic cost.
+# The inverse on a 2-core host at N=5: 105 pairings (o_n, k=8, one orbit) take
+# 0.44 s, 120 (o_n_star, k=10, one orbit) 0.7 to 0.9 s, 132 (o_n_plus, k=12, 12
+# orbits) 1.2 s.  The elimination is cubic, so the next counts the enumeration
+# reaches, 720 (o_n_star, k=12) and 945 (o_n, k=10), would take over 200 times as long.
 GRAM_PAIRING_BOUND = 132
 
 
@@ -343,32 +355,50 @@ def _block_counts(ps: Sequence[Partition]) -> list[list[int]]:
     return out
 
 
-def gram(g: GroupSpec, n: int, alpha=None, k: int | None = None) -> ExactMatrix:
-    """Gram matrix G(pi, sigma) = N ** |pi v sigma| over the category pairings.
+def _leg_symmetries(ps: Sequence[Partition]) -> tuple[tuple[int, ...], ...]:
+    """Index permutations of the pairings induced by the rotation, the
+    reflection and the leg transpositions that map the pairing set onto
+    itself.  Loop counts do not see leg names, so each keeps B."""
+    partners = [tuple(m for _, m in sorted([*p.blocks, *(b[::-1] for b in p.blocks)])) for p in ps]
+    index = {mate: a for a, mate in enumerate(partners)}
+    legs = list(range(len(partners[0]) if partners else 0))
+    out = {}
+    for sigma in [legs[1:] + legs[:1], legs[::-1]] + [
+            [j if x == i else i if x == j else x for x in legs]
+            for i, j in itertools.combinations(legs, 2)]:
+        inverse = sorted(legs, key=sigma.__getitem__)  # partners of the image: sigma.mate.inverse
+        images = [index.get(tuple(sigma[mate[x]] for x in inverse)) for mate in partners]
+        if None not in images and images != list(range(len(ps))):
+            out[tuple(images)] = None
+    return tuple(out)
 
-    The exponents ``|pi v sigma|`` do not depend on N; they are memoised
-    per category, after the Gram bound is checked.
-    """
-    _check_dimension(n)
 
+def _category_plan(g: GroupSpec, alpha, k) -> tuple:
+    """Memoised block counts and leg symmetries of a category, past the Gram bound check."""
     def build():
         ps = category_pairings(g, alpha, k)
         if len(ps) > GRAM_PAIRING_BOUND:
             raise SizeLimitError(f"{len(ps)} pairings exceed the Gram bound {GRAM_PAIRING_BOUND}")
-        return _block_counts(ps)
+        return _block_counts(ps), _leg_symmetries(ps)
 
-    blocks = _memoised(("blocks", _category(g, alpha, k)), build)
+    return _memoised(("blocks", _category(g, alpha, k)), build)
+
+
+def gram(g: GroupSpec, n: int, alpha=None, k: int | None = None) -> ExactMatrix:
+    """Gram matrix G(pi, sigma) = N ** |pi v sigma| over the category pairings."""
+    _check_dimension(n)
+    blocks = _category_plan(g, alpha, k)[0]
     powers = [n ** e for e in range(max(map(max, blocks), default=0) + 1)]
     return ExactMatrix([[powers[b] for b in row] for row in blocks])
 
 
 def weingarten_matrix(g: GroupSpec, n: int, alpha=None, k: int | None = None) -> ExactMatrix:
-    """Exact inverse of the Gram matrix: the memo's own W per (category, N),
-    shared by every caller.  A singular Gram matrix is never stored, so it
-    raises on every call."""
+    """Exact inverse of the Gram matrix, solved per orbit of the leg symmetries:
+    the memo's own W per (category, N), shared by every caller.  A singular
+    Gram matrix is never stored, so it raises on every call."""
     def build():
         try:
-            return gram(g, n, alpha, k).inverse()
+            return gram(g, n, alpha, k).inverse(_category_plan(g, alpha, k)[1])
         except ZeroDivisionError:
             raise SingularGramError(n, category_pairings(g, alpha, k)[0].n_legs)
 
@@ -415,8 +445,8 @@ def sphere_trace(s: SphereSpec, n: int, i: Sequence[int], alpha=None) -> Fractio
 
 # The product Gram matrix has N^2 rows of Weingarten sums and is ranked by
 # exact elimination, so its time grows about as N^6.  On a 2-core host
-# (s_c, plain and conjugated): N = 12 takes 0.3 to 0.4 s, N = 16 1.3 to
-# 1.6 s and N = 20 4.1 to 5.7 s; N = 100 would take about a day.
+# (s_c, plain and conjugated): N = 12 takes 0.2 to 0.3 s, N = 16 1.0 to
+# 1.1 s and N = 20 2.3 to 3.4 s; N = 100 would take half a day or more.
 RANK_DIMENSION_BOUND = 16
 
 
@@ -441,10 +471,6 @@ def gram_rank_products(s: SphereSpec, n: int, conjugated: bool = False) -> int:
         return 0
     wg = weingarten_matrix(g, n, alpha)
     di = [delta(p, (1, 1, 1, 1), twisted=g.twisted) for p in ps]
-    rows = []
-    for (i, j) in pairs:
-        rows.append([
-            _weingarten_sum(wg, di, [delta(p, (i, j, l, k), twisted=g.twisted) for p in ps])
-            for (k, l) in pairs
-        ])
+    rows = [[_weingarten_sum(wg, di, [delta(p, (i, j, l, k), twisted=g.twisted) for p in ps])
+             for (k, l) in pairs] for (i, j) in pairs]
     return ExactMatrix(rows).rank()

@@ -264,7 +264,7 @@ def test_weingarten_builds_the_gram_matrix_once(monkeypatch, capsys):
     monkeypatch.setattr(weingarten, "_block_counts",
                         lambda ps: builds.append(len(ps)) or real_block_counts(ps))
     monkeypatch.setattr(weingarten.ExactMatrix, "inverse",
-                        lambda m: inversions.append(m.nrows) or real_inverse(m))
+                        lambda m, *gens: inversions.append(m.nrows) or real_inverse(m, *gens))
     for group, n, expect in (("o_n_star", 4, [6]), ("o_n_star", 5, [6, 6]),
                              ("bar_o_n_star", 4, [6, 6]), ("o_n_star", 5, [6, 6])):
         code, data = run_json(capsys, "weingarten", "--group", group, "--k", "6", "--n", str(n))
@@ -471,6 +471,25 @@ def test_intertwiner_check_refuses_a_dense_frame_past_the_bound(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and "dense cells" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--op", "intertwiner", "--partition", "ab|ba", "--matrix", "haar"],
+    ["--op", "mc_moment", "--mc-group", "orthogonal", "--i", "1,1", "--j", "1,1"],
+    ["--op", "mc_moment", "--mc-group", "unitary", "--i", "1,1", "--j", "1,1", "--alpha", "1*"],
+], ids=["intertwiner", "mc_orthogonal", "mc_unitary"])
+def test_haar_samples_past_the_bound_are_refused_before_any_draw(capsys, monkeypatch, argv):
+    # 10^8 samples at N = 4 would be 1.6e9 Gaussians drawn at once (13 GB)
+    import numpy as np
+
+    def no_generator(*args, **kwargs):
+        raise AssertionError("a random generator made past the Haar bound")
+
+    monkeypatch.setattr(np.random, "default_rng", no_generator)
+    assert main(["check", *argv, "--samples", "100000000", "--n", "4"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "Haar entry bound" in captured.err
 
 
 @pytest.mark.parametrize("argv,message", [

@@ -122,6 +122,27 @@ def test_subset_chain_exhaustive():
             assert p2 <= pe
 
 
+def test_nc2_pruning_keeps_the_unpruned_list(monkeypatch):
+    # the NC2 recursion skips crossing partners, in the linear order; the
+    # membership filter and the final sort stay, so the lists must agree.
+    # The pruning reads no colours: a colour word only filters after it
+    from ncspheres import partitions
+
+    frames = [(k, n - k) for n in range(0, 13, 2) for k in range(n + 1)]
+    for n in range(2, 9, 2):
+        for word in map("".join, itertools.product("o*", repeat=n)):
+            frames += [(0, word)] + [(word[:k], word[k:]) for k in range(1, n) if n <= 6]
+    frames += [(0, "o*" * 5), (0, "*o" * 5), (0, "ooooo*****"), (0, "o*" * 6),
+               (0, "oo**" * 3), ("o*o*o*", "*o*o*o"), ("ooo", "***o*o*o*")]
+    pruned = [enumerate_partitions(PartitionClass.NC2, k, l) for k, l in frames]
+    real = partitions._pairing_words
+    monkeypatch.setattr(partitions, "_pairing_words", lambda n, noncrossing=False: real(n))
+    assert [enumerate_partitions(PartitionClass.NC2, k, l) for k, l in frames] == pruned
+    for n in range(0, 13, 2):
+        expect = [w for w in real(n) if partitions.kernel(w).is_noncrossing()]
+        assert list(real(n, noncrossing=True)) == expect
+
+
 # ---------------------------------------------------------------------------
 # membership
 

@@ -631,6 +631,96 @@ def test_block_counts_match_join_in_every_category():
         assert _block_counts(ps) == expect, (g.name, kw)
 
 
+def gauss_jordan_inverse(m):
+    """The integer inverse the library computed before its orbit solve, as
+    ``(num, den)``: fraction-free Gauss-Jordan elimination of ``num``
+    augmented by the identity, every other row updated at each pivot, the
+    block left over ``|det|``.  ``weingarten_matrix`` must match it byte
+    for byte."""
+    n = m.nrows
+    rows = [[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(m.num)]
+    prev = 1
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if rows[r][col]), None)
+        if pivot is None:
+            raise ZeroDivisionError("singular matrix")
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        tail = rows[col][col:]
+        piv = tail[0]
+        for r, row in enumerate(rows):
+            if r != col and row[col]:
+                f = row[col]
+                row[col:] = [(piv * x - f * y) // prev for x, y in zip(row[col:], tail)]
+            elif r != col:
+                row[col:] = [piv * x // prev for x in row[col:]]
+        prev = piv
+    scale = m.den if prev > 0 else -m.den
+    return tuple(tuple(x * scale for x in row[n:]) for row in rows), abs(prev)
+
+
+def _orbits(size, generators):
+    from ncspheres.partitions import _roots
+
+    return len(set(_roots(size, [(a, g[a]) for g in generators for a in range(size)])))
+
+
+@pytest.mark.parametrize("level", list(Level), ids=lambda level: level.value)
+def test_weingarten_matches_the_gauss_jordan_reference(level):
+    # every category up to 8 legs at N = 1..7, singular N and the empty
+    # categories of odd k included, and NC2 at 10 legs (42 pairings, 6 orbits)
+    cases = [(g, kw, range(1, 8)) for g, kw in _categories(8, 8) if g.level is level]
+    if level is Level.FREE:
+        cases += [(GroupSpec(Field.REAL, level), dict(k=10), (2, 5)),
+                  (GroupSpec(Field.COMPLEX, level), dict(alpha="1*" * 5), (2, 5))]
+    for g, kw, ns in cases:
+        for n in ns:
+            try:
+                expect = gauss_jordan_inverse(gram(g, n, **kw))
+            except ZeroDivisionError:
+                with pytest.raises(SingularGramError):
+                    weingarten_matrix(g, n, **kw)
+                continue
+            w = weingarten_matrix(g, n, **kw)
+            assert (w.num, w.den) == expect, (g.name, kw, n)
+            if not category_pairings(g, **kw):
+                assert expect == ((), 1)
+
+
+def test_leg_symmetries_keep_the_pairing_set_and_the_block_counts():
+    from ncspheres.weingarten import _block_counts, _leg_symmetries
+
+    cases = [*_categories(8, 8), (REAL_HALF, dict(k=10)),
+             (GroupSpec(Field.REAL, Level.FREE), dict(k=10)),
+             (GroupSpec(Field.COMPLEX, Level.FREE), dict(alpha="1*" * 5))]
+    for g, kw in cases:
+        ps = category_pairings(g, **kw)
+        generators = _leg_symmetries(ps)
+        if not ps:
+            assert generators == ()
+            continue
+        k = ps[0].n_legs
+        legs = list(range(k))
+        sigmas = [legs[1:] + legs[:1], legs[::-1]]
+        for i, j in itertools.combinations(legs, 2):
+            sigma = legs[:]
+            sigma[i], sigma[j] = j, i
+            sigmas.append(sigma)
+        strings = [{frozenset(b) for b in p.blocks} for p in ps]
+        blocks = _block_counts(ps)
+        for gen in generators:
+            assert sorted(gen) == list(range(len(ps))) != list(gen)
+            assert any(all(strings[gen[a]] == {frozenset(sigma[x] for x in b) for b in s}
+                           for a, s in enumerate(strings)) for sigma in sigmas), (g.name, kw)
+            assert all(blocks[gen[a]][gen[b]] == blocks[a][b]
+                       for a in range(len(ps)) for b in range(len(ps)))
+        # the orbits: NC2 is only dihedral, P2, coloured P2 and P2* are transitive
+        if g.level is Level.FREE:
+            if k == 10:
+                assert len(ps) == 42 and _orbits(len(ps), generators) == 6
+        else:
+            assert _orbits(len(ps), generators) == 1, (g.name, kw)
+
+
 def test_gram_matches_the_join_reference(cold_memo):
     for g, kw in _categories(6, 4):
         ps = category_pairings(g, **kw)
@@ -688,9 +778,9 @@ def inversions(monkeypatch):
     calls = []
     real_inverse = ExactMatrix.inverse
 
-    def counting_inverse(self):
+    def counting_inverse(self, *generators):
         calls.append(self.nrows)
-        return real_inverse(self)
+        return real_inverse(self, *generators)
 
     monkeypatch.setattr(ExactMatrix, "inverse", counting_inverse)
     return calls
