@@ -49,8 +49,7 @@ FIXED_VECTOR_WORK_BOUND = 2 ** 20
 # reals; the paper suite's Monte Carlo check draws 1.6M (100000 at N = 4)
 HAAR_ENTRY_BOUND = 2 ** 22
 
-# a partition is checked on many models in a row: its last fixed vector is kept
-_last_xi_vector = functools.lru_cache(maxsize=1)(xi_vector)
+_last_xi_vector = functools.lru_cache(maxsize=1)(xi_vector)  # one partition, many models
 
 # the largest matrix dimension `clifford_model` may build: n coordinates
 # need 2^ceil(n/2), so it serves n <= 12
@@ -335,8 +334,7 @@ def haar_batch(field: Field, n: int, samples: int, seed: int) -> np.ndarray:
     if samples < 1:
         raise ValueError(f"a Haar sample batch needs at least 1 sample, got {samples}")
     if samples * n * n > HAAR_ENTRY_BOUND:
-        raise SizeLimitError(
-            f"{samples} samples at N={n} exceed the Haar entry bound {HAAR_ENTRY_BOUND}")
+        raise SizeLimitError(f"{samples} samples at N={n} exceed the Haar bound {HAAR_ENTRY_BOUND}")
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((samples, n, n))
     if field is Field.COMPLEX:

@@ -30,7 +30,7 @@ from fractions import Fraction
 from typing import ClassVar, Sequence
 
 from .errors import SingularGramError, SizeLimitError
-from .partitions import Partition, PartitionClass, enumerate_partitions
+from .partitions import Partition, PartitionClass, _roots, enumerate_partitions
 from .tensors import delta
 
 
@@ -130,9 +130,8 @@ def _eliminate(rows: list[list[int]], ncols: int) -> tuple[int, int]:
     Pivots are sought in the first ``ncols`` columns; further columns (an
     augmented block) are carried along.  Each step replaces every row below
     the pivot row by ``(piv * row - f * pivot_row) // prev``, ``prev`` the
-    previous pivot; by Sylvester's identity each entry stays a minor of the
-    input, so each division is exact.  Returns the rank and the last pivot:
-    for a nonsingular square block, its determinant up to sign.
+    previous pivot, exactly (Sylvester's identity).  Returns the rank and
+    the last pivot: for a nonsingular square block, its determinant up to sign.
     """
     nrows = len(rows)
     rank, prev = 0, 1
@@ -357,19 +356,22 @@ def _block_counts(ps: Sequence[Partition]) -> list[list[int]]:
 
 def _leg_symmetries(ps: Sequence[Partition]) -> tuple[tuple[int, ...], ...]:
     """Index permutations of the pairings induced by the rotation, the
-    reflection and the leg transpositions that map the pairing set onto
-    itself.  Loop counts do not see leg names, so each keeps B."""
-    partners = [tuple(m for _, m in sorted([*p.blocks, *(b[::-1] for b in p.blocks)])) for p in ps]
+    reflection and the leg transpositions that keep the pairing set, each
+    joining two orbits of those before it.  Loop counts see no leg names, so B stays."""
+    partners = [tuple([sum(p.blocks[b]) - leg for leg, b in enumerate(p.labels)]) for p in ps]
     index = {mate: a for a, mate in enumerate(partners)}
     legs = list(range(len(partners[0]) if partners else 0))
-    out = {}
-    for sigma in [legs[1:] + legs[:1], legs[::-1]] + [
+    out, orbit = [], list(range(len(ps)))
+    for sigma in itertools.chain([legs[1:] + legs[:1], legs[::-1]], (
             [j if x == i else i if x == j else x for x in legs]
-            for i, j in itertools.combinations(legs, 2)]:
+            for i, j in itertools.combinations(legs, 2))):
+        if len(set(orbit)) < 2:
+            break
         inverse = sorted(legs, key=sigma.__getitem__)  # partners of the image: sigma.mate.inverse
-        images = [index.get(tuple(sigma[mate[x]] for x in inverse)) for mate in partners]
-        if None not in images and images != list(range(len(ps))):
-            out[tuple(images)] = None
+        images = [index.get(tuple([sigma[mate[x]] for x in inverse])) for mate in partners]
+        if None not in images and any(orbit[a] != orbit[b] for a, b in enumerate(images)):
+            out.append(tuple(images))
+            orbit = _roots(len(ps), [(a, b) for g in out for a, b in enumerate(g)])
     return tuple(out)
 
 

@@ -489,7 +489,7 @@ def test_haar_samples_past_the_bound_are_refused_before_any_draw(capsys, monkeyp
     assert main(["check", *argv, "--samples", "100000000", "--n", "4"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: ") and "Haar entry bound" in captured.err
+    assert captured.err.startswith("error: ") and "Haar bound" in captured.err
 
 
 @pytest.mark.parametrize("argv,message", [
