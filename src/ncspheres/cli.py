@@ -18,7 +18,9 @@ import numpy as np
 from . import models, relations, verify
 from .errors import NCSphereError, SizeLimitError
 from .partitions import (
+    LegColor,
     PartitionClass,
+    _color_word,
     crossing_count,
     enumerate_partitions,
     halfcommuting_membership,
@@ -47,7 +49,6 @@ from .weingarten import (
     gram_rank_products,
     group_by_name,
     moment,
-    parse_alpha,
     sphere_by_name,
     sphere_trace,
     weingarten_matrix,
@@ -66,8 +67,7 @@ COMMAND_OPERATIONS = {
     "signature": ["parse_partition", "signature", "standard_form", "crossing_count", "kernel"],
     "gram": ["category_pairings", "gram"],
     "weingarten": ["category_pairings", "gram", "weingarten_matrix"],
-    "moment": ["moment", "category_pairings", "weingarten_matrix", "delta",
-               "is_constant_on_blocks"],
+    "moment": ["moment", "delta", "is_constant_on_blocks"],
     "trace": ["sphere_trace"],
     "rank": ["gram_rank_products"],
     "classify": ["classify_monomial_sphere", "halfcommuting_membership",
@@ -150,33 +150,21 @@ def cmd_signature(args) -> dict:
     return out
 
 
-def _pairing_args(args):
-    group = group_by_name(args.group)
-    alpha = args.alpha
-    k = args.k
+def cmd_category_matrix(args) -> dict:
+    """`gram` and `weingarten`: the category's pairings and Gram matrix, then
+    the Gram row sums or the Weingarten matrix."""
+    group, alpha, k = group_by_name(args.group), args.alpha, args.k
     if group.field is Field.COMPLEX and alpha is None:
         raise NCSphereError("complex groups need --alpha")
-    return group, alpha, k
-
-
-def cmd_gram(args) -> dict:
-    group, alpha, k = _pairing_args(args)
     ps = category_pairings(group, alpha, k)
     g = gram(group, args.n, alpha, k)
-    return {"group": group.name, "alpha": alpha, "k": k or len(alpha or ""),
-            "N": args.n, "pairings": [p.literal() for p in ps],
-            "gram": g.to_strings(),
-            "row_sums": [str(x) for x in g.row_sums()]}
-
-
-def cmd_weingarten(args) -> dict:
-    group, alpha, k = _pairing_args(args)
-    ps = category_pairings(group, alpha, k)
-    g = gram(group, args.n, alpha, k)
-    w = weingarten_matrix(group, args.n, alpha, k)
-    return {"group": group.name, "alpha": alpha, "k": k or len(alpha or ""),
-            "N": args.n, "pairings": [p.literal() for p in ps],
-            "gram": g.to_strings(), "weingarten": w.to_strings()}
+    out = {"group": group.name, "alpha": alpha, "k": k or len(alpha or ""),
+           "N": args.n, "pairings": [p.literal() for p in ps], "gram": g.to_strings()}
+    if args.command == "gram":
+        out["row_sums"] = [str(x) for x in g.row_sums()]
+    else:
+        out["weingarten"] = weingarten_matrix(group, args.n, alpha, k).to_strings()
+    return out
 
 
 def cmd_moment(args) -> dict:
@@ -409,10 +397,11 @@ def cmd_check(args) -> dict:
         if args.i is None or args.j is None:
             raise NCSphereError("--op mc_moment needs --i and --j")
         i, j = _parse_tuple(args.i), _parse_tuple(args.j)
-        alpha = parse_alpha(args.alpha) or ("1",) * len(i)
-        if not len(i) == len(j) == len(alpha):
+        stars = [c is LegColor.BLACK for c in _color_word(args.alpha, len(args.alpha or ""))]
+        stars = stars or [False] * len(i)
+        if not len(i) == len(j) == len(stars):
             raise NCSphereError("--i, --j and --alpha must share a length")
-        est, se = models.haar_moment_mc(args.mc_group, args.n, list(zip(i, j, alpha)),
+        est, se = models.haar_moment_mc(args.mc_group, args.n, list(zip(i, j, stars)),
                                         samples=args.samples, seed=args.seed)
         out.update({"estimate": est, "se": se, "group": args.mc_group})
     return out
@@ -491,8 +480,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("signature", cmd_signature, "twisted signature of a partition")
     p.add_argument("--partition", required=True)
 
-    for name, handler in (("gram", cmd_gram), ("weingarten", cmd_weingarten)):
-        p = command(name, handler, f"{name} matrix of a group category")
+    for name in ("gram", "weingarten"):
+        p = command(name, cmd_category_matrix, f"{name} matrix of a group category")
         p.add_argument("--group", required=True)
         p.add_argument("--k", type=int)
         p.add_argument("--alpha")

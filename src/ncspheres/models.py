@@ -37,7 +37,9 @@ DEFAULT_TOL = 1e-10
 # cells of the largest dense matrix `check_intertwiner` may build; it builds
 # N^(2 max(k, l)) of them, so "abcd|abcd" runs up to N = 4 and "abc|cba"
 # up to N = 6.  It also bounds the N^blocks index tuples the fixed-vector
-# check sums over, so "|aabbccddee" runs up to N = 9
+# check sums over, so "|aabbccddee" runs up to N = 9, and the N^k index
+# tuples of the sphere relation check: N <= 40 for the length-3 relations
+# of the half-liberated spheres, N <= 256 for the commutation relations
 INTERTWINER_CELL_BOUND = 4 ** 8
 
 # multiply-adds of the fixed-vector sum: one d-by-d product, d^3 of them,
@@ -219,9 +221,15 @@ def check_sphere_relations(model: Model, sphere: SphereSpec,
     """Evaluate every defining relation of the sphere on the model.
 
     Returns the list of violations (description, residual); empty means
-    the model satisfies the relation system within tolerance.
+    the model satisfies the relation system within tolerance.  Refuses
+    more than ``INTERTWINER_CELL_BOUND`` index tuples, N^k per relation
+    of length k, before evaluating any.
     """
     system = sphere_relations(sphere)
+    tuples = sum(model.n ** len(sigma) for sigma in system.perms)
+    if tuples > INTERTWINER_CELL_BOUND:
+        raise SizeLimitError(f"the relations of {sphere.name} at N={model.n} run over "
+                             f"{tuples} index tuples, over the bound {INTERTWINER_CELL_BOUND}")
     letters = model.letters
     z, z_star = letters
     eye = np.eye(model.d)
@@ -372,18 +380,18 @@ def haar_moment_mc(group: str, n: int, word, samples: int = 100_000,
         raise ValueError(f"a Monte Carlo estimate needs at least 2 samples, got {samples}")
     if group == "k_n":
         # u = diag(phases) P: the phase integral kills any row with a net
-        # exponent, and is one otherwise
-        total = 0.0
-        perms = list(itertools.permutations(range(1, n + 1)))
-        for perm in perms:
-            if any(perm[i - 1] != j for i, j, _ in entries):
-                continue
-            balance: dict[int, int] = {}
-            for i, _, star in entries:
-                balance[i] = balance.get(i, 0) + (-1 if star else 1)
-            if all(v == 0 for v in balance.values()):
-                total += 1.0
-        return total / len(perms), 0.0
+        # exponent, and is one otherwise.  The permutations with perm(i) = j
+        # for every pair of the word are (N - m)! of the N!, m the number of
+        # rows, when the pairs form a partial injection, and none otherwise
+        cols: dict[int, int] = {}
+        balance: dict[int, int] = {}
+        for i, j, star in entries:
+            cols.setdefault(i, j)
+            balance[i] = balance.get(i, 0) + (-1 if star else 1)
+        injective = len(set(cols.values())) == len(cols)
+        if any(cols[i] != j for i, j, _ in entries) or not injective or any(balance.values()):
+            return 0.0, 0.0
+        return math.factorial(n - len(cols)) / math.factorial(n), 0.0
     if group == "orthogonal":
         u = haar_batch(Field.REAL, n, samples, seed)
     elif group == "unitary":

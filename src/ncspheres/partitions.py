@@ -73,8 +73,9 @@ _COLORS = {"o": LegColor.WHITE, "1": LegColor.WHITE, 1: LegColor.WHITE,
 
 
 def _color_word(spec, n: int) -> tuple[LegColor, ...]:
-    """Normalize a color argument to ``n`` leg colors: a leg count, or a word
-    over ``o`` and ``*`` (``None`` or an empty word: ``n`` uncolored legs)."""
+    """Normalize a color argument to ``n`` leg colors: a leg count, or an
+    exponent word over ``o`` (or ``1``) and ``*`` (``None`` or an empty
+    word: ``n`` uncolored legs).  The one parser of exponent words."""
     if isinstance(spec, int):
         if spec < 0:
             raise ValueError(f"negative leg count {spec}")
@@ -85,7 +86,7 @@ def _color_word(spec, n: int) -> tuple[LegColor, ...]:
         try:
             word = tuple(map(_COLORS.__getitem__, spec))
         except KeyError as exc:
-            raise ValueError(f"bad color character {exc.args[0]!r}") from None
+            raise ValueError(f"bad exponent {exc.args[0]!r} in a color word") from None
     if len(word) != n:
         raise FrameError(f"need {n} colors, got {len(word)}")
     return word

@@ -11,12 +11,13 @@ symbols.
 
 The Gram matrix ``G(pi, sigma) = N ** |pi v sigma|`` is integral, its
 inverse is solved exactly, one column per orbit of the leg symmetries, and
-joint moments of the coordinates follow from the Weingarten sum.  Pairing
-sets, block counts ``|pi v sigma|`` and leg symmetries are memoised per
-category, Weingarten matrices per (category, N), in one bounded,
-process-wide memo.  Its values are immutable and handed out shared:
-``category_pairings`` returns the memo's tuple and ``weingarten_matrix``
-the memo's W.
+joint moments of the coordinates follow from the Weingarten sum.  Each
+public call resolves (group, alpha, k) to one category key, which the
+builders of pairings, G and W take.  Pairing sets, block counts
+``|pi v sigma|`` and leg symmetries are memoised per category, Weingarten
+matrices per (category, N), in one bounded, process-wide memo.  Its values
+are immutable and handed out shared: ``category_pairings`` returns the
+memo's tuple and ``weingarten_matrix`` the memo's W.
 """
 
 from __future__ import annotations
@@ -30,7 +31,14 @@ from fractions import Fraction
 from typing import ClassVar, Sequence
 
 from .errors import SingularGramError, SizeLimitError
-from .partitions import Partition, PartitionClass, _roots, enumerate_partitions
+from .partitions import (
+    LegColor,
+    Partition,
+    PartitionClass,
+    _color_word,
+    _roots,
+    enumerate_partitions,
+)
 from .tensors import delta
 
 
@@ -105,21 +113,6 @@ def sphere_by_name(name: str) -> SphereSpec:
         raise ValueError(f"unknown sphere {name!r}; choose from {sorted(_SPHERE_NAMES)}")
 
 
-def parse_alpha(alpha) -> tuple[str, ...]:
-    """Exponent word: a string over '1' and '*' (or 'o' for plain)."""
-    if alpha is None:
-        return ()
-    out = []
-    for c in alpha:
-        if c in ("1", "o", 1):
-            out.append("1")
-        elif c == "*":
-            out.append("*")
-        else:
-            raise ValueError(f"bad exponent {c!r} in alpha")
-    return tuple(out)
-
-
 # ---------------------------------------------------------------------------
 # exact rational matrices
 
@@ -166,24 +159,20 @@ class ExactMatrix:
     nrows: int
     ncols: int
 
-    def __init__(self, rows: Sequence[Sequence], den: int = 1):
-        """Rows of ints or Fractions, divided by the positive integer ``den``;
-        the rows are held over the lcm of their denominators."""
-        ncols = len(rows[0]) if rows else 0
-        if any(len(r) != ncols for r in rows):
+    def __init__(self, rows: Sequence[Sequence[int]], den: int = 1):
+        """Rows of ints, divided by the positive integer ``den``; an entry
+        of any other type raises ``TypeError``."""
+        num = tuple(map(tuple, rows))
+        ncols = len(num[0]) if num else 0
+        if any(len(r) != ncols for r in num):
             raise ValueError("ragged rows")
-        lcm = math.lcm(*(x.denominator for row in rows for x in row))
-        vars(self).update(
-            num=tuple(tuple(x.numerator * (lcm // x.denominator) for x in row) for row in rows),
-            den=lcm * den, nrows=len(rows), ncols=ncols)
+        if not all(type(x) is int for row in num for x in row):
+            raise TypeError("ExactMatrix entries must be ints")
+        vars(self).update(num=num, den=den, nrows=len(num), ncols=ncols)
 
     @property
     def data(self) -> list[list[Fraction]]:
         return [[Fraction(x, self.den) for x in row] for row in self.num]
-
-    def __getitem__(self, idx) -> Fraction:
-        i, j = idx
-        return Fraction(self.num[i][j], self.den)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, ExactMatrix) and self.data == other.data
@@ -285,16 +274,22 @@ def _category(g: GroupSpec, alpha=None, k: int | None = None) -> tuple:
     """Memo key of a pairing category: field, level, and the colour word
     (complex groups) or the leg count ``k`` (real groups).  The twist does
     not change the pairings, so twisted partners share one key."""
-    word = parse_alpha(alpha)
+    word = _color_word(alpha, len(alpha or ()))
     if k is None:
         k = len(word)
     elif alpha is not None and len(word) != k:
         raise ValueError(f"k={k} disagrees with the length {len(word)} of alpha")
     if g.field is Field.COMPLEX:
-        if len(word) != k:
+        if len(word) != k or LegColor.UNCOLORED in word:
             raise ValueError("complex groups need an exponent word alpha")
-        return g.field, g.level, "".join("o" if c == "1" else "*" for c in word)
+        return g.field, g.level, word
     return g.field, g.level, k
+
+
+def _pairings(category: tuple) -> tuple[Partition, ...]:
+    _, level, lower = category
+    return _memoised(category,
+                     lambda: tuple(enumerate_partitions(_CLASSES[level], 0, lower)))
 
 
 def category_pairings(g: GroupSpec, alpha=None, k: int | None = None
@@ -306,10 +301,7 @@ def category_pairings(g: GroupSpec, alpha=None, k: int | None = None
     groups color the legs by the exponent word ``alpha``.  Given both,
     ``k`` must be the length of ``alpha``.
     """
-    category = _category(g, alpha, k)
-    _, level, lower = category
-    return _memoised(category,
-                     lambda: tuple(enumerate_partitions(_CLASSES[level], 0, lower)))
+    return _pairings(_category(g, alpha, k))
 
 
 def _check_dimension(n: int) -> None:
@@ -324,20 +316,15 @@ def _check_dimension(n: int) -> None:
 GRAM_PAIRING_BOUND = 132
 
 
-def _block_counts(ps: Sequence[Partition]) -> list[list[int]]:
-    """The matrix ``B[a][b] = |p_a v p_b|`` of a category's pairings.
+def _block_counts(partners: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The matrix ``B[a][b] = |p_a v p_b|`` of a category's pairings, each
+    given as its partner array (leg -> the other leg of its string).
 
     The strings of two pairings close into loops, and the legs of each loop
     form one block of their join.  So each entry counts the loops of a walk
     that alternates between the two pairings' partners, in O(k) steps.
     """
-    partners = []
-    for p in ps:
-        mate = [0] * p.n_legs
-        for a, b in p.blocks:
-            mate[a], mate[b] = b, a
-        partners.append(mate)
-    out = [[0] * len(ps) for _ in ps]
+    out = [[0] * len(partners) for _ in partners]
     for a, p in enumerate(partners):
         for b, q in enumerate(partners[:a + 1]):
             seen = [False] * len(p)
@@ -354,14 +341,14 @@ def _block_counts(ps: Sequence[Partition]) -> list[list[int]]:
     return out
 
 
-def _leg_symmetries(ps: Sequence[Partition]) -> tuple[tuple[int, ...], ...]:
-    """Index permutations of the pairings induced by the rotation, the
-    reflection and the leg transpositions that keep the pairing set, each
-    joining two orbits of those before it.  Loop counts see no leg names, so B stays."""
-    partners = [tuple([sum(p.blocks[b]) - leg for leg, b in enumerate(p.labels)]) for p in ps]
+def _leg_symmetries(partners: Sequence[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
+    """Index permutations of the pairings (as partner arrays) induced by the
+    rotation, the reflection and the leg transpositions that keep the
+    pairing set, each joining two orbits of those before it.  Loop counts
+    see no leg names, so B stays."""
     index = {mate: a for a, mate in enumerate(partners)}
     legs = list(range(len(partners[0]) if partners else 0))
-    out, orbit = [], list(range(len(ps)))
+    out, orbit = [], list(range(len(partners)))
     for sigma in itertools.chain([legs[1:] + legs[:1], legs[::-1]], (
             [j if x == i else i if x == j else x for x in legs]
             for i, j in itertools.combinations(legs, 2))):
@@ -371,40 +358,52 @@ def _leg_symmetries(ps: Sequence[Partition]) -> tuple[tuple[int, ...], ...]:
         images = [index.get(tuple([sigma[mate[x]] for x in inverse])) for mate in partners]
         if None not in images and any(orbit[a] != orbit[b] for a, b in enumerate(images)):
             out.append(tuple(images))
-            orbit = _roots(len(ps), [(a, b) for g in out for a, b in enumerate(g)])
+            orbit = _roots(len(partners), [(a, b) for g in out for a, b in enumerate(g)])
     return tuple(out)
 
 
-def _category_plan(g: GroupSpec, alpha, k) -> tuple:
-    """Memoised block counts and leg symmetries of a category, past the Gram bound check."""
+def _category_plan(category: tuple) -> tuple:
+    """Memoised block counts and leg symmetries of a category, past the Gram
+    bound check; both read one partner array per pairing."""
     def build():
-        ps = category_pairings(g, alpha, k)
+        ps = _pairings(category)
         if len(ps) > GRAM_PAIRING_BOUND:
             raise SizeLimitError(f"{len(ps)} pairings exceed the Gram bound {GRAM_PAIRING_BOUND}")
-        return _block_counts(ps), _leg_symmetries(ps)
+        partners = [tuple([sum(p.blocks[b]) - leg for leg, b in enumerate(p.labels)])
+                    for p in ps]
+        return _block_counts(partners), _leg_symmetries(partners)
 
-    return _memoised(("blocks", _category(g, alpha, k)), build)
+    return _memoised(("blocks", category), build)
+
+
+def _gram(category: tuple, n: int) -> ExactMatrix:
+    blocks = _category_plan(category)[0]
+    powers = [n ** e for e in range(max(map(max, blocks), default=0) + 1)]
+    return ExactMatrix([[powers[b] for b in row] for row in blocks])
 
 
 def gram(g: GroupSpec, n: int, alpha=None, k: int | None = None) -> ExactMatrix:
     """Gram matrix G(pi, sigma) = N ** |pi v sigma| over the category pairings."""
     _check_dimension(n)
-    blocks = _category_plan(g, alpha, k)[0]
-    powers = [n ** e for e in range(max(map(max, blocks), default=0) + 1)]
-    return ExactMatrix([[powers[b] for b in row] for row in blocks])
+    return _gram(_category(g, alpha, k), n)
+
+
+def _weingarten(category: tuple, n: int) -> ExactMatrix:
+    def build():
+        _check_dimension(n)
+        try:
+            return _gram(category, n).inverse(_category_plan(category)[1])
+        except ZeroDivisionError:
+            raise SingularGramError(n, _pairings(category)[0].n_legs)
+
+    return _memoised((category, n), build)
 
 
 def weingarten_matrix(g: GroupSpec, n: int, alpha=None, k: int | None = None) -> ExactMatrix:
     """Exact inverse of the Gram matrix, solved per orbit of the leg symmetries:
     the memo's own W per (category, N), shared by every caller.  A singular
     Gram matrix is never stored, so it raises on every call."""
-    def build():
-        try:
-            return gram(g, n, alpha, k).inverse(_category_plan(g, alpha, k)[1])
-        except ZeroDivisionError:
-            raise SingularGramError(n, category_pairings(g, alpha, k)[0].n_legs)
-
-    return _memoised((_category(g, alpha, k), n), build)
+    return _weingarten(_category(g, alpha, k), n)
 
 
 def _weingarten_sum(wg: ExactMatrix, di: Sequence[int], dj: Sequence[int]) -> int:
@@ -419,10 +418,8 @@ def moment(g: GroupSpec, n: int, i: Sequence[int], j: Sequence[int],
     Indices run over ``1..n``; any other index raises ``ValueError``.
     """
     _check_dimension(n)
-    word = parse_alpha(alpha)
     k = len(i)
-    if not word:
-        word = ("1",) * k
+    word = _color_word(alpha, len(alpha or ())) or (LegColor.WHITE,) * k
     if not (len(i) == len(j) == len(word)):
         raise ValueError("row tuple, column tuple and alpha must share a length")
     for x in (*i, *j):
@@ -430,10 +427,11 @@ def moment(g: GroupSpec, n: int, i: Sequence[int], j: Sequence[int],
             raise ValueError(f"index {x} outside 1..{n}")
     if k == 0:
         return Fraction(1)
-    ps = category_pairings(g, word)
+    category = _category(g, word)
+    ps = _pairings(category)
     if not ps:
         return Fraction(0)
-    wg = weingarten_matrix(g, n, word)
+    wg = _weingarten(category, n)
     di = [delta(p, tuple(i), twisted=g.twisted) for p in ps]
     dj = [delta(p, tuple(j), twisted=g.twisted) for p in ps]
     return Fraction(_weingarten_sum(wg, di, dj), wg.den)
@@ -465,13 +463,13 @@ def gram_rank_products(s: SphereSpec, n: int, conjugated: bool = False) -> int:
     _check_dimension(n)
     if n > RANK_DIMENSION_BOUND:
         raise SizeLimitError(f"N={n} exceeds the rank bound {RANK_DIMENSION_BOUND}")
-    alpha = ("1", "*", "1", "*") if conjugated else ("1", "1", "*", "*")
     pairs = list(itertools.product(range(1, n + 1), repeat=2))
     g = s.isometry_group
-    ps = category_pairings(g, alpha)
+    category = _category(g, "1*1*" if conjugated else "11**")
+    ps = _pairings(category)
     if not ps:
         return 0
-    wg = weingarten_matrix(g, n, alpha)
+    wg = _weingarten(category, n)
     di = [delta(p, (1, 1, 1, 1), twisted=g.twisted) for p in ps]
     rows = [[_weingarten_sum(wg, di, [delta(p, (i, j, l, k), twisted=g.twisted) for p in ps])
              for (k, l) in pairs] for (i, j) in pairs]

@@ -503,6 +503,9 @@ def test_haar_samples_past_the_bound_are_refused_before_any_draw(capsys, monkeyp
     # products alone would run for seconds
     (["check", "--op", "fixed_vector", "--sphere", "bar_s_r", "--model", "clifford",
       "--n", "12", "--partition", "|aabbccdd", "--twisted"], "multiply-adds"),
+    # N^k relation tuples past 4^8: 41^3 and 257^2
+    (["check", "--op", "relations", "--sphere", "s_r_star", "--n", "41"], "68921 index tuples"),
+    (["check", "--op", "relations", "--sphere", "s_c", "--n", "257"], "66049 index tuples"),
 ])
 def test_dense_model_checks_refuse_sizes_past_their_bounds(capsys, argv, message):
     assert main(argv) == 1
@@ -552,6 +555,22 @@ def test_mc_moment_reads_alpha_like_moment(capsys):
     code, data = run_json(capsys, *base, "--alpha", "o*")
     assert code == 0 and data["estimate"] == 0.5
     code, data = run_json(capsys, *base, "--alpha", "11")
+    assert code == 0 and data["estimate"] == 0.0
+
+
+def test_k_n_moment_enumerates_no_permutation(monkeypatch, capsys):
+    # the K_N average is (N - m)!/N! on a balanced partial injection of m rows;
+    # at N = 12 a list of the permutations would hold 479001600 tuples
+    from ncspheres import models
+
+    def no_permutations(*args):
+        raise AssertionError("K_N enumerated")
+
+    monkeypatch.setattr(models.itertools, "permutations", no_permutations)
+    base = ["check", "--op", "mc_moment", "--mc-group", "k_n", "--n", "12"]
+    code, data = run_json(capsys, *base, "--i", "1,1", "--j", "2,2", "--alpha", "1*")
+    assert code == 0 and data["estimate"] == 1 / 12 and data["se"] == 0.0
+    code, data = run_json(capsys, *base, "--i", "1,2", "--j", "1,2")
     assert code == 0 and data["estimate"] == 0.0
 
 

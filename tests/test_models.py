@@ -1,8 +1,10 @@
 import itertools
+import random
 
 import numpy as np
 import pytest
 
+from ncspheres import models
 from ncspheres.errors import DomainError, FrameError, SizeLimitError
 from ncspheres.models import (
     CLIFFORD_DIMENSION_BOUND,
@@ -229,6 +231,41 @@ def test_exact_hyperoctahedral_and_kn():
     assert abs(est - 1 / 3) < 1e-14
     est, _ = haar_moment_mc("k_n", 3, [(1, 1, "1"), (1, 1, "1")])
     assert est == 0.0  # unbalanced phases integrate to zero
+
+
+def _reference_k_n(n, entries):
+    """The K_N average by enumerating its N! permutations, as `haar_moment_mc`
+    did before its closed form."""
+    total = 0.0
+    perms = list(itertools.permutations(range(1, n + 1)))
+    for perm in perms:
+        if any(perm[i - 1] != j for i, j, _ in entries):
+            continue
+        balance: dict[int, int] = {}
+        for i, _, star in entries:
+            balance[i] = balance.get(i, 0) + (-1 if star else 1)
+        if all(v == 0 for v in balance.values()):
+            total += 1.0
+    return total / len(perms)
+
+
+def test_k_n_closed_form_matches_the_enumeration():
+    # balanced words on a partial injection, some of them spoilt by up to two
+    # random letters (a clash in a row or column, or a net exponent)
+    rng = random.Random(12)
+    nonzero = 0
+    for n in range(1, 7):
+        for _ in range(200):
+            rows = rng.sample(range(1, n + 1), rng.randint(0, min(n, 3)))
+            cols = dict(zip(rows, rng.sample(range(1, n + 1), len(rows))))
+            entries = [(i, cols[i], star) for i in rows for star in (False, True)]
+            entries += [(rng.randint(1, n), rng.randint(1, n), rng.random() < 0.5)
+                        for _ in range(rng.choice((0, 0, 1, 2)))]
+            rng.shuffle(entries)
+            est, se = haar_moment_mc("k_n", n, entries)
+            assert (est.hex(), se) == (_reference_k_n(n, entries).hex(), 0.0), (n, entries)
+            nonzero += est != 0
+    assert 300 < nonzero < 1000
 
 
 def test_mc_unitary_balanced_word():
@@ -538,6 +575,24 @@ def _every_builder():
         # letter or a reordered product shows
         Model(np.random.default_rng(7).standard_normal((3, 2, 2, 2)) @ (1, 1j)),
     ]
+
+
+def test_relation_check_refuses_tuples_past_the_bound(monkeypatch):
+    # N^k tuples per relation: the length-3 relations run up to N = 40, the
+    # commutation relations up to N = 256, the Clifford model of 12 coordinates
+    # on bar_s_r_star needs 1728
+    assert 40 ** 3 <= INTERTWINER_CELL_BOUND < 41 ** 3
+    assert 256 ** 2 <= INTERTWINER_CELL_BOUND < 257 ** 2
+
+    def no_sign(*args):
+        raise AssertionError("a relation evaluated past the bound")
+
+    monkeypatch.setattr(models, "relation_sign", no_sign)
+    for name, n in (("s_r_star", 41), ("bar_s_c_star2", 41), ("s_c", 257), ("bar_s_r", 257)):
+        sphere = sphere_by_name(name)
+        with pytest.raises(SizeLimitError, match=f"{n ** len(sphere_relations(sphere).perms[0])}"
+                                                 " index tuples"):
+            check_sphere_relations(sample_classical_point(sphere.field, n, 0), sphere)
 
 
 def test_stacked_relation_check_matches_the_per_tuple_reference():

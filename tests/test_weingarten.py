@@ -1,5 +1,6 @@
 import functools
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -57,6 +58,19 @@ def test_ten_objects_and_names():
 
 def _identity(n):
     return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+
+
+def _exact(rows, den=1):
+    """The ExactMatrix of rational rows divided by ``den``: integer rows over
+    ``den`` times the lcm of the entries' denominators."""
+    lcm = math.lcm(*(Fraction(x).denominator for row in rows for x in row))
+    return ExactMatrix([[int(x * lcm) for x in row] for row in rows], lcm * den)
+
+
+@pytest.mark.parametrize("entry", [Fraction(1, 2), Fraction(4, 2), 0.5, 2.0, "1"])
+def test_exact_matrix_refuses_entries_other_than_ints(entry):
+    with pytest.raises(TypeError, match="must be ints"):
+        ExactMatrix([[1, 0], [entry, 1]])
 
 
 def _fraction_product(a, b):
@@ -170,7 +184,7 @@ def test_rank_and_inverse_match_rational_reference_on_random_matrices():
         if rng.random() < 0.3:  # sparse integer input, zero rows and columns
             rows = [[rng.choice((0, 0, 0, 1, -2, 3)) for _ in range(ncols)]
                     for _ in range(nrows)]
-        m = ExactMatrix(rows)
+        m = _exact(rows)
         assert m.rank() == reference_rank(rows)
         if nrows == ncols:
             try:
@@ -192,12 +206,12 @@ def test_rank_and_inverse_match_rational_reference_on_random_matrices():
     ([[0, 2, 0, 1], [1, 0, 0, 0], [0, 0, 0, 0], [1, 2, 0, 1]], 2),
 ])
 def test_rank_edge_cases(rows, rank):
-    assert ExactMatrix(rows).rank() == reference_rank(rows) == rank
+    assert _exact(rows).rank() == reference_rank(rows) == rank
 
 
 def test_inverse_of_rational_and_permuted_input():
     rows = [[0, Fraction(1, 2), 0], [Fraction(2, 3), 0, 1], [0, Fraction(1, 4), Fraction(5, 7)]]
-    assert ExactMatrix(rows).inverse().data == reference_inverse(rows)
+    assert _exact(rows).inverse().data == reference_inverse(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +272,7 @@ def test_gram_diagonal_entries():
     for g in (REAL_CLASSICAL, REAL_HALF):
         for k in (2, 4, 6):
             gm = gram(g, 3, k=k)
-            assert all(gm[i, i] == 3 ** (k // 2) for i in range(gm.nrows))
+            assert all(gm.num[i][i] == 3 ** (k // 2) for i in range(gm.nrows))
 
 
 def test_weingarten_inverts_gram_extensively():
@@ -442,7 +456,7 @@ def test_half_liberated_row_sums(n):
 
 
 def test_row_sums_of_the_identity():
-    assert ExactMatrix(_identity(3)).row_sums() == [1, 1, 1]
+    assert _exact(_identity(3)).row_sums() == [1, 1, 1]
 
 
 # ---------------------------------------------------------------------------
@@ -573,11 +587,10 @@ def test_exact_matrix_output_matches_fraction_lists():
               for n in (1, 2, 3, 4, 5) for _ in range(20)]
     for rows in cases:
         ref = [[Fraction(x) for x in row] for row in rows]
-        m = ExactMatrix(rows)
+        m = _exact(rows)
         _assert_integral(m)
         assert m.rank() == reference_rank(rows)  # and leaves m as it was
         assert m.data == ref
-        assert [[m[i, j] for j in range(m.ncols)] for i in range(m.nrows)] == ref
         assert m.to_strings() == [[str(x) for x in row] for row in ref]
         assert m.row_sums() == [sum(row, Fraction(0)) for row in ref]
         assert m.transpose().data == [list(col) for col in zip(*ref)]
@@ -594,7 +607,7 @@ def test_exact_matrix_output_matches_fraction_lists():
         assert w.row_sums() == [sum(row, Fraction(0)) for row in expect]
         assert w.transpose().data == [list(col) for col in zip(*expect)]
         assert _fraction_product(ref, expect) == _fraction_product(expect, ref) == _identity(m.nrows)
-        assert ExactMatrix(expect) == w  # equal values over different denominators
+        assert _exact(expect) == w  # equal values over different denominators
 
 
 def test_gram_and_weingarten_are_integer_numerators():
@@ -620,15 +633,20 @@ def _categories(max_real: int, max_word: int):
                 yield GroupSpec(Field.COMPLEX, level), dict(alpha="".join(word))
 
 
-def test_block_counts_match_join_in_every_category():
-    from ncspheres.weingarten import _block_counts
+def _plan(g, kw):
+    """The category's memoised block counts and leg symmetries."""
+    from ncspheres.weingarten import _category, _category_plan
 
+    return _category_plan(_category(g, **kw))
+
+
+def test_block_counts_match_join_in_every_category():
     cases = [*_categories(8, 8), (REAL_HALF, dict(k=10)),
              (GroupSpec(Field.REAL, Level.FREE), dict(k=10))]
     for g, kw in cases:
         ps = category_pairings(g, **kw)
         expect = [[join(p, q).block_count for q in ps] for p in ps]
-        assert _block_counts(ps) == expect, (g.name, kw)
+        assert _plan(g, kw)[0] == expect, (g.name, kw)
 
 
 def gauss_jordan_inverse(m):
@@ -687,14 +705,12 @@ def test_weingarten_matches_the_gauss_jordan_reference(level):
 
 
 def test_leg_symmetries_keep_the_pairing_set_and_the_block_counts():
-    from ncspheres.weingarten import _block_counts, _leg_symmetries
-
     cases = [*_categories(8, 8), (REAL_HALF, dict(k=10)),
              (GroupSpec(Field.REAL, Level.FREE), dict(k=10)),
              (GroupSpec(Field.COMPLEX, Level.FREE), dict(alpha="1*" * 5))]
     for g, kw in cases:
         ps = category_pairings(g, **kw)
-        generators = _leg_symmetries(ps)
+        blocks, generators = _plan(g, kw)
         if not ps:
             assert generators == ()
             continue
@@ -706,7 +722,6 @@ def test_leg_symmetries_keep_the_pairing_set_and_the_block_counts():
             sigma[i], sigma[j] = j, i
             sigmas.append(sigma)
         strings = [{frozenset(b) for b in p.blocks} for p in ps]
-        blocks = _block_counts(ps)
         for gen in generators:
             assert sorted(gen) == list(range(len(ps))) != list(gen)
             assert any(all(strings[gen[a]] == {frozenset(sigma[x] for x in b) for b in s}
@@ -735,9 +750,9 @@ def test_to_strings_prints_the_fractions():
     entries = [0, 1, -1, 2, -3, 6, 35, -70, 10 ** 20 + 3]
     for _ in range(300):
         nrows, ncols = rng.randint(0, 4), rng.randint(1, 4)
-        m = ExactMatrix([[Fraction(rng.choice(entries), rng.choice([1, 2, 6, 35, 70]))
-                          for _ in range(ncols)] for _ in range(nrows)],
-                        rng.choice([1, 3, 4, 10 ** 12]))
+        m = _exact([[Fraction(rng.choice(entries), rng.choice([1, 2, 6, 35, 70]))
+                     for _ in range(ncols)] for _ in range(nrows)],
+                   rng.choice([1, 3, 4, 10 ** 12]))
         assert m.to_strings() == [[str(x) for x in row] for row in m.data]
 
 
@@ -903,6 +918,28 @@ def test_gram_and_weingarten_builds_nothing_twice(cold_memo, inversions, monkeyp
     weingarten_matrix(twisted, 5, k=6)
     moment(REAL_HALF, 5, (1,) * 6, (1,) * 6)
     assert builds == [6] and inversions == [6, 6]
+
+
+def test_each_public_call_resolves_its_category_once(cold_memo, monkeypatch):
+    calls = []
+    real_category = cold_memo._category
+    monkeypatch.setattr(cold_memo, "_category",
+                        lambda *args, **kwargs: calls.append(args) or real_category(*args, **kwargs))
+    u_half, s_half = GroupSpec(Field.COMPLEX, Level.HALF), SphereSpec(Field.COMPLEX, Level.HALF)
+    queries = [
+        functools.partial(moment, REAL_HALF, 3, (1, 1, 2, 2), (1, 2, 2, 1)),
+        functools.partial(moment, u_half, 3, (1, 1, 1, 1), (1, 2, 1, 2), "1*1*"),
+        functools.partial(sphere_trace, s_half, 3, (1, 2, 1, 2), "1*1*"),
+        functools.partial(gram, REAL_HALF, 4, k=6),
+        functools.partial(weingarten_matrix, REAL_HALF, 4, k=6),
+        functools.partial(weingarten_matrix, u_half, 4, alpha="1*1*"),
+        functools.partial(gram_rank_products, s_half, 3),
+        functools.partial(gram_rank_products, s_half, 3, conjugated=True),
+    ]
+    for query in queries * 2:  # a cold memo, then a warm one
+        calls.clear()
+        query()
+        assert len(calls) == 1, query
 
 
 def test_singular_gram_raises_on_every_call(cold_memo, inversions):
