@@ -42,7 +42,6 @@ from .relations import (
     sphere_relations,
 )
 from .tensors import (
-    FixedVector,
     SparseTensorMap,
     compose,
     delta,

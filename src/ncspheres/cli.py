@@ -129,6 +129,14 @@ def _bound(text: str) -> int:
     return n
 
 
+def _tolerance(text: str) -> float:
+    """The ``--tol`` argument: a finite tolerance >= 0."""
+    tol = float(text)
+    if not (np.isfinite(tol) and tol >= 0):
+        raise argparse.ArgumentTypeError(f"tolerance must be finite and at least 0, got {text}")
+    return tol
+
+
 def _perm_arg(text: str) -> tuple[int, ...]:
     return tuple(int(c) for c in text)
 
@@ -369,22 +377,19 @@ def cmd_check(args) -> dict:
         violations = models.check_sphere_relations(model, sphere, args.tol)
         out["violations"] = [{"relation": d, "residual": r} for d, r in violations]
         out["ok"] = not violations
-    if args.op in ("fixed_vector", "intertwiner") and not args.partition:
-        raise NCSphereError(f"--op {args.op} needs --partition")
-    if args.op == "fixed_vector":
+    if args.op in ("fixed_vector", "intertwiner"):
+        if not args.partition:
+            raise NCSphereError(f"--op {args.op} needs --partition")
         p = parse_partition(args.partition)
         out["partition"] = p.literal()
+    if args.op == "fixed_vector":
         out["residual"] = models.check_fixed_vector_identity(p, model, args.twisted)
         out["ok"] = out["residual"] < args.tol
     if args.op == "intertwiner":
-        p = parse_partition(args.partition)
-        if args.matrix == "signed":
-            mats = models.enumerate_signed_permutations(args.n)
-        else:
-            mats = models.haar_batch(Field.REAL, args.n, args.samples, args.seed)
+        mats = (models.enumerate_signed_permutations(args.n) if args.matrix == "signed"
+                else models.haar_batch(Field.REAL, args.n, args.samples, args.seed))
         passed = models.check_intertwiner(p, mats, args.twisted, args.tol)
-        out.update({"partition": p.literal(), "matrix": args.matrix,
-                    "pass_count": sum(passed), "total": len(passed)})
+        out.update({"matrix": args.matrix, "pass_count": sum(passed), "total": len(passed)})
     if args.op == "coaction":
         if sphere is None:
             raise NCSphereError("--op coaction needs --sphere")
@@ -532,7 +537,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "clifford", "sqrt_positive"))
     p.add_argument("--n", type=_dimension, default=3)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=_tolerance, default=1e-10)
     p.add_argument("--partition")
     p.add_argument("--twisted", action="store_true")
     p.add_argument("--matrix", choices=("signed", "haar"), default="signed")

@@ -42,6 +42,10 @@ DEFAULT_TOL = 1e-10
 # of the half-liberated spheres, N <= 256 for the commutation relations
 INTERTWINER_CELL_BOUND = 4 ** 8
 
+# cells of `check_intertwiner` over a whole stack, count x N^(2 max(k, l)):
+# with "abcd|abcd" at N = 4, 384 signed permutations or 1024 Haar samples
+INTERTWINER_WORK_BOUND = 2 ** 26
+
 # multiply-adds of the fixed-vector sum: one d-by-d product, d^3 of them,
 # per leg per tuple.  "|aabbccddee" on a point at N = 9 takes 590490; the
 # Clifford model of 12 coordinates (d = 64) admits no nonempty partition
@@ -50,8 +54,6 @@ FIXED_VECTOR_WORK_BOUND = 2 ** 20
 # entries of the (samples, N, N) stack `haar_batch` draws at once, 32 MB of
 # reals; the paper suite's Monte Carlo check draws 1.6M (100000 at N = 4)
 HAAR_ENTRY_BOUND = 2 ** 22
-
-_last_xi_vector = functools.lru_cache(maxsize=1)(xi_vector)  # one partition, many models
 
 # the largest matrix dimension `clifford_model` may build: n coordinates
 # need 2^ceil(n/2), so it serves n <= 12
@@ -143,17 +145,8 @@ def _pauli_strings(n: int) -> list[np.ndarray]:
     Z = np.array([[1, 0], [0, -1]], dtype=complex)
     eye = np.eye(2, dtype=complex)
     m = (n + 1) // 2
-    out = []
-    for j in range(m):
-        for head in (X, Y):
-            factors = [Z] * j + [head] + [eye] * (m - j - 1)
-            g = factors[0]
-            for f in factors[1:]:
-                g = np.kron(g, f)
-            out.append(g)
-            if len(out) == n:
-                return out
-    return out
+    return [functools.reduce(np.kron, [Z] * j + [head] + [eye] * (m - j - 1))
+            for j in range(m) for head in (X, Y)][:n]
 
 
 def clifford_model(n: int) -> Model:
@@ -279,12 +272,23 @@ def check_fixed_vector_identity(p: Partition, model: Model,
     if work > FIXED_VECTOR_WORK_BOUND:
         raise SizeLimitError(f"the fixed-vector sum of {p.literal()} at N={n}, d={d} needs "
                              f"{work} multiply-adds, over the bound {FIXED_VECTOR_WORK_BOUND}")
-    # per leg, the N letters it can carry (z or z*), as a list of views
-    legs = [list(model.letters[int(c is LegColor.BLACK)]) for c in p.colors]
-    total = np.zeros((d, d), dtype=complex)
-    for tup, coeff in _last_xi_vector(p, n, twisted).entries.items():
-        total += coeff * functools.reduce(np.matmul, [leg[j - 1] for leg, j in zip(legs, tup)])
+    index, signs = _xi_arrays(p, n, twisted)
+    # every tuple's signed product at once, leg by leg from the signed
+    # identity; leg t carries z or z* at the tuple's t-th index
+    products = signs[:, None, None] * np.eye(d)
+    for t, c in enumerate(p.colors):
+        products = products @ model.letters[int(c is LegColor.BLACK), index[:, t]]
+    # summed in entry order, as one running total would
+    total = np.cumsum(products, axis=0, out=products)[-1]
     return float(np.abs(total - np.eye(d)).max())
+
+
+@functools.lru_cache(maxsize=1)  # one partition, many models
+def _xi_arrays(p: Partition, n: int, twisted: bool) -> tuple[np.ndarray, np.ndarray]:
+    """xi_p's index tuples, 0-based and one a row, and signs, in entry order."""
+    entries = xi_vector(p, n, twisted).entries
+    return (np.array([o for o, _ in entries], dtype=np.intp) - 1,
+            np.fromiter(entries.values(), dtype=complex))
 
 
 def coaction_check(g: np.ndarray, model: Model, sphere: SphereSpec,
@@ -299,11 +303,15 @@ def coaction_check(g: np.ndarray, model: Model, sphere: SphereSpec,
 # intertwiners
 
 
-def _rep_power(u: np.ndarray, colors: Sequence[LegColor]) -> np.ndarray:
-    out = np.eye(1, dtype=complex)
+def _stacked_power(us: np.ndarray, colors: Sequence[LegColor]) -> np.ndarray:
+    """u^{tensor legs} for each matrix u of the stack, Kronecker ordered;
+    black legs take the entrywise conjugate."""
+    s, n, _ = us.shape
+    out = np.ones((s, 1, 1), dtype=complex)
     for c in colors:
-        factor = np.conj(u) if c is LegColor.BLACK else u
-        out = np.kron(out, factor)
+        factor = us.conj() if c is LegColor.BLACK else us
+        a, b = out.shape[1:]
+        out = (out[:, :, None, :, None] * factor[:, None, :, None, :]).reshape(s, a * n, b * n)
     return out
 
 
@@ -313,21 +321,32 @@ def check_intertwiner(p: Partition, us: np.ndarray, twisted: bool = False,
     each matrix u of the (count, N, N) stack ``us``.
 
     Black legs act by the entrywise conjugate of u, matching tensor powers
-    with conjugate factors.  The check is dense, so it refuses a frame and
-    dimension above ``INTERTWINER_CELL_BOUND`` cells.
+    with conjugate factors.  The check is dense and runs over slices of
+    the stack within ``INTERTWINER_CELL_BOUND`` cells, one matrix at the
+    least; it refuses a matrix past that bound, and a stack past
+    ``INTERTWINER_WORK_BOUND`` cells in all.
     """
     us = np.asarray(us, dtype=complex)
     if us.ndim != 3 or us.shape[1] != us.shape[2]:
         raise DomainError(f"need a stack of square matrices, got shape {us.shape}")
-    n = us.shape[1]
+    count, n, _ = us.shape
     cells = n ** (2 * max(p.upper, p.lower))
     if cells > INTERTWINER_CELL_BOUND:
         raise SizeLimitError(f"an intertwiner check of {p.literal()} at N={n} needs "
                              f"{cells} dense cells, over the bound {INTERTWINER_CELL_BOUND}")
+    if count * cells > INTERTWINER_WORK_BOUND:
+        raise SizeLimitError(f"an intertwiner check of {p.literal()} over {count} matrices at "
+                             f"N={n} needs {count * cells} dense cells in all, over the bound "
+                             f"{INTERTWINER_WORK_BOUND}")
     t = t_map(p, n, twisted).to_dense().astype(complex)
     upper, lower = p.colors[: p.upper], p.colors[p.upper:]
-    return [bool(np.abs(t @ _rep_power(u, upper) - _rep_power(u, lower) @ t).max() <= tol)
-            for u in us]
+    step = max(1, INTERTWINER_CELL_BOUND // cells)
+    verdicts: list[bool] = []
+    for block in np.split(us, range(step, count, step)):
+        residual = t @ _stacked_power(block, upper)
+        residual -= _stacked_power(block, lower) @ t
+        verdicts += (np.abs(residual).max(axis=(1, 2)) <= tol).tolist()
+    return verdicts
 
 
 # ---------------------------------------------------------------------------
@@ -370,41 +389,35 @@ def haar_moment_mc(group: str, n: int, word, samples: int = 100_000,
     Haar moment of a coordinate word [(i, j, exp), ...].
 
     Returns (estimate, standard error); the hyperoctahedral and K_N
-    averages are exact with zero reported error.  Indices run over
-    ``1..n``; any other index raises ``ValueError``, and so do fewer than
-    2 samples for the orthogonal and unitary estimates.
+    averages are exact at any N, with zero reported error.  Indices run
+    over ``1..n``; any other index raises ``ValueError``, and so do fewer
+    than 2 samples for the orthogonal and unitary estimates.
     """
     _check_dimension(n)
     entries = _word_entries(word, n)
     if group in ("orthogonal", "unitary") and samples < 2:
         raise ValueError(f"a Monte Carlo estimate needs at least 2 samples, got {samples}")
-    if group == "k_n":
-        # u = diag(phases) P: the phase integral kills any row with a net
-        # exponent, and is one otherwise.  The permutations with perm(i) = j
-        # for every pair of the word are (N - m)! of the N!, m the number of
-        # rows, when the pairs form a partial injection, and none otherwise
-        cols: dict[int, int] = {}
-        balance: dict[int, int] = {}
-        for i, j, star in entries:
-            cols.setdefault(i, j)
-            balance[i] = balance.get(i, 0) + (-1 if star else 1)
-        injective = len(set(cols.values())) == len(cols)
-        if any(cols[i] != j for i, j, _ in entries) or not injective or any(balance.values()):
+    if group in ("hyperoctahedral", "k_n"):
+        # u = diag(signs or phases) P: the permutations with perm(i) = j for
+        # the word's m distinct pairs are (N - m)! of the N! when the pairs
+        # form a partial injection, and none otherwise; the sign (phase)
+        # integral kills a row with an odd letter count (a net exponent)
+        pairs = {(i, j) for i, j, _ in entries}
+        net = dict.fromkeys((i for i, _ in pairs), 0)
+        for i, _, star in entries:
+            net[i] += -1 if star else 1
+        injective = len(net) == len({j for _, j in pairs}) == len(pairs)
+        if not injective or any(e % 2 if group == "hyperoctahedral" else e for e in net.values()):
             return 0.0, 0.0
-        return math.factorial(n - len(cols)) / math.factorial(n), 0.0
+        return 1 / math.perm(n, len(pairs)), 0.0
     if group == "orthogonal":
         u = haar_batch(Field.REAL, n, samples, seed)
     elif group == "unitary":
         u = haar_batch(Field.COMPLEX, n, samples, seed)
-    elif group == "hyperoctahedral":
-        u = enumerate_signed_permutations(n)
     else:
         raise ValueError(f"unknown group {group!r}")
     vals = np.ones(len(u), dtype=u.dtype)
     for i, j, star in entries:
         factor = u[:, i - 1, j - 1]
         vals = vals * (factor.conj() if star else factor)
-    mean = float(vals.mean().real)
-    if group == "hyperoctahedral":
-        return mean, 0.0  # the average over the whole group is exact
-    return mean, float(vals.real.std(ddof=1) / np.sqrt(len(u)))
+    return float(vals.mean().real), float(vals.real.std(ddof=1) / np.sqrt(len(u)))

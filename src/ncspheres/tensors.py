@@ -99,27 +99,11 @@ class SparseTensorMap:
     def to_dense(self) -> np.ndarray:
         """Dense matrix of shape (N**l, N**k); tuple (t1..tm) indexes
         row/column sum((t-1) * N**(m-pos-1)), i.e. lexicographic."""
-        n = self.dim
-        mat = np.zeros((n ** self.output_arity, n ** self.input_arity), dtype=np.int64)
-
-        def enc(t):
-            code = 0
-            for x in t:
-                code = code * n + (x - 1)
-            return code
-
+        n, k, l = self.dim, self.input_arity, self.output_arity
+        mat = np.zeros((n,) * (l + k), dtype=np.int64)
         for (o, i), c in self.entries.items():
-            mat[enc(o), enc(i)] = c
-        return mat
-
-
-@dataclass(frozen=True)
-class FixedVector:
-    """A sign vector in a tensor power: the arity-0-input case of a map."""
-
-    dim: int
-    arity: int
-    entries: Mapping[Tuples, int]
+            mat[tuple(x - 1 for x in o + i)] = c
+        return mat.reshape(n ** l, n ** k)
 
 
 def t_map(p: Partition, n: int, twisted: bool = False) -> SparseTensorMap:
@@ -139,18 +123,19 @@ def t_map(p: Partition, n: int, twisted: bool = False) -> SparseTensorMap:
     return SparseTensorMap(n, k, l, entries)
 
 
-def xi_vector(p: Partition, n: int, twisted: bool = False) -> FixedVector:
-    """Fixed vector of a partition without upper legs."""
+def xi_vector(p: Partition, n: int, twisted: bool = False) -> SparseTensorMap:
+    """Fixed vector of a partition without upper legs: its map from the
+    scalars, with entries keyed ``(t, ())``."""
     if p.upper != 0:
         raise FrameError("fixed vectors need a lower-row-only partition")
-    m = t_map(p, n, twisted)
-    return FixedVector(n, p.lower, {o: c for (o, _), c in m.entries.items()})
+    return t_map(p, n, twisted)
 
 
-def inner_product(v: FixedVector, w: FixedVector) -> int:
-    """Integer scalar product; equals N**|join| for partition vectors."""
-    if (v.dim, v.arity) != (w.dim, w.arity):
-        raise FrameError("inner product needs a common frame")
+def inner_product(v: SparseTensorMap, w: SparseTensorMap) -> int:
+    """Integer scalar product of two fixed vectors; equals N**|join| for
+    partition vectors."""
+    if v.input_arity or w.input_arity or (v.dim, v.output_arity) != (w.dim, w.output_arity):
+        raise FrameError("inner product needs two vectors in a common frame")
     small, big = (v.entries, w.entries) if len(v.entries) <= len(w.entries) else (w.entries, v.entries)
     return sum(c * big.get(t, 0) for t, c in small.items())
 

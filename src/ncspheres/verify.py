@@ -269,10 +269,9 @@ def check_intertwiners(quick: bool = False):
     ns = (2,) if quick else (2, 3)
     for n in ns:
         us = models.enumerate_signed_permutations(n)
-        if not all(models.check_intertwiner(crossing, us, twisted=True, tol=1e-10)):
-            return False, f"signed permutation fails the twisted crossing at N={n}"
-        if not all(models.check_intertwiner(reversal, us, twisted=True, tol=1e-10)):
-            return False, f"signed permutation fails the twisted reversal at N={n}"
+        for name, p in (("crossing", crossing), ("reversal", reversal)):
+            if not all(models.check_intertwiner(p, us, twisted=True, tol=1e-10)):
+                return False, f"signed permutation fails the twisted {name} at N={n}"
     us = models.haar_batch(Field.REAL, 3, 20, seed=2024)
     if not all(models.check_intertwiner(crossing, us, twisted=False, tol=1e-8)):
         return False, "a Haar rotation fails the untwisted crossing"
@@ -302,12 +301,10 @@ _ALPHAS = {2: ("1*",), 4: ("1*1*", "11**"), 6: ("1*1*1*", "111***")}
 
 def _random_sphere_points(s: SphereSpec, n: int, count: int, seed: int):
     rng = np.random.default_rng(seed)
-    pts = []
     if not s.twisted:
-        for _ in range(count):
-            pts.append(models.sample_classical_point(
-                s.field, n, int(rng.integers(0, 2 ** 31))))
-        return pts
+        return [models.sample_classical_point(s.field, n, int(rng.integers(0, 2 ** 31)))
+                for _ in range(count)]
+    pts = []
     for _ in range(count):
         axis = int(rng.integers(0, n))
         if s.field is Field.REAL:
@@ -360,18 +357,13 @@ def check_ergodicity(quick: bool = False):
                         w = weingarten_matrix(g, n, alpha=alpha, k=k)
                     except SingularGramError:
                         continue  # the Gram matrix degenerates below N = k/2
-                    rowsums = w.row_sums()
-                    colsums = w.transpose().row_sums()
-                    left: dict = {}
-                    right: dict = {}
-                    for a, p in enumerate(ps):
-                        vec = xi_vector(p, n, g.twisted)
-                        for tup, coeff in vec.entries.items():
-                            left[tup] = left.get(tup, 0) + coeff * rowsums[a]
-                            right[tup] = right.get(tup, 0) + coeff * colsums[a]
-                    left = {t: v for t, v in left.items() if v}
-                    right = {t: v for t, v in right.items() if v}
-                    if left != right:
+                    # sum_a (row sum - column sum)_a xi_a must vanish
+                    weights = [r - c for r, c in zip(w.row_sums(), w.transpose().row_sums())]
+                    diff: dict = {}
+                    for weight, p in zip(weights, ps):
+                        for key, coeff in xi_vector(p, n, g.twisted).entries.items():
+                            diff[key] = diff.get(key, 0) + coeff * weight
+                    if any(diff.values()):
                         return False, f"mismatch for {g.name}, k={k}, N={n}"
                     checked += 1
     return True, f"{checked} exact group/degree/dimension combinations"

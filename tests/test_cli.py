@@ -149,6 +149,13 @@ def test_check_fixed_vector(capsys):
     assert data["ok"]
 
 
+def test_fixed_vector_of_the_empty_partition_is_one(capsys):
+    # xi of "|" is the scalar 1, so the sum is 1 and the residual 0
+    code, data = run_json(capsys, "check", "--op", "fixed_vector", "--sphere", "s_r",
+                          "--model", "classical_point", "--partition", "|")
+    assert code == 0 and data["residual"] == 0.0 and data["ok"]
+
+
 def test_check_mc_moment(capsys):
     code, data = run_json(capsys, "check", "--op", "mc_moment",
                           "--mc-group", "hyperoctahedral", "--n", "2",
@@ -199,6 +206,18 @@ def test_dimension_below_one_is_a_usage_error(capsys, argv):
         main(argv)
     assert exc.value.code == 2
     assert "N must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1e-3"])
+def test_tolerance_must_be_finite_and_not_negative(capsys, tol):
+    # the anticommuting model violates s_r; a NaN tolerance would pass it
+    argv = ["check", "--op", "relations", "--sphere", "s_r", "--model", "clifford", "--n", "3"]
+    code, data = run_json(capsys, *argv)
+    assert code == 0 and not data["ok"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [f"--tol={tol}"])
+    assert exc.value.code == 2
+    assert "tolerance must be finite and at least 0" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("element", ["9999", "48", "-1"])
@@ -473,6 +492,21 @@ def test_intertwiner_check_refuses_a_dense_frame_past_the_bound(capsys):
     assert captured.err.startswith("error: ") and "dense cells" in captured.err
 
 
+def test_intertwiner_check_refuses_work_past_the_bound(capsys, monkeypatch):
+    # 2000 samples x 4^8 cells, past 2^26: refused before T_p is built
+    from ncspheres import models
+
+    def no_map(*args):
+        raise AssertionError("T_p built past the work bound")
+
+    monkeypatch.setattr(models, "t_map", no_map)
+    assert main(["check", "--op", "intertwiner", "--partition", "abcd|abcd",
+                 "--matrix", "haar", "--samples", "2000", "--n", "4"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "dense cells in all" in captured.err
+
+
 @pytest.mark.parametrize("argv", [
     ["--op", "intertwiner", "--partition", "ab|ba", "--matrix", "haar"],
     ["--op", "mc_moment", "--mc-group", "orthogonal", "--i", "1,1", "--j", "1,1"],
@@ -572,6 +606,29 @@ def test_k_n_moment_enumerates_no_permutation(monkeypatch, capsys):
     assert code == 0 and data["estimate"] == 1 / 12 and data["se"] == 0.0
     code, data = run_json(capsys, *base, "--i", "1,2", "--j", "1,2")
     assert code == 0 and data["estimate"] == 0.0
+
+
+def test_k_n_moment_takes_no_factorial(monkeypatch, capsys):
+    # 1/perm(N, m) takes m factors, where two full factorials of N = 10^6
+    # would take many seconds
+    from ncspheres import models
+
+    def no_factorial(*args):
+        raise AssertionError("a factorial computed")
+
+    monkeypatch.setattr(models.math, "factorial", no_factorial)
+    code, data = run_json(capsys, "check", "--op", "mc_moment", "--mc-group", "k_n",
+                          "--n", "1000000", "--i", "1,1", "--j", "1,1", "--alpha", "1*")
+    assert code == 0 and data["estimate"] == 1e-6 and data["se"] == 0.0
+
+
+@pytest.mark.parametrize("n,estimate", [("5", 1 / 5), ("6", 1 / 6), ("1000000", 1e-6)])
+def test_hyperoctahedral_moment_past_the_enumeration(capsys, n, estimate):
+    # the signed permutations are enumerated only up to N = 4, the closed form
+    # answers at any N
+    code, data = run_json(capsys, "check", "--op", "mc_moment", "--mc-group",
+                          "hyperoctahedral", "--n", n, "--i", "1,1", "--j", "1,1")
+    assert code == 0 and data["estimate"] == estimate and data["se"] == 0.0
 
 
 @pytest.mark.parametrize("argv", [
@@ -764,6 +821,7 @@ def _argv(draw):
                                                 "antidiagonal", "clifford",
                                                 "sqrt_positive", "x"])),
             _option("--n", st.integers(-1, 3)), _option("--seed", st.integers(0, 3)),
+            _option("--tol", st.sampled_from(["1e-10", "0", "nan", "inf", "x"])),
             _option("--partition", _PARTITIONS), _flag("--twisted"),
             _option("--matrix", st.sampled_from(["signed", "haar"])),
             _option("--samples", st.integers(-1, 5)), _option("--element", st.integers(-1, 50)),

@@ -10,6 +10,7 @@ from ncspheres.models import (
     CLIFFORD_DIMENSION_BOUND,
     FIXED_VECTOR_WORK_BOUND,
     INTERTWINER_CELL_BOUND,
+    INTERTWINER_WORK_BOUND,
     Model,
     antidiagonal_model,
     check_fixed_vector_identity,
@@ -210,6 +211,21 @@ def test_intertwiner_check_refuses_large_dense_frames():
             check_intertwiner(P(p), u5)
 
 
+def test_intertwiner_check_refuses_work_past_the_bound(monkeypatch):
+    # count x N^(2 max(k, l)) cells for the whole stack: at N = 4 with
+    # "abcd|abcd", the 384 signed permutations and 1024 Haar samples pass,
+    # 1025 are refused before T_p is built
+    cells = 4 ** 8
+    assert 384 * cells <= 1024 * cells <= INTERTWINER_WORK_BOUND < 1025 * cells
+
+    def no_map(*args):
+        raise AssertionError("T_p built past the work bound")
+
+    monkeypatch.setattr(models, "t_map", no_map)
+    with pytest.raises(SizeLimitError, match="67174400 dense cells in all"):
+        check_intertwiner(P("abcd|abcd"), haar_batch(Field.REAL, 4, 1025, seed=3))
+
+
 # ---------------------------------------------------------------------------
 # Monte Carlo moments
 
@@ -266,6 +282,48 @@ def test_k_n_closed_form_matches_the_enumeration():
             assert (est.hex(), se) == (_reference_k_n(n, entries).hex(), 0.0), (n, entries)
             nonzero += est != 0
     assert 300 < nonzero < 1000
+
+
+def _random_signed_word(rng, n):
+    """Letters on a partial injection with an even count per row, some of
+    them spoilt by up to two random letters (a clash or an odd count)."""
+    rows = rng.sample(range(1, n + 1), rng.randint(0, min(n, 3)))
+    cols = dict(zip(rows, rng.sample(range(1, n + 1), len(rows))))
+    entries = [(i, cols[i], rng.random() < 0.5) for i in rows for _ in range(rng.choice((2, 2, 4)))]
+    entries += [(rng.randint(1, n), rng.randint(1, n), rng.random() < 0.5)
+                for _ in range(rng.choice((0, 0, 1, 2)))]
+    rng.shuffle(entries)
+    return entries
+
+
+def test_h_n_closed_form_matches_the_enumeration():
+    rng = random.Random(13)
+    nonzero = 0
+    for n in range(1, 5):
+        for _ in range(100):
+            entries = _random_signed_word(rng, n)
+            got = haar_moment_mc("hyperoctahedral", n, entries)
+            want = _reference_moment("hyperoctahedral", n, entries, 0, 0)
+            assert [x.hex() for x in got] == [x.hex() for x in want], (n, entries)
+            nonzero += got[0] != 0
+    assert 100 < nonzero < 350
+
+
+def test_h_n_closed_form_past_the_enumeration_bound():
+    # N = 5: the average over all 2^5 * 5! = 3840 signed permutations,
+    # enumerated here, where `enumerate_signed_permutations` stops at N = 4
+    words = [[(1, 2, False), (3, 3, True), (1, 2, True), (3, 3, False)],
+             [(2, 5, False)] * 4, [(1, 1, False), (2, 1, False)] * 2, [(4, 4, False)] * 3]
+    for entries in words:
+        total = 0
+        for perm in itertools.permutations(range(1, 6)):
+            for signs in itertools.product((1, -1), repeat=5):
+                prod = 1
+                for i, j, _ in entries:
+                    prod *= signs[i - 1] if perm[i - 1] == j else 0
+                total += prod
+        assert haar_moment_mc("hyperoctahedral", 5, entries) == (total / 3840, 0.0)
+    assert [haar_moment_mc("hyperoctahedral", 5, w)[0] for w in words] == [1 / 20, 1 / 5, 0, 0]
 
 
 def test_mc_unitary_balanced_word():
@@ -548,7 +606,7 @@ def _reference_fixed_vector(p, model, twisted):
     """Per-tuple fixed-vector sum: each product multiplied from np.eye."""
     mats = list(model.coordinates)
     total = np.zeros((model.d, model.d), dtype=complex)
-    for tup, coeff in xi_vector(p, model.n, twisted).entries.items():
+    for (tup, _), coeff in xi_vector(p, model.n, twisted).entries.items():
         prod = np.eye(model.d, dtype=complex)
         for c, j in zip(p.colors, tup):
             m = mats[j - 1]
@@ -615,7 +673,7 @@ def test_stacked_fixed_vector_sum_matches_the_per_tuple_reference():
         for p in uncolored + colored:
             for twisted in (False, True):
                 got = check_fixed_vector_identity(p, model, twisted)
-                assert abs(got - _reference_fixed_vector(p, model, twisted)) <= 1e-12
+                assert got == _reference_fixed_vector(p, model, twisted), (p, twisted)
 
 
 def _reference_intertwiner(p, u, twisted, tol):
@@ -640,6 +698,40 @@ def test_stacked_intertwiner_verdicts_match_per_matrix_verdicts():
                 assert got == [_reference_intertwiner(P(p), u, twisted, 1e-8) for u in us]
                 outcomes.update(got)
     assert outcomes == {True, False}
+
+
+def test_stacked_power_is_the_kronecker_power():
+    # classical verdicts cannot tell a mirrored Kronecker order apart, so the
+    # powers themselves are compared, on generic matrices and mixed colors
+    us = np.random.default_rng(4).standard_normal((5, 3, 3, 2)) @ (1, 1j)
+    for colors in ("", "o", "*", "o*", "*oo", "oo*o"):
+        legs = [LegColor.BLACK if c == "*" else LegColor.WHITE for c in colors]
+        want = []
+        for u in us:
+            power = np.eye(1, dtype=complex)
+            for c in legs:
+                power = np.kron(power, np.conj(u) if c is LegColor.BLACK else u)
+            want.append(power)
+        assert np.array_equal(models._stacked_power(us, legs), np.stack(want)), colors
+
+
+def test_intertwiner_slices_match_per_matrix_verdicts():
+    # a slice holds INTERTWINER_CELL_BOUND // N^(2 max(k, l)) matrices: 16 at
+    # N = 4 for three legs a row, so 384 signed permutations and 20 Haar
+    # samples take 26 slices, the last one partial; 1 for four legs a row.
+    # Signed permutations pass the twisted diagrams and Haar samples fail
+    # them, so a verdict put in the wrong place shows
+    signed, haar = enumerate_signed_permutations(4), haar_batch(Field.REAL, 4, 20, seed=8)
+    mixed = np.concatenate((signed, haar))
+    few = np.concatenate((signed[::43], haar[:3]))
+    mixed_stacks = 0
+    for p, us in (("abc|cba", mixed), ("abc|bca", mixed[380:]), ("abcd|dcba", few),
+                  ("abcd|abcd", few), ("|abab", few)):
+        for twisted in (False, True):
+            got = check_intertwiner(P(p), us, twisted, 1e-8)
+            assert got == [_reference_intertwiner(P(p), u, twisted, 1e-8) for u in us], p
+            mixed_stacks += len(set(got)) == 2
+    assert mixed_stacks == 4
 
 
 def test_signed_permutation_stack_keeps_the_enumeration_order():

@@ -14,7 +14,6 @@ from ncspheres.partitions import (
     standard_form,
 )
 from ncspheres.tensors import (
-    FixedVector,
     compose,
     delta,
     inner_product,
@@ -117,10 +116,10 @@ def test_sparsity_count():
 def test_xi_crossing_vector():
     v = xi_vector(P("|abab"), 3, twisted=True)
     for i in range(1, 4):
-        assert v.entries[(i, i, i, i)] == 1
+        assert v.entries[((i, i, i, i), ())] == 1
         for j in range(1, 4):
             if i != j:
-                assert v.entries[(i, j, i, j)] == -1
+                assert v.entries[((i, j, i, j), ())] == -1
     assert len(v.entries) == 9
 
 
@@ -129,12 +128,18 @@ def test_xi_halfliberating_vector():
     for t in itertools.product(range(1, 4), repeat=3):
         i, j, k = t
         expected = -1 if len({i, j, k}) == 3 else 1
-        assert v.entries[(i, j, k, i, j, k)] == expected
+        assert v.entries[((i, j, k, i, j, k), ())] == expected
 
 
 def test_xi_needs_lower_only():
     with pytest.raises(FrameError):
         xi_vector(P("a|a"), 2)
+    # a fixed vector is the map from the scalars; others have no inner product
+    for v, w in ((t_map(P("a|a"), 2), t_map(P("a|a"), 2)),
+                 (xi_vector(P("|aa"), 2), xi_vector(P("|aa"), 3)),
+                 (xi_vector(P("|aa"), 2), xi_vector(P("|aaaa"), 2))):
+        with pytest.raises(FrameError):
+            inner_product(v, w)
 
 
 def brute_force_inner(p, q, n):
