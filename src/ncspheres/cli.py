@@ -216,6 +216,10 @@ def cmd_classify(args) -> dict:
 
 def cmd_saturate(args) -> dict:
     if args.group:
+        for option, value in (("--sphere", args.sphere), ("--perm", args.perm),
+                              ("--k", args.k is not None)):
+            if value:
+                raise NCSphereError(f"--group cannot be combined with {option}")
         # group-level presets: report the commutation sign rules and, for
         # the twisted half-liberated groups, the span-table consistency
         g = group_by_name(args.group)
@@ -241,7 +245,7 @@ def cmd_saturate(args) -> dict:
            "derived": [s.literal() for s in result.schemas],
            "truncated": result.truncated,
            "trace": result.engine.trace}
-    if args.k:
+    if args.k is not None:
         group = relations.relation_group(system, args.k)
         out["relation_group"] = sorted(
             "".join(str(x) for x in s) for s in group)
@@ -251,6 +255,8 @@ def cmd_saturate(args) -> dict:
 def _system(args) -> relations.RelationSystem:
     """The relation system of `saturate`/`reduce`: a sphere preset, or the
     monomial system of the given permutations over the regime."""
+    if args.sphere and args.perm:
+        raise NCSphereError("--sphere cannot be combined with --perm")
     if args.sphere:
         return sphere_relations(sphere_by_name(args.sphere))
     return monomial_system([_perm_arg(p) for p in args.perm],
@@ -348,7 +354,7 @@ def _parse_expression(text: str, max_degree: int) -> NCCombination:
             start = pos
             while pos < len(text) and text[pos].isdigit():
                 pos += 1
-            return NCCombination({(): int(text[start:pos])})
+            return NCCombination({b"": int(text[start:pos])})
         start = pos
         while pos < len(text) and (text[pos].islower() or text[pos] == "*"):
             pos += 1

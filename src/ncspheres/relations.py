@@ -1,10 +1,11 @@
 """Monomial relation systems over the ten spheres and their rewriting engine.
 
-Words are sequences of letters ``(block, star)``: letters sharing a block
-carry the same abstract coordinate index, distinct blocks carry distinct
-indices, and ``star`` marks the adjoint symbol (always off in the real
-case, where coordinates are self-adjoint).  A permutation ``sigma``
-induces, over a regime (field plus twist), the family of relations
+A word is one ``bytes`` object, one byte ``2·block + star`` per letter:
+letters sharing a block carry the same abstract coordinate index, distinct
+blocks carry distinct indices, and the low bit ``star`` marks the adjoint
+symbol (always off in the real case, where coordinates are self-adjoint).
+A permutation ``sigma`` induces, over a regime (field plus twist), the
+family of relations
 
     a_{i_1} ... a_{i_k} = sign(sigma, ker i) a_{i_sigma(1)} ... a_{i_sigma(k)}
 
@@ -33,18 +34,17 @@ from __future__ import annotations
 
 import functools
 import itertools
+from collections import defaultdict
 from dataclasses import dataclass
-from operator import itemgetter
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import SizeLimitError
 from .partitions import Partition, _restricted_growth_strings, halfcommuting_membership, kernel
 from .weingarten import Field, GroupSpec, Level, SphereSpec
 
-Letter = tuple[int, bool]
-Word = tuple[Letter, ...]
-# a rewrite move on a window: the map to its image, and the relation's sign
-Move = tuple[Callable[[Word], Word], int]
+# one byte 2·block + star per letter; blocks stay far below 128 (26 letters
+# in a literal, two more from contraction, k <= 9 in a permutation)
+Word = bytes
 
 DEFAULT_MAX_DEGREE = 6
 DEFAULT_MAX_INDICES = 4
@@ -67,26 +67,26 @@ def parse_word(text: str) -> Word:
     and so on), so words parsed separately share one index frame: ``"ab"``
     and ``"ba"`` are the two different orderings of the same two indices.
     """
-    letters: list[Letter] = []
+    letters: list[int] = []
     i = 0
     while i < len(text):
         ch = text[i]
-        if not ch.isalpha() or not ch.islower():
+        if ch not in LETTERS:
             raise ValueError(f"bad word literal {text!r}")
         star = i + 1 < len(text) and text[i + 1] == "*"
-        letters.append((ord(ch) - ord("a"), star))
+        letters.append(2 * (ord(ch) - ord("a")) + star)
         i += 2 if star else 1
-    return tuple(letters)
+    return bytes(letters)
 
 
 def word_literal(word: Word) -> str:
-    return "".join(LETTERS[b] + ("*" if s else "") for b, s in word)
+    return "".join(LETTERS[c >> 1] + ("*" if c & 1 else "") for c in word)
 
 
 def _shape(seg: Word) -> Word:
     """The window shape: blocks renumbered by first occurrence, stars kept."""
     rename: dict[int, int] = {}
-    return tuple((rename.setdefault(b, len(rename)), s) for b, s in seg)
+    return bytes([2 * rename.setdefault(c >> 1, len(rename)) | c & 1 for c in seg])
 
 
 class NCCombination:
@@ -125,7 +125,7 @@ class NCCombination:
         return NCCombination(out)
 
     def __pow__(self, n: int) -> "NCCombination":
-        out = NCCombination({(): 1})
+        out = NCCombination({b"": 1})
         for _ in range(n):
             out = out * self
         return out
@@ -147,10 +147,16 @@ class NCCombination:
         return " ".join(bits).lstrip("+")
 
 
+# byte maps for the order key: a letter to its block, and to its exponent
+# with the adjoint first (``*`` sorts before ``1``)
+_BLOCK = bytes(c >> 1 for c in range(256))
+_EXPONENT = bytes(1 - (c & 1) for c in range(256))
+
+
 def _word_order_key(word: Word):
-    """Global normal-form order: degree, kernel code, exponent word, letters."""
-    kern = tuple(b for b, _ in _shape(word))
-    return (len(word), kern, tuple("*" if s else "1" for _, s in word), word)
+    """Global normal-form order: degree, kernel code, exponent word, letters.
+    The last three have the word's length, so one concatenation orders them."""
+    return len(word), _shape(word).translate(_BLOCK) + word.translate(_EXPONENT) + word
 
 
 # ---------------------------------------------------------------------------
@@ -203,12 +209,12 @@ class RelationSchema:
 
     @property
     def rhs(self) -> Word:
-        return tuple(self.lhs[s - 1] for s in self.sigma)
+        return bytes([self.lhs[s - 1] for s in self.sigma])
 
     def literal(self) -> str:
         sign = "-" if self.sign == -1 else "+"
         text = f"{word_literal(self.lhs)}={sign}{word_literal(self.rhs)}"
-        blocks = len({b for b, _ in self.lhs})
+        blocks = len(set(self.lhs.translate(_BLOCK)))
         if blocks > 1:
             text += "[" + "≠".join(LETTERS[:blocks]) + "]"
         return text
@@ -342,10 +348,9 @@ def _check_bounds(max_degree: int, max_indices: int) -> None:
 
 
 class _MoveTable(dict):
-    """Window shape -> moves ``(take, sign)``: ``take`` rearranges a window
-    of that shape into its image.  It is an ``itemgetter`` of the window
-    positions in image order; a move rearranges at least two letters, so
-    it returns a tuple.
+    """Window shape -> moves ``(image, sign)``: the shape rewrites to
+    ``image``, and a raw window of that shape to ``image`` with each shape
+    letter replaced by the window letter in the same position.
 
     The base permutations' moves of a shape are filled in at its first
     lookup, so the table holds only the shapes the engine meets; filling
@@ -355,16 +360,16 @@ class _MoveTable(dict):
 
     def __init__(self, perms: Iterable[tuple[int, ...]], twisted: bool):
         super().__init__()
-        self.base = [(sigma, tuple(t - 1 for t in sigma)) for sigma in perms]
+        self.base = tuple(perms)
         self.twisted = twisted
 
-    def __missing__(self, shape: Word) -> list[Move]:
-        kern = [b for b, _ in shape]
+    def __missing__(self, shape: Word) -> list[tuple[Word, int]]:
+        kern = shape.translate(_BLOCK)
         moves = self[shape] = [
-            (itemgetter(*positions), relation_sign(sigma, kern, self.twisted))
-            for sigma, positions in self.base
+            (image, relation_sign(sigma, kern, self.twisted))
+            for sigma in self.base
             if len(sigma) == len(shape)
-            and any(shape[j] != shape[t] for t, j in enumerate(positions))
+            and (image := bytes([shape[t - 1] for t in sigma])) != shape
         ]
         return moves
 
@@ -373,10 +378,11 @@ class _Engine:
     """Signed reachability over words, with quadratic contraction.
 
     Every rewrite rule lives in one table from window shape to moves.  A
-    second table maps each raw window met so far to its shape's list of
-    moves, the very list object the first table holds, so ``_shape`` runs
-    once per distinct window and a promoted rule, appended to that list,
-    shows through it at once.
+    second table maps each raw window met so far to its images under
+    those moves, ``(image, sign)``, built when the engine first meets the
+    window, so ``_shape`` runs once per distinct window.  A third indexes
+    the raw windows met by shape, so a promoted rule appends its image to
+    each of them at once.
     """
 
     def __init__(self, system: RelationSystem, bounds: Bounds):
@@ -384,7 +390,8 @@ class _Engine:
         self.bounds = bounds
         self.extra_rules: list[tuple[Word, Word, int]] = []
         self._moves = _MoveTable(system.perms, system.twisted)
-        self._window_moves: dict[Word, list[Move]] = {}
+        self._images: dict[Word, list[tuple[Word, int]]] = {}
+        self._windows: defaultdict[Word, list[Word]] = defaultdict(list)
         self._lengths = {len(sigma) for sigma in system.perms}
         self._components: dict[Word, _Component] = {}
         self._derived_cache: dict[tuple[Word, Word], int | None] = {}
@@ -396,15 +403,19 @@ class _Engine:
     def _neighbors(self, word: Word):
         """(word, sign) for every move of every window of ``word``."""
         n = len(word)
-        window_moves = self._window_moves
+        images = self._images
         for m in self._lengths:
             for w in range(n - m + 1):
                 window = word[w:w + m]
-                moves = window_moves.get(window)
-                if moves is None:
-                    moves = window_moves[window] = self._moves[_shape(window)]
-                for take, sign in moves:
-                    yield word[:w] + take(window) + word[w + m:], sign
+                moves = images.get(window)
+                if moves is None:  # first meeting: the window's shape letters map onto it
+                    shape = _shape(window)
+                    self._windows[shape].append(window)
+                    to_window = bytes.maketrans(shape, window)
+                    moves = images[window] = [
+                        (image.translate(to_window), sign) for image, sign in self._moves[shape]]
+                for image, sign in moves:
+                    yield word[:w] + image + word[w + m:], sign
 
     def component(self, word: Word) -> _Component:
         comp = self._components.get(word)
@@ -464,7 +475,7 @@ class _Engine:
         return self._contract_search(lhs, rhs, budget)
 
     def _contract_search(self, lhs: Word, rhs: Word, budget: int) -> int | None:
-        blocks = list(dict.fromkeys(b for b, _ in lhs))
+        blocks = list(dict.fromkeys(lhs.translate(_BLOCK)))
         if len(blocks) + 1 > self.bounds.max_indices:
             self.truncated = True
             return None
@@ -475,12 +486,12 @@ class _Engine:
         orders = (((False, True), (True, False)) if self.system.complex_symbols
                   else ((False, False),))
         for o1 in orders:
-            pair1 = ((fresh, o1[0]), (fresh, o1[1]))
+            pair1 = bytes((2 * fresh + o1[0], 2 * fresh + o1[1]))
             for pos1 in range(len(lhs) + 1):
                 u = lhs[:pos1] + pair1 + lhs[pos1:]
                 ucomp = self.component(u)
                 for o2 in orders:
-                    pair2 = ((fresh, o2[0]), (fresh, o2[1]))
+                    pair2 = bytes((2 * fresh + o2[0], 2 * fresh + o2[1]))
                     for pos2 in range(len(rhs) + 1):
                         v = rhs[:pos2] + pair2 + rhs[pos2:]
                         if v not in ucomp.signs:
@@ -499,8 +510,9 @@ class _Engine:
     def _merges_consistent(self, u: Word, v: Word, summed: int,
                            blocks: list[int], sign: int, budget: int) -> bool:
         for c in blocks:
-            uc = tuple((c if b == summed else b, s) for b, s in u)
-            vc = tuple((c if b == summed else b, s) for b, s in v)
+            merge = bytes.maketrans(bytes((2 * summed, 2 * summed + 1)),
+                                    bytes((2 * c, 2 * c + 1)))
+            uc, vc = u.translate(merge), v.translate(merge)
             got = self.relative_sign(uc, vc, budget - 1)
             if got is None or (got != sign and not self.component(uc).collapsed):
                 return False
@@ -508,8 +520,7 @@ class _Engine:
 
     def derivable(self, schema_lhs: Word, schema_rhs: Word, sign: int,
                   budget: int = 2) -> bool:
-        got = self.relative_sign(schema_lhs, schema_rhs, budget)
-        return got == sign
+        return self.relative_sign(schema_lhs, schema_rhs, budget) == sign
 
     def promote(self, lhs: Word, rhs: Word, sign: int):
         """Install a derived relation as a rewrite rule for later rounds.
@@ -539,8 +550,12 @@ class _Engine:
             implied = comp is not None and rhs in comp.signs and (
                 comp.collapsed or comp.signs[rhs] * comp.signs[lhs] == sign)
             if rhs != lhs:
-                positions = (p - 1 for p in _word_permutation(lhs, rhs))
-                self._moves[_shape(lhs)].append((itemgetter(*positions), sign))
+                # a window of the lhs's shape maps letter for letter onto lhs
+                shape = _shape(lhs)
+                self._moves[shape].append((rhs.translate(bytes.maketrans(lhs, shape)), sign))
+                for window in self._windows[shape]:
+                    self._images[window].append(
+                        (rhs.translate(bytes.maketrans(lhs, window)), sign))
                 self._lengths.add(len(lhs))
             if implied:
                 self._derived_cache.clear()
@@ -561,8 +576,8 @@ def _family_instances(sigma: tuple[int, ...],
     for kern in _restricted_growth_strings(k):
         sign = relation_sign(sigma, kern, system.twisted)
         for exps in itertools.product(exp_choices, repeat=k):
-            lhs = tuple((kern[p], exps[p]) for p in range(k))
-            rhs = tuple(lhs[sigma[t] - 1] for t in range(k))
+            lhs = bytes([2 * kern[p] + exps[p] for p in range(k)])
+            rhs = bytes([lhs[sigma[t] - 1] for t in range(k)])
             if lhs == rhs and sign == 1:
                 continue
             yield lhs, rhs, sign
@@ -729,21 +744,20 @@ def relation_group(system: RelationSystem, k: int) -> set[tuple[int, ...]]:
         raise SizeLimitError("relation_group supports k <= 6")
     engine = _Engine(system, Bounds(max_degree=k, max_indices=k))
     exp_choices = ((False, True) if system.complex_symbols else (False,))
-    positions = {sigma: tuple(t - 1 for t in sigma)
-                 for sigma in itertools.permutations(range(1, k + 1))}
-    alive = set(positions)
+    alive = set(itertools.permutations(range(1, k + 1)))
     for kern in _restricted_growth_strings(k):
         wants = {sigma: relation_sign(sigma, kern, system.twisted) for sigma in alive}
         for exps in itertools.product(exp_choices, repeat=k):
-            seed = tuple((kern[p], exps[p]) for p in range(k))
+            # the identity never dies: it maps each seed to itself, sign +1
+            if len(alive) == 1:
+                return alive
+            seed = bytes([2 * kern[p] + exps[p] for p in range(k)])
             comp = engine.component(seed)
             root = comp.signs[seed]  # signs are relative to the root
             dead = set()
             for sigma in alive:
-                got = comp.signs.get(tuple(map(seed.__getitem__, positions[sigma])))
+                got = comp.signs.get(bytes([seed[t - 1] for t in sigma]))
                 if got is None or (got * root != wants[sigma] and not comp.collapsed):
                     dead.add(sigma)
             alive -= dead
-            if not alive:
-                return set()
     return alive

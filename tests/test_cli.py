@@ -120,6 +120,38 @@ def test_saturate_group_output_is_pinned(capsys, group):
     assert out == json.dumps(want, indent=2) + "\n"
 
 
+@pytest.mark.parametrize("sphere", [s.name for s in SPHERES])
+def test_saturate_reports_the_relation_group_at_k_zero(capsys, sphere):
+    # the group of the empty word is the trivial group {()}
+    code, data = run_json(capsys, "saturate", "--sphere", sphere, "--k", "0")
+    assert code == 0 and data["relation_group"] == [""]
+
+
+@pytest.mark.parametrize("argv,first,second", [
+    (["reduce", "--expr", "ab", "--sphere", "s_r", "--perm", "21"], "--sphere", "--perm"),
+    (["saturate", "--sphere", "s_r", "--perm", "21"], "--sphere", "--perm"),
+    (["saturate", "--group", "o_n", "--k", "3"], "--group", "--k"),
+    (["saturate", "--group", "o_n", "--k", "0"], "--group", "--k"),
+    (["saturate", "--group", "o_n", "--sphere", "s_r"], "--group", "--sphere"),
+    (["saturate", "--group", "o_n", "--perm", "21"], "--group", "--perm"),
+])
+def test_conflicting_relation_options_are_refused(capsys, argv, first, second):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert first in captured.err and second in captured.err
+
+
+@pytest.mark.parametrize("expr", ["é", "aé", "(ab+ß)^2"])
+def test_reduce_refuses_a_letter_outside_a_to_z(capsys, expr):
+    # lowercase letters outside a..z name no index block
+    assert main(["reduce", "--expr", expr, "--perm", "21"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "bad word literal" in captured.err
+
+
 def test_reduce(capsys):
     code, data = run_json(capsys, "reduce", "--expr", "(ab-ba)^2",
                           "--perm", "312", "--regime", "real")
@@ -402,7 +434,7 @@ def test_expression_parser():
     expr2 = _parse_expression("2ab - ab - ab", 6)
     assert expr2.is_zero()
     expr3 = _parse_expression("ab*a", 6)
-    assert list(expr3.terms) == [((0, False), (1, True), (0, False))]
+    assert list(expr3.terms) == [bytes([0, 3, 0])]  # 2·block + star per letter
     with pytest.raises(ValueError):
         _parse_expression("(ab", 6)
 

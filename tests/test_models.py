@@ -477,17 +477,18 @@ def _eval_schema(schema, model):
     d = model.d
     n = model.n
     worst = 0.0
-    blocks = sorted(set(b for b, _ in schema.lhs))
+    # a word holds one byte 2·block + star per letter
+    blocks = sorted(set(c >> 1 for c in schema.lhs))
     for values in itertools.permutations(range(n), len(blocks)):
         assign = dict(zip(blocks, values))
         lhs = np.eye(d, dtype=complex)
-        for b, star in schema.lhs:
-            m = mats[assign[b]]
-            lhs = lhs @ (m.conj().T if star else m)
+        for c in schema.lhs:
+            m = mats[assign[c >> 1]]
+            lhs = lhs @ (m.conj().T if c & 1 else m)
         rhs = np.eye(d, dtype=complex)
-        for b, star in schema.rhs:
-            m = mats[assign[b]]
-            rhs = rhs @ (m.conj().T if star else m)
+        for c in schema.rhs:
+            m = mats[assign[c >> 1]]
+            rhs = rhs @ (m.conj().T if c & 1 else m)
         worst = max(worst, float(np.abs(lhs - schema.sign * rhs).max()))
     return worst
 

@@ -109,10 +109,47 @@ def test_relation_sign_multiplicative():
 
 
 def test_parse_word_shares_the_index_frame():
-    assert parse_word("ab") == ((0, False), (1, False))
-    assert parse_word("ba") == ((1, False), (0, False))
-    assert parse_word("ab*a") == ((0, False), (1, True), (0, False))
+    # one byte 2·block + star per letter
+    assert parse_word("ab") == bytes([0, 2])
+    assert parse_word("ba") == bytes([2, 0])
+    assert parse_word("ab*a") == bytes([0, 3, 0])
+    assert parse_word("") == b""
     assert word_literal(parse_word("ab*a")) == "ab*a"
+    assert word_literal(parse_word("z*y")) == "z*y"
+
+
+@pytest.mark.parametrize("text", ["aB", "a1", "é", "ab*é", "*a"])
+def test_parse_word_refuses_other_letters(text):
+    with pytest.raises(ValueError, match="bad word literal"):
+        parse_word(text)
+
+
+def _tuple_word(word):
+    """The ``(block, star)`` letter tuple of a byte word."""
+    return tuple((c >> 1, bool(c & 1)) for c in word)
+
+
+def _tuple_order_key(word):
+    """The normal-form order over ``(block, star)`` letter tuples: degree,
+    kernel code, exponent word (``*`` before ``1``), letters."""
+    letters = _tuple_word(word)
+    rename = {}
+    kern = tuple(rename.setdefault(b, len(rename)) for b, _ in letters)
+    return (len(letters), kern, tuple("*" if s else "1" for _, s in letters), letters)
+
+
+def test_order_key_matches_the_tuple_order():
+    # every word up to degree 5 over the blocks a..d, starred letters included
+    words = [bytes(w) for n in range(6) for w in itertools.product(range(8), repeat=n)]
+    assert len(words) == 37449
+    assert (sorted(words, key=relations._word_order_key)
+            == sorted(words, key=_tuple_order_key))
+    classes = {}
+    for w in words:
+        classes.setdefault(bytes(sorted(w)), []).append(w)
+    for members in classes.values():
+        assert (min(members, key=relations._word_order_key)
+                == min(members, key=_tuple_order_key))
 
 
 def test_combination_algebra():
@@ -250,7 +287,7 @@ def test_saturate_depth4_halfcase():
     assert any(s.literal() == "abc=+cba[a≠b≠c]" for s in res.schemas)
     # but not plain commutation
     assert not any(
-        len(s.lhs) == 2 and len({b for b, _ in s.lhs}) == 2 for s in res.schemas
+        len(s.lhs) == 2 and len({c >> 1 for c in s.lhs}) == 2 for s in res.schemas
     )
 
 
@@ -287,7 +324,7 @@ def _match_pattern(pattern, seg):
     blocks, star pattern equal; returns the block substitution."""
     sub = {}
     used = set()
-    for (pb, ps), (sb, ss) in zip(pattern, seg):
+    for (pb, ps), (sb, ss) in zip(_tuple_word(pattern), _tuple_word(seg)):
         if ps != ss:
             return None
         if pb in sub:
@@ -302,28 +339,34 @@ def _match_pattern(pattern, seg):
 
 
 def _reference_neighbors(engine, word):
-    """Every base permutation and every promoted rule tried on every window."""
-    n = len(word)
+    """Every base permutation and every promoted rule tried on every window,
+    over ``(block, star)`` letter tuples; yields byte words."""
+    letters = _tuple_word(word)
+    n = len(letters)
+
+    def spliced(w, m, img):
+        return bytes(2 * b + s for b, s in letters[:w] + img + letters[w + m:])
+
     for sigma in engine.system.perms:
         m = len(sigma)
         for w in range(n - m + 1):
-            seg = word[w:w + m]
+            seg = letters[w:w + m]
             img = tuple(seg[sigma[t] - 1] for t in range(m))
             if img == seg:
                 continue
             sign = relation_sign(sigma, [b for b, _ in seg], engine.system.twisted)
-            yield word[:w] + img + word[w + m:], sign
+            yield spliced(w, m, img), sign
     for lhs, rhs, sign in engine.extra_rules:
         m = len(lhs)
         for w in range(n - m + 1):
-            seg = word[w:w + m]
-            sub = _match_pattern(lhs, seg)
+            seg = letters[w:w + m]
+            sub = _match_pattern(lhs, word[w:w + m])
             if sub is None:
                 continue
-            img = tuple((sub[b], s) for b, s in rhs)
+            img = tuple((sub[b], s) for b, s in _tuple_word(rhs))
             if img == seg:
                 continue
-            yield word[:w] + img + word[w + m:], sign
+            yield spliced(w, m, img), sign
 
 
 def _assert_neighbors_match_reference(engine):
@@ -392,7 +435,7 @@ def test_rule_table_matches_linear_scan_on_relation_group_engines():
         exps = (False, True) if system.complex_symbols else (False,)
         for kern in _restricted_growth_strings(k):
             for stars in itertools.product(exps, repeat=k):
-                engine.component(tuple(zip(kern, stars)))
+                engine.component(bytes(2 * b + s for b, s in zip(kern, stars)))
         _assert_neighbors_match_reference(engine)
 
 
@@ -404,7 +447,7 @@ def test_rule_table_matches_linear_scan_on_hand_promoted_rules():
     engine.promote(parse_word("ab"), parse_word("ab"), -1)
     for kern in _restricted_growth_strings(4):
         for stars in itertools.product((False, True), repeat=4):
-            engine.component(tuple(zip(kern, stars)))
+            engine.component(bytes(2 * b + s for b, s in zip(kern, stars)))
     _assert_neighbors_match_reference(engine)
 
 
@@ -582,6 +625,60 @@ def test_relation_group_matches_halfcommuting_predicate():
         expect = {s for s in itertools.permutations(range(1, k + 1))
                   if halfcommuting_membership(s)}
         assert got == expect
+
+
+def _full_scan_relation_group(system, k):
+    """``relation_group`` without its early return: every permutation is
+    tried on every seed of every kernel."""
+    engine = _Engine(system, Bounds(max_degree=k, max_indices=k))
+    exps = (False, True) if system.complex_symbols else (False,)
+    alive = set(itertools.permutations(range(1, k + 1)))
+    for kern in _restricted_growth_strings(k):
+        for stars in itertools.product(exps, repeat=k):
+            seed = bytes(2 * b + s for b, s in zip(kern, stars))
+            comp = engine.component(seed)
+            root = comp.signs[seed]
+            for sigma in list(alive):
+                got = comp.signs.get(bytes(seed[t - 1] for t in sigma))
+                want = relation_sign(sigma, kern, system.twisted)
+                if got is None or (got * root != want and not comp.collapsed):
+                    alive.discard(sigma)
+    return alive
+
+
+def test_relation_group_matches_the_full_scan_on_presets():
+    for sphere in SPHERES:
+        system = sphere_relations(sphere)
+        for k in range(6):
+            assert relation_group(system, k) == _full_scan_relation_group(system, k), (
+                sphere.name, k)
+
+
+@pytest.mark.parametrize("regime", list(REGIMES))
+def test_relation_group_matches_the_full_scan_on_s3_singletons(regime):
+    for perm in itertools.permutations((1, 2, 3)):
+        system = monomial_system([perm], *REGIMES[regime])
+        for k in range(6):
+            assert relation_group(system, k) == _full_scan_relation_group(system, k), (
+                perm, k)
+
+
+def test_relation_group_stops_once_only_the_identity_is_left(monkeypatch):
+    # the relation_group of `saturate --sphere s_c_plus --k 6`: the free
+    # system kills every other permutation within a few seeds, where a
+    # scan of every seed builds 12992 singleton classes
+    built = []
+    component = _Engine.component
+
+    def counting(self, word):
+        if word not in self._components:
+            built.append(word)
+        return component(self, word)
+
+    monkeypatch.setattr(_Engine, "component", counting)
+    group = relation_group(sphere_relations(sphere_by_name("s_c_plus")), 6)
+    assert group == {(1, 2, 3, 4, 5, 6)}
+    assert len(built) <= 64
 
 
 def test_relation_group_is_a_subgroup():
