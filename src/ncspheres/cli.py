@@ -200,9 +200,7 @@ def cmd_rank(args) -> dict:
 
 def cmd_classify(args) -> dict:
     perms = [_perm_arg(p) for p in args.perm]
-    got = classify_monomial_sphere(perms, args.regime,
-                                   max_degree=args.degree,
-                                   max_indices=args.indices)
+    got = classify_monomial_sphere(perms, args.regime, *_bounds(args))
     out = {"perms": ["".join(str(x) for x in p) for p in perms],
            "regime": args.regime, "sphere": got,
            "halfcommuting": [halfcommuting_membership(p) for p in perms]}
@@ -217,7 +215,8 @@ def cmd_classify(args) -> dict:
 def cmd_saturate(args) -> dict:
     if args.group:
         for option, value in (("--sphere", args.sphere), ("--perm", args.perm),
-                              ("--k", args.k is not None)):
+                              ("--k", args.k is not None), ("--regime", args.regime),
+                              ("--degree", args.degree), ("--indices", args.indices)):
             if value:
                 raise NCSphereError(f"--group cannot be combined with {option}")
         # group-level presets: report the commutation sign rules and, for
@@ -240,7 +239,7 @@ def cmd_saturate(args) -> dict:
     system = _system(args)
     source = ({"sphere": args.sphere} if args.sphere
               else {"regime": args.regime, "perms": list(args.perm)})
-    result = saturate(system, args.degree, args.indices)
+    result = saturate(system, *_bounds(args))
     out = {**source,
            "derived": [s.literal() for s in result.schemas],
            "truncated": result.truncated,
@@ -254,18 +253,26 @@ def cmd_saturate(args) -> dict:
 
 def _system(args) -> relations.RelationSystem:
     """The relation system of `saturate`/`reduce`: a sphere preset, or the
-    monomial system of the given permutations over the regime."""
-    if args.sphere and args.perm:
-        raise NCSphereError("--sphere cannot be combined with --perm")
+    monomial system of the given permutations over the regime (default real)."""
+    if args.sphere and (args.perm or args.regime):
+        other = "--perm" if args.perm else "--regime"
+        raise NCSphereError(f"--sphere cannot be combined with {other}")
     if args.sphere:
         return sphere_relations(sphere_by_name(args.sphere))
+    args.regime = args.regime or "real"
     return monomial_system([_perm_arg(p) for p in args.perm],
                            *relations.REGIMES[args.regime])
 
 
+def _bounds(args) -> tuple[int, int]:
+    """``--degree`` and ``--indices``; the parser leaves them None for `saturate --group`."""
+    return args.degree or relations.DEFAULT_MAX_DEGREE, args.indices or relations.DEFAULT_MAX_INDICES
+
+
 def cmd_reduce(args) -> dict:
-    expr = _parse_expression(args.expr, args.degree)
-    out, trace = reduce_expr(expr, _system(args), args.degree, args.indices)
+    degree, indices = _bounds(args)
+    expr = _parse_expression(args.expr, degree)
+    out, trace = reduce_expr(expr, _system(args), degree, indices)
     return {"expr": args.expr, "reduced": str(out), "zero": out.is_zero(),
             "trace": trace}
 
@@ -471,11 +478,11 @@ def build_parser() -> argparse.ArgumentParser:
     fmt = argparse.ArgumentParser(add_help=False)
     fmt.add_argument("--format", choices=("json", "csv"), default="json")
     bounds = argparse.ArgumentParser(add_help=False)
-    bounds.add_argument("--degree", type=_bound, default=6)
-    bounds.add_argument("--indices", type=_bound, default=4)
+    bounds.add_argument("--degree", type=_bound)
+    bounds.add_argument("--indices", type=_bound)
     monomial = argparse.ArgumentParser(add_help=False)
     monomial.add_argument("--perm", action="append", default=[])
-    monomial.add_argument("--regime", default="real", choices=relations.REGIMES)
+    monomial.add_argument("--regime", choices=relations.REGIMES)
 
     def command(name, handler, summary, parents=()):
         p = sub.add_parser(name, help=summary, parents=[fmt, *parents])

@@ -155,10 +155,11 @@ class Partition:
                 seen[right] += 1
         return tuple((a, c) for a in range(b) for c in range(a + 1, b) if count[a][c] % 2)
 
-    def twisted_sign(self, v: Sequence[int]) -> int:
+    def twisted_sign(self, v):
         """Switch parity of the tuple giving block ``A`` the value ``v[A]``
         (an even partition only): ``-1`` to the number of odd pairs whose
-        two blocks get different values.
+        two blocks get different values; an array of shape
+        ``(block_count, m)`` gets the signs of its m columns at once.
 
         The tuple's row inversions, upper row plus lower row, are the
         switches that sort each row by value.  They number
@@ -170,7 +171,7 @@ class Partition:
         particular the parity does not depend on how distinct values rank
         the blocks: any values distinct on the blocks give the signature.
         """
-        return -1 if sum(v[a] != v[b] for a, b in self.odd_pairs) % 2 else 1
+        return 1 - 2 * (sum(v[a] != v[b] for a, b in self.odd_pairs) % 2)
 
     def linear_word(self) -> list[int]:
         """Block labels in the linear order: a restricted growth string."""

@@ -15,6 +15,7 @@ then the lower row, both left to right.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -53,16 +54,13 @@ class SparseTensorMap:
     entries: Mapping[tuple[Tuples, Tuples], int]
 
     def __post_init__(self):
-        if any(v not in (-1, 1) for v in self.entries.values()):
+        if not {*self.entries.values()} <= {-1, 1}:
             raise ValueError("coefficients must be +1 or -1")
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SparseTensorMap)
-            and (self.dim, self.input_arity, self.output_arity)
-            == (other.dim, other.input_arity, other.output_arity)
-            and dict(self.entries) == dict(other.entries)
-        )
+        return (isinstance(other, SparseTensorMap)
+                and (self.dim, self.input_arity, self.output_arity, self.entries)
+                == (other.dim, other.input_arity, other.output_arity, other.entries))
 
     def tensor(self, other: "SparseTensorMap") -> "SparseTensorMap":
         if self.dim != other.dim:
@@ -109,18 +107,27 @@ class SparseTensorMap:
 def t_map(p: Partition, n: int, twisted: bool = False) -> SparseTensorMap:
     """The linear map of a partition: entry at (out, in) is delta(p, in+out).
 
+    One entry per block assignment, in ``itertools.product`` order; twisted
+    signs come from one ``twisted_sign`` call on the grid of all of them.
     Twisting requires even block sizes.  For noncrossing ``p`` the twisted
     and untwisted maps coincide.
     """
     if twisted and not p.has_even_blocks():
         raise PartitionClassError("twisted maps need even block sizes")
-    k, l = p.upper, p.lower
-    entries = {}
-    labels = p.labels
-    for assignment in itertools.product(range(1, n + 1), repeat=p.block_count):
-        t = [assignment[b] for b in labels]
-        entries[(tuple(t[k:]), tuple(t[:k]))] = p.twisted_sign(assignment) if twisted else 1
-    return SparseTensorMap(n, k, l, entries)
+    k, l, b = p.upper, p.lower, p.block_count
+    keys = zip(*(map(_row_getter(row), itertools.product(range(1, n + 1), repeat=b))
+                 for row in (p.labels[k:], p.labels[:k])))
+    if not (twisted and p.odd_pairs):
+        return SparseTensorMap(n, k, l, dict.fromkeys(keys, 1))
+    signs = p.twisted_sign(np.indices((n,) * b).reshape(b, -1))
+    return SparseTensorMap(n, k, l, dict(zip(keys, signs.tolist())))
+
+
+def _row_getter(labels: Sequence[int]):
+    """Getter of a row's values, as a tuple, from a block assignment."""
+    if len(labels) > 1:
+        return operator.itemgetter(*labels)
+    return operator.itemgetter(slice(labels[0], labels[0] + 1) if labels else slice(0))
 
 
 def xi_vector(p: Partition, n: int, twisted: bool = False) -> SparseTensorMap:

@@ -134,6 +134,14 @@ def test_saturate_reports_the_relation_group_at_k_zero(capsys, sphere):
     (["saturate", "--group", "o_n", "--k", "0"], "--group", "--k"),
     (["saturate", "--group", "o_n", "--sphere", "s_r"], "--group", "--sphere"),
     (["saturate", "--group", "o_n", "--perm", "21"], "--group", "--perm"),
+    # a preset fixes its own regime and a group report has no search bounds,
+    # so these options would be dropped without a word
+    (["reduce", "--expr", "ab-ba", "--sphere", "s_r", "--regime", "complex_twisted"],
+     "--sphere", "--regime"),
+    (["saturate", "--sphere", "s_r", "--regime", "real"], "--sphere", "--regime"),
+    (["saturate", "--group", "o_n", "--regime", "complex"], "--group", "--regime"),
+    (["saturate", "--group", "o_n", "--degree", "3"], "--group", "--degree"),
+    (["saturate", "--group", "o_n", "--indices", "4"], "--group", "--indices"),
 ])
 def test_conflicting_relation_options_are_refused(capsys, argv, first, second):
     assert main(argv) == 1
@@ -141,6 +149,16 @@ def test_conflicting_relation_options_are_refused(capsys, argv, first, second):
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert first in captured.err and second in captured.err
+
+
+def test_regime_and_bounds_default_when_not_given(capsys):
+    # no --regime is the real regime, no --degree/--indices the library bounds
+    default = run_json(capsys, "saturate", "--perm", "312")
+    explicit = run_json(capsys, "saturate", "--perm", "312", "--regime", "real",
+                        "--degree", "6", "--indices", "4")
+    assert default == explicit and default[1]["regime"] == "real"
+    assert run_json(capsys, "reduce", "--expr", "ab-ba", "--perm", "21") \
+        == run_json(capsys, "reduce", "--expr", "ab-ba", "--perm", "21", "--regime", "real")
 
 
 @pytest.mark.parametrize("expr", ["é", "aé", "(ab+ß)^2"])

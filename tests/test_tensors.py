@@ -1,10 +1,12 @@
 import itertools
+import random
 
 import numpy as np
 import pytest
 
 from ncspheres.errors import FrameError, PartitionClassError
 from ncspheres.partitions import (
+    LegColor,
     PartitionClass,
     enumerate_partitions,
     is_constant_on_blocks,
@@ -14,6 +16,7 @@ from ncspheres.partitions import (
     standard_form,
 )
 from ncspheres.tensors import (
+    SparseTensorMap,
     compose,
     delta,
     inner_product,
@@ -107,6 +110,76 @@ def test_sparsity_count():
     for p in even_partitions(2, 4):
         for n in (2, 3):
             assert len(t_map(p, n).entries) == n ** p.block_count
+
+
+# ---------------------------------------------------------------------------
+# the map builder against a per-assignment loop
+
+
+def reference_t_map(p, n, twisted=False):
+    """One entry per block assignment, in product order, signed one
+    assignment at a time."""
+    k = p.upper
+    entries = {}
+    for assignment in itertools.product(range(1, n + 1), repeat=p.block_count):
+        t = [assignment[b] for b in p.labels]
+        entries[(tuple(t[k:]), tuple(t[:k]))] = p.twisted_sign(assignment) if twisted else 1
+    return entries
+
+
+def assert_same_map(p, n, twisted):
+    got, want = t_map(p, n, twisted).entries, reference_t_map(p, n, twisted)
+    assert got == want and list(got) == list(want), (p, n, twisted)
+    assert all(type(x) is int for key in got for row in key for x in row), (p, n)
+    assert all(type(c) is int for c in got.values()), (p, n, twisted)
+    return len(got)
+
+
+def test_t_map_matches_reference_on_even_frames():
+    # every P_even frame of at most 8 legs, N = 1..3, twisted and untwisted
+    partitions = entries = 0
+    for legs in range(0, 9, 2):
+        for k in range(legs + 1):
+            for p in even_partitions(k, legs - k):
+                partitions += 1
+                entries += sum(assert_same_map(p, n, tw)
+                               for n in (1, 2, 3) for tw in (False, True))
+    assert (partitions, entries) == (3652, 348390)
+
+
+def test_t_map_matches_reference_on_random_and_colored_partitions():
+    rng = random.Random(19)
+    colors = list(LegColor)
+    for _ in range(200):
+        k, l = rng.randint(0, 4), rng.randint(0, 4)
+        labels = [rng.randrange(k + l) for _ in range(k + l)]
+        p = kernel(labels, k, l, [rng.choice(colors) for _ in range(k + l)])
+        assert_same_map(p, 4, False)
+
+
+def test_t_map_of_the_empty_partition():
+    p = P("|")
+    for n in (1, 2):
+        for tw in (False, True):
+            assert assert_same_map(p, n, tw) == 1
+            assert t_map(p, n, tw).entries == {((), ()): 1}
+
+
+def test_twisted_sign_on_a_grid_equals_the_scalar_form():
+    # a partition without odd pairs signs every assignment +1, as the int 1
+    crossing = [p for p in even_partitions(0, 6) + even_partitions(3, 3) if p.odd_pairs]
+    assert len(crossing) == 32
+    for p in crossing:
+        b = p.block_count
+        grid = np.indices((3,) * b).reshape(b, -1)
+        want = [p.twisted_sign(v) for v in itertools.product(range(3), repeat=b)]
+        assert p.twisted_sign(grid).tolist() == want, p
+
+
+@pytest.mark.parametrize("bad", [0, 2])
+def test_sparse_map_refuses_coefficients_other_than_plus_minus_one(bad):
+    with pytest.raises(ValueError):
+        SparseTensorMap(2, 1, 1, {((1,), (1,)): 1, ((2,), (2,)): bad})
 
 
 # ---------------------------------------------------------------------------
