@@ -28,8 +28,8 @@ import numpy as np
 
 from .errors import DomainError, FrameError, SizeLimitError
 from .partitions import LegColor, Partition
-from .relations import relation_sign, sphere_relations
-from .tensors import t_map, xi_vector
+from .relations import _sigma_diagram, sphere_relations
+from .tensors import t_entries
 from .weingarten import Field, SphereSpec, _check_dimension
 
 DEFAULT_TOL = 1e-10
@@ -39,7 +39,9 @@ DEFAULT_TOL = 1e-10
 # up to N = 6.  It also bounds the N^blocks index tuples the fixed-vector
 # check sums over, so "|aabbccddee" runs up to N = 9, and the N^k index
 # tuples of the sphere relation check: N <= 40 for the length-3 relations
-# of the half-liberated spheres, N <= 256 for the commutation relations
+# of the half-liberated spheres, N <= 256 for the commutation relations,
+# whose words are multiplied in slices of this many cells (tuples x star
+# patterns x d^2): at d = 64, the 1728 real words at once take about 0.9 GB
 INTERTWINER_CELL_BOUND = 4 ** 8
 
 # cells of `check_intertwiner` over a whole stack, count x N^(2 max(k, l)):
@@ -223,12 +225,10 @@ def check_sphere_relations(model: Model, sphere: SphereSpec,
     if tuples > INTERTWINER_CELL_BOUND:
         raise SizeLimitError(f"the relations of {sphere.name} at N={model.n} run over "
                              f"{tuples} index tuples, over the bound {INTERTWINER_CELL_BOUND}")
-    letters = model.letters
-    z, z_star = letters
-    eye = np.eye(model.d)
+    z, z_star = model.letters
     violations: list[tuple[str, float]] = []
     for desc, lhs in (("sum z z* = 1", sum(z @ z_star)), ("sum z* z = 1", sum(z_star @ z))):
-        residual = float(np.abs(lhs - eye).max())
+        residual = float(np.abs(lhs - np.eye(model.d)).max())
         if residual > tol:
             violations.append((desc, residual))
     if not system.complex_symbols:
@@ -236,22 +236,29 @@ def check_sphere_relations(model: Model, sphere: SphereSpec,
             if residual > tol:
                 violations.append((f"z_{i + 1} self-adjoint", float(residual)))
 
-    stars = (0, 1) if system.complex_symbols else (0,)
     for sigma in system.perms:
         k = len(sigma)
-        exps = np.array(list(itertools.product(stars, repeat=k)))
-        order = [q - 1 for q in sigma]
-        for idx in itertools.product(range(model.n), repeat=k):
-            sign = relation_sign(sigma, idx, system.twisted)
-            # words[t] holds the t-th letter of every star pattern
-            words = letters[exps, idx].swapaxes(0, 1)
-            lhs = functools.reduce(np.matmul, words)
-            rhs = functools.reduce(np.matmul, words[order])
-            residuals = np.abs(lhs - sign * rhs).max(axis=(1, 2))
-            for e in np.flatnonzero(residuals > tol):
-                word = "".join(f"z{q + 1}{'*' if s else ''}" for q, s in zip(idx, exps[e]))
-                violations.append((f"{word} = {sign:+d} sigma{sigma}", float(residuals[e])))
+        # sigma's diagram: upper row a word's indices, lower row their images
+        legs, signs = _entries(_sigma_diagram(sigma), model.n, system.twisted)
+        exps = np.indices((2 if system.complex_symbols else 1,) * k).reshape(k, -1)  # star patterns
+        step = max(1, INTERTWINER_CELL_BOUND // (exps.shape[1] * model.d ** 2))
+        for start in range(0, len(signs), step):
+            index, sign = legs[:, start:start + step, None], signs[start:start + step]
+            lhs = _word_products(model.letters, exps, index[:k])
+            rhs = _word_products(model.letters, exps[[q - 1 for q in sigma]], index[k:])
+            residuals = np.abs(lhs - sign[:, None, None, None] * rhs).max(axis=(2, 3))
+            for i, e in zip(*np.nonzero(residuals > tol)):
+                word = "".join(f"z{q + 1}{'*' * s}" for q, s in zip(index[:k, i, 0], exps[:, e]))
+                violations.append((f"{word} = {sign[i]:+d} sigma{sigma}", float(residuals[i, e])))
     return violations
+
+
+def _word_products(letters: np.ndarray, stars, index) -> np.ndarray:
+    """Left-to-right products of letters[stars[t], index[t]], broadcast; the empty word gives 1."""
+    out = np.eye(letters.shape[-1])
+    for t, (star, i) in enumerate(zip(stars, index)):
+        out = letters[star, i] if t == 0 else out @ letters[star, i]
+    return out
 
 
 def check_fixed_vector_identity(p: Partition, model: Model,
@@ -272,23 +279,18 @@ def check_fixed_vector_identity(p: Partition, model: Model,
     if work > FIXED_VECTOR_WORK_BOUND:
         raise SizeLimitError(f"the fixed-vector sum of {p.literal()} at N={n}, d={d} needs "
                              f"{work} multiply-adds, over the bound {FIXED_VECTOR_WORK_BOUND}")
-    index, signs = _xi_arrays(p, n, twisted)
-    # every tuple's signed product at once, leg by leg from the signed
-    # identity; leg t carries z or z* at the tuple's t-th index
-    products = signs[:, None, None] * np.eye(d)
-    for t, c in enumerate(p.colors):
-        products = products @ model.letters[int(c is LegColor.BLACK), index[:, t]]
+    legs, signs = _entries(p, n, twisted)
+    # every tuple's signed product at once; leg t carries z or z* by its color
+    stars = [int(c is LegColor.BLACK) for c in p.colors]
+    products = signs[:, None, None] * _word_products(model.letters, stars, legs)
     # summed in entry order, as one running total would
     total = np.cumsum(products, axis=0, out=products)[-1]
     return float(np.abs(total - np.eye(d)).max())
 
 
-@functools.lru_cache(maxsize=1)  # one partition, many models
-def _xi_arrays(p: Partition, n: int, twisted: bool) -> tuple[np.ndarray, np.ndarray]:
-    """xi_p's index tuples, 0-based and one a row, and signs, in entry order."""
-    entries = xi_vector(p, n, twisted).entries
-    return (np.array([o for o, _ in entries], dtype=np.intp) - 1,
-            np.fromiter(entries.values(), dtype=complex))
+@functools.lru_cache(maxsize=1)  # one diagram, many models
+def _entries(p: Partition, n: int, twisted: bool) -> tuple[np.ndarray, np.ndarray]:
+    return t_entries(p, n, twisted)
 
 
 def coaction_check(g: np.ndarray, model: Model, sphere: SphereSpec,
@@ -338,13 +340,15 @@ def check_intertwiner(p: Partition, us: np.ndarray, twisted: bool = False,
         raise SizeLimitError(f"an intertwiner check of {p.literal()} over {count} matrices at "
                              f"N={n} needs {count * cells} dense cells in all, over the bound "
                              f"{INTERTWINER_WORK_BOUND}")
-    t = t_map(p, n, twisted).to_dense().astype(complex)
-    upper, lower = p.colors[: p.upper], p.colors[p.upper:]
+    legs, signs = _entries(p, n, twisted)
+    t = np.zeros((n,) * (p.lower + p.upper), dtype=complex)
+    t[(*legs[p.upper:], *legs[:p.upper], ...)] = signs  # "..." admits "|", which has no legs
+    t = t.reshape(n ** p.lower, n ** p.upper)
     step = max(1, INTERTWINER_CELL_BOUND // cells)
     verdicts: list[bool] = []
     for block in np.split(us, range(step, count, step)):
-        residual = t @ _stacked_power(block, upper)
-        residual -= _stacked_power(block, lower) @ t
+        residual = t @ _stacked_power(block, p.colors[: p.upper])
+        residual -= _stacked_power(block, p.colors[p.upper:]) @ t
         verdicts += (np.abs(residual).max(axis=(1, 2)) <= tol).tolist()
     return verdicts
 

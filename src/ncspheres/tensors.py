@@ -94,33 +94,29 @@ class SparseTensorMap:
         ent = {(i, o): c for (o, i), c in self.entries.items()}
         return SparseTensorMap(self.dim, self.output_arity, self.input_arity, ent)
 
-    def to_dense(self) -> np.ndarray:
-        """Dense matrix of shape (N**l, N**k); tuple (t1..tm) indexes
-        row/column sum((t-1) * N**(m-pos-1)), i.e. lexicographic."""
-        n, k, l = self.dim, self.input_arity, self.output_arity
-        mat = np.zeros((n,) * (l + k), dtype=np.int64)
-        for (o, i), c in self.entries.items():
-            mat[tuple(x - 1 for x in o + i)] = c
-        return mat.reshape(n ** l, n ** k)
-
 
 def t_map(p: Partition, n: int, twisted: bool = False) -> SparseTensorMap:
-    """The linear map of a partition: entry at (out, in) is delta(p, in+out).
-
-    One entry per block assignment, in ``itertools.product`` order; twisted
-    signs come from one ``twisted_sign`` call on the grid of all of them.
-    Twisting requires even block sizes.  For noncrossing ``p`` the twisted
-    and untwisted maps coincide.
-    """
-    if twisted and not p.has_even_blocks():
-        raise PartitionClassError("twisted maps need even block sizes")
+    """The linear map of a partition: entry at (out, in) is delta(p, in+out),
+    one per block assignment in ``itertools.product`` order, signed as by
+    ``t_entries``.  For noncrossing ``p`` twisted and untwisted maps coincide."""
     k, l, b = p.upper, p.lower, p.block_count
     keys = zip(*(map(_row_getter(row), itertools.product(range(1, n + 1), repeat=b))
                  for row in (p.labels[k:], p.labels[:k])))
-    if not (twisted and p.odd_pairs):
+    if not twisted or (p.has_even_blocks() and not p.odd_pairs):  # every sign +1
         return SparseTensorMap(n, k, l, dict.fromkeys(keys, 1))
-    signs = p.twisted_sign(np.indices((n,) * b).reshape(b, -1))
-    return SparseTensorMap(n, k, l, dict(zip(keys, signs.tolist())))
+    return SparseTensorMap(n, k, l, dict(zip(keys, t_entries(p, n, True)[1].tolist())))
+
+
+def t_entries(p: Partition, n: int, twisted: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """T_p's entries as arrays in ``t_map`` order, off the grid of all block assignments:
+    each leg's 0-based index, shape (legs, N^blocks), upper row first, and each entry's
+    sign, twisted ones (even blocks only) from one ``twisted_sign`` call on the grid."""
+    if twisted and not p.has_even_blocks():
+        raise PartitionClassError("twisted maps need even block sizes")
+    b = p.block_count
+    grid = np.indices((n,) * b).reshape(b, n ** b)
+    signs = p.twisted_sign(grid) if twisted and p.odd_pairs else np.ones(n ** b, dtype=np.int64)
+    return grid[list(p.labels)], signs
 
 
 def _row_getter(labels: Sequence[int]):

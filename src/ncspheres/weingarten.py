@@ -236,27 +236,37 @@ class ExactMatrix:
 # the memo
 
 # Pairing sets and block-count matrices keyed by category, Weingarten
-# matrices by (category, N); the least recently used entry goes once the
-# memo holds MEMO_SIZE of them.  All moment, trace and rank queries of
-# degree 4 and 6 (balanced colour words) at N = 2..5 over the ten groups use
-# 480 keys: 84 pairing sets, 84 block-count matrices and 312 Weingarten
-# matrices.  Most entries are small, but the largest W at the Gram bound
-# holds megabytes (105 pairings at N = 5: 1.7 MB).
-MEMO_SIZE = 512
+# matrices by (category, N), each stored with the cells it holds: one per
+# pairing, or a matrix's entries.  The least recently used entries go while
+# the memo holds more than MEMO_CELL_BOUND cells; the newest one stays.
+# Cells, not entries, are bounded because entries differ in size a
+# thousandfold: all moment, trace and rank queries of degree 4 and 6
+# (balanced colour words) at N = 2..5 over the ten groups use 480 keys of
+# 5811 cells in all (84 pairing sets, 84 block-count matrices and 312
+# Weingarten matrices), while one W at the Gram bound holds 17424 cells
+# (132 pairings), and a 105-pairing W at N = 5 takes 1.7 MB, about 150
+# bytes a cell.  2^16 cells keep those 480 keys with room to spare and stay
+# near 10 MB, where 512 large entries could take about 0.9 GB.
+MEMO_CELL_BOUND = 2 ** 16
 _memo: OrderedDict = OrderedDict()
+_held = 0  # the cells of the entries in _memo
 
 
-def _memoised(key, build):
-    """The memo's value under ``key``, built and stored on a miss.  What
-    ``build`` raises propagates, and nothing is stored."""
-    value = _memo.get(key)
-    if value is None:
-        value = build()
-        _memo[key] = value
-        if len(_memo) > MEMO_SIZE:
-            _memo.popitem(last=False)
-    else:
+def _memoised(key, build, cells=len):
+    """The memo's value under ``key``, built and stored on a miss with
+    its ``cells(value)``.  What ``build`` raises propagates, and nothing is
+    stored."""
+    global _held
+    hit = _memo.get(key)
+    if hit is not None:
         _memo.move_to_end(key)
+        return hit[0]
+    value = build()
+    size = cells(value)
+    _held = (_held if _memo else 0) + size  # a memo emptied by clear() holds nothing
+    _memo[key] = value, size
+    while _held > MEMO_CELL_BOUND and len(_memo) > 1:
+        _held -= _memo.popitem(last=False)[1][1]
     return value
 
 
@@ -373,7 +383,7 @@ def _category_plan(category: tuple) -> tuple:
                     for p in ps]
         return _block_counts(partners), _leg_symmetries(partners)
 
-    return _memoised(("blocks", category), build)
+    return _memoised(("blocks", category), build, lambda plan: len(plan[0]) ** 2)
 
 
 def _gram(category: tuple, n: int) -> ExactMatrix:
@@ -396,7 +406,7 @@ def _weingarten(category: tuple, n: int) -> ExactMatrix:
         except ZeroDivisionError:
             raise SingularGramError(n, _pairings(category)[0].n_legs)
 
-    return _memoised((category, n), build)
+    return _memoised((category, n), build, lambda w: w.nrows * w.ncols)
 
 
 def weingarten_matrix(g: GroupSpec, n: int, alpha=None, k: int | None = None) -> ExactMatrix:

@@ -330,6 +330,7 @@ def test_weingarten_builds_the_gram_matrix_once(monkeypatch, capsys):
     builds, inversions = [], []
     real_block_counts, real_inverse = weingarten._block_counts, weingarten.ExactMatrix.inverse
     monkeypatch.setattr(weingarten, "_memo", OrderedDict())
+    monkeypatch.setattr(weingarten, "_held", 0)
     monkeypatch.setattr(weingarten, "_block_counts",
                         lambda ps: builds.append(len(ps)) or real_block_counts(ps))
     monkeypatch.setattr(weingarten.ExactMatrix, "inverse",
@@ -549,7 +550,7 @@ def test_intertwiner_check_refuses_work_past_the_bound(capsys, monkeypatch):
     def no_map(*args):
         raise AssertionError("T_p built past the work bound")
 
-    monkeypatch.setattr(models, "t_map", no_map)
+    monkeypatch.setattr(models, "t_entries", no_map)
     assert main(["check", "--op", "intertwiner", "--partition", "abcd|abcd",
                  "--matrix", "haar", "--samples", "2000", "--n", "4"]) == 1
     captured = capsys.readouterr()
@@ -694,6 +695,7 @@ def test_gram_bound_is_an_error(monkeypatch, capsys, argv):
         raise AssertionError("block counts built above the Gram bound")
 
     monkeypatch.setattr(weingarten, "_memo", OrderedDict())
+    monkeypatch.setattr(weingarten, "_held", 0)
     monkeypatch.setattr(weingarten, "_block_counts", no_block_counts)
     assert main(argv) == 1
     captured = capsys.readouterr()

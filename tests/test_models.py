@@ -221,7 +221,7 @@ def test_intertwiner_check_refuses_work_past_the_bound(monkeypatch):
     def no_map(*args):
         raise AssertionError("T_p built past the work bound")
 
-    monkeypatch.setattr(models, "t_map", no_map)
+    monkeypatch.setattr(models, "t_entries", no_map)
     with pytest.raises(SizeLimitError, match="67174400 dense cells in all"):
         check_intertwiner(P("abcd|abcd"), haar_batch(Field.REAL, 4, 1025, seed=3))
 
@@ -646,7 +646,7 @@ def test_relation_check_refuses_tuples_past_the_bound(monkeypatch):
     def no_sign(*args):
         raise AssertionError("a relation evaluated past the bound")
 
-    monkeypatch.setattr(models, "relation_sign", no_sign)
+    monkeypatch.setattr(models, "t_entries", no_sign)
     for name, n in (("s_r_star", 41), ("bar_s_c_star2", 41), ("s_c", 257), ("bar_s_r", 257)):
         sphere = sphere_by_name(name)
         with pytest.raises(SizeLimitError, match=f"{n ** len(sphere_relations(sphere).perms[0])}"
@@ -666,6 +666,26 @@ def test_stacked_relation_check_matches_the_per_tuple_reference():
     assert violated > 30  # the comparison covers violations, not only empty lists
 
 
+def test_relation_check_across_slices_matches_the_per_tuple_reference():
+    # d = 8 and 8 star patterns give 512 cells a tuple, so a slice holds 128
+    # of the 216 tuples at N = 6.  The Clifford model fails s_c_star2 and
+    # satisfies bar_s_c_star2; the model off every sphere fails both, in
+    # both slices, so a misplaced index, star or sign in the second shows
+    step = INTERTWINER_CELL_BOUND // (8 * 8 ** 2)
+    assert step == 128 < 6 ** 3
+    off = Model(np.random.default_rng(11).standard_normal((6, 8, 8, 2)) @ (1, 1j))
+    late = 0
+    for model in (clifford_model(6), off):
+        for name in ("s_c_star2", "bar_s_c_star2"):
+            sphere = sphere_by_name(name)
+            got = check_sphere_relations(model, sphere, TOL)
+            want = _reference_relations(model, sphere)
+            assert [d for d, _ in got] == [d for d, _ in want], (name, model.d)
+            assert all(abs(a - b) <= 1e-12 for (_, a), (_, b) in zip(got, want))
+            late += sum(d.startswith("z6") for d, _ in got)  # tuples 180..215
+    assert late > 0 and not check_sphere_relations(clifford_model(6), sphere_by_name("bar_s_c_star2"))
+
+
 def test_stacked_fixed_vector_sum_matches_the_per_tuple_reference():
     colored = [p for alpha in ("1*", "1*1*", "11**", "1*1*1*")
                for p in category_pairings(group_by_name("u_n"), alpha=alpha)]
@@ -678,7 +698,11 @@ def test_stacked_fixed_vector_sum_matches_the_per_tuple_reference():
 
 
 def _reference_intertwiner(p, u, twisted, tol):
-    t = t_map(p, u.shape[0], twisted).to_dense().astype(complex)
+    n = u.shape[0]
+    t = np.zeros((n,) * (p.lower + p.upper), dtype=complex)
+    for (o, i), c in t_map(p, n, twisted).entries.items():
+        t[tuple(x - 1 for x in o + i)] = c
+    t = t.reshape(n ** p.lower, n ** p.upper)
     powers = []
     for colors in (p.colors[: p.upper], p.colors[p.upper:]):
         out = np.eye(1, dtype=complex)

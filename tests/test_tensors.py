@@ -21,6 +21,7 @@ from ncspheres.tensors import (
     delta,
     inner_product,
     involution,
+    t_entries,
     t_map,
     tensor_concat,
     xi_vector,
@@ -163,6 +164,26 @@ def test_t_map_of_the_empty_partition():
         for tw in (False, True):
             assert assert_same_map(p, n, tw) == 1
             assert t_map(p, n, tw).entries == {((), ()): 1}
+
+
+def test_t_entries_are_the_reference_entries_as_arrays():
+    # every P_even frame of at most 6 legs at N = 1..3, twisted and not, and
+    # random partitions with random colours at N = 4: the legs, 1-based, give
+    # the keys and the signs the coefficients, in entry order
+    rng = random.Random(20)
+    frames = [(p, n, tw) for legs in range(0, 7, 2) for k in range(legs + 1)
+              for p in even_partitions(k, legs - k) for n in (1, 2, 3) for tw in (False, True)]
+    for _ in range(100):
+        k, l = rng.randint(0, 4), rng.randint(0, 4)
+        labels = [rng.randrange(k + l) for _ in range(k + l)]
+        frames.append((kernel(labels, k, l, [rng.choice(list(LegColor)) for _ in labels]), 4, False))
+    for p, n, tw in frames:
+        legs, signs = t_entries(p, n, tw)
+        assert legs.shape == (p.n_legs, n ** p.block_count) == (p.n_legs, len(signs)), p
+        keys = [(tuple(t[p.upper:]), tuple(t[:p.upper])) for t in (legs.T + 1).tolist()]
+        assert list(zip(keys, signs.tolist())) == list(reference_t_map(p, n, tw).items()), (p, n)
+    with pytest.raises(PartitionClassError):
+        t_entries(P("abc|"), 2, twisted=True)
 
 
 def test_twisted_sign_on_a_grid_equals_the_scalar_form():
@@ -329,16 +350,3 @@ def test_functoriality_adjoint():
             for n in (2, 3):
                 for tw in (False, True):
                     assert t_map(p, n, tw).adjoint() == t_map(involution(p), n, tw)
-
-
-# ---------------------------------------------------------------------------
-# dense conversion
-
-
-def test_dense_shape_and_values():
-    m = t_map(P("ab|ba"), 2, twisted=True)
-    dense = m.to_dense()
-    assert dense.shape == (4, 4)
-    # e_1 x e_2 -> -e_2 x e_1: column (1,2) -> code 0*2+1=1, row (2,1) -> 2
-    assert dense[2, 1] == -1
-    assert dense[0, 0] == 1

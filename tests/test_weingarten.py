@@ -784,6 +784,7 @@ def cold_memo(monkeypatch):
     from ncspheres import weingarten
 
     monkeypatch.setattr(weingarten, "_memo", OrderedDict())
+    monkeypatch.setattr(weingarten, "_held", 0)
     return weingarten
 
 
@@ -1002,12 +1003,55 @@ def test_memo_over_the_gram_bound_joins_nothing_and_keeps_no_matrix(cold_memo, m
 
 
 def test_memo_holds_at_most_its_bound(cold_memo, monkeypatch):
-    monkeypatch.setattr(cold_memo, "MEMO_SIZE", 3)
+    # every entry here holds one cell: one pairing, a 1x1 B and 1x1 Ws
+    monkeypatch.setattr(cold_memo, "MEMO_CELL_BOUND", 3)
     for n in range(1, 6):
         moment(REAL_HALF, n + 2, (1, 1), (1, 1))
     assert len(cold_memo._memo) == 3
     assert list(cold_memo._memo)[-1][1] == 7  # the newest stays
     assert moment(REAL_HALF, 3, (1, 1), (1, 1)) == Fraction(1, 3)
+
+
+def _cells(value):
+    """Cells of a memo value, counted apart from the memo's own count."""
+    if isinstance(value, ExactMatrix):
+        return value.nrows * value.ncols
+    if value and isinstance(value[0], list):  # block counts and leg symmetries
+        return len(value[0]) ** 2
+    return len(value)  # a pairing set
+
+
+def test_memo_bounds_the_cells_it_holds(cold_memo, monkeypatch):
+    # 15 pairings at k = 6, so each W and the category's B hold 225 cells:
+    # 60 distinct solves would hold 13740.  Every solve reads B, so B stays
+    # next to the newest 6 W, and the pairing set goes
+    monkeypatch.setattr(cold_memo, "MEMO_CELL_BOUND", 1600)
+    for n in range(3, 63):
+        weingarten_matrix(REAL_CLASSICAL, n, k=6)
+        held = sum(_cells(value) for value, _ in cold_memo._memo.values())
+        assert held <= 1600 and held == cold_memo._held, n
+    ws = [key[1] for key in cold_memo._memo if isinstance(key[1], int)]
+    assert ws == list(range(57, 63)) and len(cold_memo._memo) == 7
+    # an entry past the bound on its own still stays, as the only one
+    monkeypatch.setattr(cold_memo, "MEMO_CELL_BOUND", 100)
+    weingarten_matrix(REAL_CLASSICAL, 63, k=6)
+    assert [key[1] for key in cold_memo._memo] == [63] and cold_memo._held == 225
+
+
+def test_memo_keeps_every_degree_4_and_6_key(cold_memo):
+    # the moment, trace and rank queries of degree 4 and 6 at N = 2..5 over
+    # the ten groups fit the bound together, so none of them is ever rebuilt
+    for g in GROUPS:
+        for k in (4, 6):
+            words = [None] if g.field is Field.REAL else [
+                w for w in map("".join, itertools.product("1*", repeat=k)) if w.count("*") == k // 2]
+            for alpha, n in itertools.product(words, range(2, 6)):
+                try:
+                    weingarten_matrix(g, n, alpha=alpha, k=k)
+                except SingularGramError:
+                    pass
+    assert len(cold_memo._memo) == 480
+    assert cold_memo._held == 5811 <= cold_memo.MEMO_CELL_BOUND
 
 
 @pytest.mark.parametrize("g,kw", [
