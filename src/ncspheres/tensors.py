@@ -102,7 +102,7 @@ def t_map(p: Partition, n: int, twisted: bool = False) -> SparseTensorMap:
     k, l, b = p.upper, p.lower, p.block_count
     keys = zip(*(map(_row_getter(row), itertools.product(range(1, n + 1), repeat=b))
                  for row in (p.labels[k:], p.labels[:k])))
-    if not twisted or (p.has_even_blocks() and not p.odd_pairs):  # every sign +1
+    if not twisted or (not p.odd_pairs and p.has_even_blocks()):  # every sign +1
         return SparseTensorMap(n, k, l, dict.fromkeys(keys, 1))
     return SparseTensorMap(n, k, l, dict(zip(keys, t_entries(p, n, True)[1].tolist())))
 
@@ -116,7 +116,7 @@ def t_entries(p: Partition, n: int, twisted: bool = False) -> tuple[np.ndarray, 
     b = p.block_count
     grid = np.indices((n,) * b).reshape(b, n ** b)
     signs = p.twisted_sign(grid) if twisted and p.odd_pairs else np.ones(n ** b, dtype=np.int64)
-    return grid[list(p.labels)], signs
+    return grid.take(p.labels, axis=0), signs
 
 
 def _row_getter(labels: Sequence[int]):
