@@ -151,8 +151,8 @@ def _eliminate(rows: list[list[int]], ncols: int) -> tuple[int, int]:
 class ExactMatrix:
     """Dense rational matrix: integer rows ``num`` over one denominator
     ``den > 0``, fixed once built, so that one matrix can be shared.
-    ``inverse`` and ``rank`` share one integer kernel, and ``Fraction``
-    entries are built only for output."""
+    ``inverse`` works on the integers, and ``Fraction`` entries are built
+    only for output."""
 
     num: tuple[tuple[int, ...], ...]
     den: int
@@ -217,9 +217,6 @@ class ExactMatrix:
                 cols[c] = [v for _, v in sorted(zip(step[1], cols[step[0]]))]
         scale = self.den if det > 0 else -self.den
         return ExactMatrix([[x * scale for x in row] for row in zip(*cols)], abs(det))
-
-    def rank(self) -> int:
-        return _eliminate([list(row) for row in self.num], self.ncols)[0]
 
     def to_strings(self) -> list[list[str]]:
         """Entries as ``str`` of their Fractions prints them: ``p/q`` in
@@ -453,27 +450,25 @@ def sphere_trace(s: SphereSpec, n: int, i: Sequence[int], alpha=None) -> Fractio
     return moment(s.isometry_group, n, ones, tuple(i), alpha)
 
 
-# The product Gram matrix has N^2 rows of Weingarten sums and is ranked by
-# exact elimination, so its time grows about as N^6.  On a 2-core host
-# (s_c, plain and conjugated): N = 12 takes 0.2 to 0.3 s, N = 16 1.0 to
-# 1.1 s and N = 20 2.3 to 3.4 s; N = 100 would take half a day or more.
-RANK_DIMENSION_BOUND = 16
-
-
 def gram_rank_products(s: SphereSpec, n: int, conjugated: bool = False) -> int:
     """Exact rank of the Gram matrix of the degree-two coordinate products.
 
     ``conjugated=False`` uses the products z_i z_j (exponent word 11**
     after tracing against the adjoint), ``conjugated=True`` uses
     z_i z_j^* (exponent word 1*1*).  Entry ((i, j), (k, l)) is the trace
-    of z_i z_j z_l z_k: one Weingarten sum against the row tuple 1111, so
-    the pairings, W and the row deltas are computed once.  The entries
-    share W's denominator, so only their integer numerators are ranked.
+    f(i, j, l, k) of z_i z_j z_l z_k, a Weingarten sum against the row
+    tuple 1111.  A pairing of four legs joins {1,2}{3,4}, {1,3}{2,4} or
+    {1,4}{2,3}, and a twisted sign depends only on the kernel, so f is a
+    function of the kernel of (i, j, l, k), zero unless i = j and k = l or
+    {i, j} = {k, l}.  The matrix is thus a direct sum of one N x N block
+    (a - b) I + b J on the e_ii, a = f(1,1,1,1) and b = f(1,1,2,2), of rank
+    (N - 1) [a != b] + [a + (N - 1) b != 0], and of C(N, 2) blocks
+    [[c, x], [x, c]] on (e_ij, e_ji), c = f(1,2,2,1) and x = f(1,2,1,2), of
+    rank 2 if c^2 != x^2, else 1 if c or x is nonzero.  Four Weingarten
+    sums give the rank at every N (at N = 1 only a counts); they share W's
+    denominator, so only their integer numerators are compared.
     """
     _check_dimension(n)
-    if n > RANK_DIMENSION_BOUND:
-        raise SizeLimitError(f"N={n} exceeds the rank bound {RANK_DIMENSION_BOUND}")
-    pairs = list(itertools.product(range(1, n + 1), repeat=2))
     g = s.isometry_group
     category = _category(g, "1*1*" if conjugated else "11**")
     ps = _pairings(category)
@@ -481,6 +476,7 @@ def gram_rank_products(s: SphereSpec, n: int, conjugated: bool = False) -> int:
         return 0
     wg = _weingarten(category, n)
     di = [delta(p, (1, 1, 1, 1), twisted=g.twisted) for p in ps]
-    rows = [[_weingarten_sum(wg, di, [delta(p, (i, j, l, k), twisted=g.twisted) for p in ps])
-             for (k, l) in pairs] for (i, j) in pairs]
-    return ExactMatrix(rows).rank()
+    a, b, c, x = (_weingarten_sum(wg, di, [delta(p, t, twisted=g.twisted) for p in ps])
+                  for t in ((1, 1, 1, 1), (1, 1, 2, 2), (1, 2, 2, 1), (1, 2, 1, 2)))
+    pair_rank = (c != 0 or x != 0) + (c * c != x * x)
+    return (n - 1) * (a != b) + (a + (n - 1) * b != 0) + n * (n - 1) // 2 * pair_rank

@@ -703,17 +703,22 @@ def test_gram_bound_is_an_error(monkeypatch, capsys, argv):
     assert captured.err.startswith("error: ") and "Gram bound" in captured.err
 
 
-def test_rank_above_its_bound_is_an_error(monkeypatch, capsys):
+def test_rank_answers_far_past_the_elimination_in_four_sums(monkeypatch, capsys):
     from ncspheres import weingarten
 
-    def no_sum(*args):
-        raise AssertionError("Weingarten sum above the rank bound")
+    calls, weingarten_sum = [], weingarten._weingarten_sum
 
-    monkeypatch.setattr(weingarten, "_weingarten_sum", no_sum)
-    assert main(["rank", "--sphere", "s_c", "--n", "100"]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: ") and "rank bound" in captured.err
+    def counted_sum(*args):
+        calls.append(args)
+        return weingarten_sum(*args)
+
+    monkeypatch.setattr(weingarten, "_weingarten_sum", counted_sum)
+    for conjugated, rank in ((), 5050), (("--conjugated",), 10000):
+        calls.clear()
+        assert main(["rank", "--sphere", "s_c", "--n", "100", *conjugated]) == 0
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["rank"] == rank and captured.err == ""
+        assert 0 < len(calls) <= 4
 
 
 @pytest.mark.parametrize("expr,message", [

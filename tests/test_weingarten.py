@@ -17,6 +17,7 @@ from ncspheres.weingarten import (
     GroupSpec,
     Level,
     SphereSpec,
+    _eliminate,
     category_pairings,
     gram,
     gram_rank_products,
@@ -85,11 +86,16 @@ def _is_inverse(a, b):
         == [[scale * (i == j) for j in range(b.ncols)] for i in range(a.nrows)]
 
 
+def _kernel_rank(m):
+    """The rank the elimination kernel returns, on a copy of m's rows."""
+    return _eliminate([list(r) for r in m.num], m.ncols)[0]
+
+
 def test_exact_inverse_and_rank():
     m = ExactMatrix([[2, 1], [1, 1]])
     inv = m.inverse()
     assert _is_inverse(m, inv) and _is_inverse(inv, m)
-    assert ExactMatrix([[1, 2], [2, 4]]).rank() == 1
+    assert _kernel_rank(ExactMatrix([[1, 2], [2, 4]])) == 1
     with pytest.raises(ZeroDivisionError):
         ExactMatrix([[1, 2], [2, 4]]).inverse()
 
@@ -185,7 +191,7 @@ def test_rank_and_inverse_match_rational_reference_on_random_matrices():
             rows = [[rng.choice((0, 0, 0, 1, -2, 3)) for _ in range(ncols)]
                     for _ in range(nrows)]
         m = _exact(rows)
-        assert m.rank() == reference_rank(rows)
+        assert _kernel_rank(m) == reference_rank(rows)
         if nrows == ncols:
             try:
                 expect = reference_inverse(rows)
@@ -206,7 +212,7 @@ def test_rank_and_inverse_match_rational_reference_on_random_matrices():
     ([[0, 2, 0, 1], [1, 0, 0, 0], [0, 0, 0, 0], [1, 2, 0, 1]], 2),
 ])
 def test_rank_edge_cases(rows, rank):
-    assert _exact(rows).rank() == reference_rank(rows) == rank
+    assert _kernel_rank(_exact(rows)) == reference_rank(rows) == rank
 
 
 def test_inverse_of_rational_and_permuted_input():
@@ -412,6 +418,45 @@ def test_rank_table(n):
             assert rank == n * n
 
 
+@pytest.mark.parametrize("n", [17, 100, 1000])
+def test_rank_table_far_past_the_elimination(n):
+    # the products commute up to sign on the classical-level spheres (plain
+    # products) and on the real ones (conjugated products too): rank
+    # n(n+1)/2 there, n^2 everywhere else
+    for s in SPHERES:
+        for conjugated in (False, True):
+            commute = s.level is Level.CLASSICAL and (s.field is Field.REAL or not conjugated)
+            want = n * (n + 1) // 2 if commute else n * n
+            assert gram_rank_products(s, n, conjugated) == want, (s.name, conjugated)
+
+
+def test_rank_blocks_match_elimination_on_every_small_kernel_function(monkeypatch):
+    # the Weingarten sums are replaced by every f with values in -2..2,
+    # degenerate ones included, and the closed form is checked against the
+    # N^2 x N^2 matrix of f(kernel of (i, j, l, k)) ranked by elimination.
+    # The three pairings of s_r tell the four kernels apart by their deltas.
+    from ncspheres import weingarten
+
+    s_r = sphere_by_name("s_r")
+    tuples = ((1, 1, 1, 1), (1, 1, 2, 2), (1, 2, 2, 1), (1, 2, 1, 2))
+    ps = category_pairings(s_r.isometry_group, k=4)
+    kernel_of = {tuple(delta(p, t) for p in ps): t for t in tuples}
+    assert len(kernel_of) == 4
+    monkeypatch.setattr(weingarten, "_weingarten", lambda category, n: None)
+    for values in itertools.product(range(-2, 3), repeat=4):
+        f = dict(zip(tuples, values))
+        monkeypatch.setattr(weingarten, "_weingarten_sum",
+                            lambda wg, di, dj: f[kernel_of[tuple(dj)]])
+        for n in (1, 2, 3):
+            pairs = list(itertools.product(range(1, n + 1), repeat=2))
+            rows = [[f[(1, 1, 1, 1)] if i == j == k == l else
+                     f[(1, 1, 2, 2)] if i == j and k == l else
+                     f[(1, 2, 2, 1)] if (i, j) == (l, k) else
+                     f[(1, 2, 1, 2)] if (i, j) == (k, l) else 0
+                     for (k, l) in pairs] for (i, j) in pairs]
+            assert gram_rank_products(s_r, n) == reference_rank(rows), (values, n)
+
+
 def test_rank_unconjugated_sees_the_sign_relations():
     # z_i z_j = +/- z_j z_i holds on all four classical-level spheres, so the
     # plain products lose rank there; all other spheres stay independent.
@@ -552,7 +597,7 @@ def test_gram_rank_products_match_the_fraction_path(s):
     g = s.isometry_group
     for conjugated in (False, True):
         ps = category_pairings(g, "1*1*" if conjugated else "11**")
-        for n in range(1, 5):
+        for n in range(1, 9):
             if not ps:
                 assert gram_rank_products(s, n, conjugated) == 0
                 continue
@@ -589,7 +634,7 @@ def test_exact_matrix_output_matches_fraction_lists():
         ref = [[Fraction(x) for x in row] for row in rows]
         m = _exact(rows)
         _assert_integral(m)
-        assert m.rank() == reference_rank(rows)  # and leaves m as it was
+        assert _kernel_rank(m) == reference_rank(rows)  # and leaves m as it was
         assert m.data == ref
         assert m.to_strings() == [[str(x) for x in row] for row in ref]
         assert m.row_sums() == [sum(row, Fraction(0)) for row in ref]
