@@ -410,14 +410,27 @@ def test_trace_invariant_under_relabeling():
 
 @pytest.mark.parametrize("n", [2, 3, 17, 100, 1000])
 def test_rank_table(n):
-    # z_i z_j = +/- z_j z_i holds on all four classical-level spheres, and
-    # z_i z_j^* = +/- z_j^* z_i on the two real ones: rank n(n+1)/2 there,
-    # n^2 everywhere else.  Past N = 16 elimination was out of reach.
+    # z_i z_j^* = +/- z_j^* z_i holds on the two real classical-level
+    # spheres: rank n(n+1)/2 there, n^2 everywhere else.  Past N = 16
+    # elimination was out of reach.
     for s in SPHERES:
-        for conjugated in (False, True):
-            commute = s.level is Level.CLASSICAL and (s.field is Field.REAL or not conjugated)
-            want = n * (n + 1) // 2 if commute else n * n
-            assert gram_rank_products(s, n, conjugated) == want, (s.name, conjugated)
+        rank = gram_rank_products(s, n, conjugated=True)
+        if s.field is Field.REAL and s.level is Level.CLASSICAL:
+            assert rank == n * (n + 1) // 2, s.name
+        else:
+            assert rank == n * n, s.name
+
+
+def test_rank_unconjugated_sees_the_sign_relations():
+    # z_i z_j = +/- z_j z_i holds on all four classical-level spheres, so the
+    # plain products lose rank there; all other spheres stay independent.
+    for n in (2, 3, 17, 100, 1000):
+        for s in SPHERES:
+            rank = gram_rank_products(s, n, conjugated=False)
+            if s.level is Level.CLASSICAL:
+                assert rank == n * (n + 1) // 2, (s.name, n)
+            else:
+                assert rank == n * n, (s.name, n)
 
 
 def test_rank_blocks_match_elimination_on_every_small_kernel_function(monkeypatch):
