@@ -13,10 +13,17 @@ inside a pair and seeds 1 to 10 across pairs; the side that runs first
 alternates from pair to pair, so a drift of the host's speed favours
 neither.
 
+After the pairs, each side makes one traced run (``--trace 1``, seed 1)
+per workload, and the per-layer metrics of the two are set side by side.
+
 The output JSON holds the environment, and for every workload and
 end-to-end metric named in ``BENCHMARK.json`` the per-pair values, the
 median and interquartile range of each side, and the number of pairs
-whose change value is better than its base value.
+whose change value is better than its base value.  Under ``per_layer``
+it holds, for every workload, each per-layer metric of the traced runs
+with its base value, change value and delta (change minus base), and the
+spans each side's tracer did not find.  A metric or span that one side
+has and the other lacks is kept, with a null value and delta.
 """
 
 from __future__ import annotations
@@ -41,6 +48,8 @@ ROOT = Path(__file__).resolve().parent.parent
 RUN_TIMEOUT_S = 600
 # the gain rule compares ten alternating pairs
 PAIRS = 10
+# the seed of the one traced run a side makes per workload
+TRACE_SEED = 1
 
 
 def extract(rev: str, into: Path) -> str:
@@ -55,11 +64,11 @@ def extract(rev: str, into: Path) -> str:
     return sha
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """The result line of one untraced benchmark run."""
+def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
+    """The result line of one benchmark run."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+         "--seconds", str(seconds), "--trace", str(trace)],
         cwd=checkout, capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
     if proc.returncode != 0:
         raise RuntimeError(f"{checkout}: {workload} seed {seed} exited "
@@ -85,6 +94,27 @@ def summarize(metrics: list[dict], runs: dict[str, list[dict]]) -> dict:
                      "pairs_favouring_change": favour}
     out["failed"] = {side: sum(r["failed"] for r in rs) for side, rs in runs.items()}
     return out
+
+
+def layer_deltas(checkouts: dict[str, Path], runs: dict[str, dict], workload: str) -> dict:
+    """Per-layer metrics of one traced run a side, over the union of both sides' names."""
+    values = {side: {name: m["value"] for name, m in run["metrics"].items()}
+              for side, run in runs.items()}
+    units = {name: m["unit"] for run in runs.values() for name, m in run["metrics"].items()}
+    metrics = {}
+    for name in sorted(units):
+        base, change = values["base"].get(name), values["change"].get(name)
+        metrics[name] = {"unit": units[name], "base": base, "change": change,
+                         "delta": None if base is None or change is None else change - base}
+    missing = {}
+    for side, checkout in checkouts.items():
+        detail = checkout / ".perfbench" / f"result-{workload}-seed{TRACE_SEED}-trace1.json"
+        missing[side] = json.loads(detail.read_text())["missing_spans"]
+    return {"metrics": metrics, "missing_spans": missing}
+
+
+def show(value) -> str:
+    return f"{'-':>10}" if value is None else f"{value:>10.4g}"
 
 
 def environment() -> dict:
@@ -123,7 +153,7 @@ def main(argv=None) -> int:
     report = {"base": None, "change": None, "environment": environment(),
               "pairs": PAIRS, "seconds": spec["run_seconds"],
               "seeds": list(range(1, PAIRS + 1)),
-              "loadavg_start": loadavg(), "workloads": {}}
+              "loadavg_start": loadavg(), "workloads": {}, "per_layer": {}}
     started = time.perf_counter()
     with tempfile.TemporaryDirectory(prefix="bench-compare-", dir=args.scratch) as tmp:
         sides = {side: Path(tmp) / side for side in ("base", "change")}
@@ -139,6 +169,10 @@ def main(argv=None) -> int:
                       f"{runs['base'][-1]['metrics']['wall_s']['value']:.3f} change "
                       f"{runs['change'][-1]['metrics']['wall_s']['value']:.3f}", flush=True)
             report["workloads"][workload] = summarize(spec["end_to_end"], runs)
+        for workload in (w["name"] for w in spec["workloads"]):
+            traced = {side: run_once(sides[side], workload, TRACE_SEED, report["seconds"], trace=1)
+                      for side in ("base", "change")}
+            report["per_layer"][workload] = layer_deltas(sides, traced, workload)
     report["loadavg_end"] = loadavg()
     report["elapsed_s"] = round(time.perf_counter() - started, 1)
     args.out.write_text(json.dumps(report, indent=1) + "\n")
@@ -148,6 +182,16 @@ def main(argv=None) -> int:
                 print(f"{workload:<18} {name:<12} base {m['base']['median']:>10.4g} "
                       f"change {m['change']['median']:>10.4g} {m['unit']:<5} "
                       f"{m['pairs_favouring_change']}/{PAIRS} pairs favour the change")
+    for workload, layers in report["per_layer"].items():
+        # self times one side lacks first, then the largest moves
+        moved = sorted((m for m in layers["metrics"].items() if m[0].endswith(".self_s")),
+                       key=lambda m: (m[1]["delta"] is not None, -abs(m[1]["delta"] or 0)))
+        for name, m in moved[:6]:
+            print(f"{workload:<18} {name:<40} base {show(m['base'])} change "
+                  f"{show(m['change'])} delta {show(m['delta'])} s")
+        for side, spans in layers["missing_spans"].items():
+            if spans:
+                print(f"{workload:<18} spans not found on the {side} side: {', '.join(spans)}")
     return 0
 
 

@@ -45,6 +45,7 @@ from .tensors import (
     SparseTensorMap,
     compose,
     delta,
+    entry_key,
     inner_product,
     involution,
     t_map,

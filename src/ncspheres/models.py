@@ -29,8 +29,8 @@ import numpy as np
 from .errors import DomainError, FrameError, SizeLimitError
 from .partitions import LegColor, Partition
 from .relations import _sigma_diagram, sphere_relations
-from .tensors import t_entries
-from .weingarten import Field, SphereSpec, _check_dimension
+from .tensors import _check_dimension, t_entries
+from .weingarten import Field, SphereSpec
 
 DEFAULT_TOL = 1e-10
 

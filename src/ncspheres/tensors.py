@@ -15,7 +15,6 @@ then the lower row, both left to right.
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -24,16 +23,21 @@ import numpy as np
 from .errors import FrameError, PartitionClassError
 from .partitions import Partition, _roots, is_constant_on_blocks, kernel
 
-Tuples = tuple[int, ...]
+
+def _check_dimension(n: int) -> None:
+    if n < 1:
+        raise ValueError(f"dimension N={n} must be at least 1")
+
+
+def entry_key(n: int, out: Sequence[int], inp: Sequence[int]) -> int:
+    """Both rows as one base-N number, first leg most significant; indices outside 1..N raise."""
+    return sum(range(1, n + 1).index(x) * n ** e for e, x in enumerate(reversed((*out, *inp))))
 
 
 def delta(p: Partition, t: Sequence[int], twisted: bool = False) -> int:
-    """Generalized Kronecker symbol of a combined (upper+lower) tuple.
-
-    The twisted symbol needs even block sizes; its sign is the signature of
-    the kernel of ``t``, read off the odd block pairs of ``p`` at the
-    values ``t`` gives the blocks.
-    """
+    """Generalized Kronecker symbol of a combined (upper+lower) tuple.  The twisted symbol
+    needs even block sizes; its sign is the signature of the kernel of ``t``, read off the
+    odd block pairs of ``p`` at the values ``t`` gives the blocks."""
     constant = is_constant_on_blocks(p, t)
     if not twisted:
         return int(constant)
@@ -42,66 +46,69 @@ def delta(p: Partition, t: Sequence[int], twisted: bool = False) -> int:
     return p.twisted_sign([t[b[0]] for b in p.blocks]) if constant else 0
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class SparseTensorMap:
-    """Integer-coefficient map between tensor powers of an N-dim space.
-
-    Maps compare by their entries and, holding a dict, are not hashable."""
+    """Integer-coefficient map between tensor powers of an N-dim space.  ``entries`` keys each
+    nonzero entry by ``entry_key(N, out, in) = out_code * N**input_arity + in_code``, its
+    dense row and column; maps compare by entries and, holding a dict, are not hashable."""
 
     dim: int
     input_arity: int
     output_arity: int
-    entries: Mapping[tuple[Tuples, Tuples], int]
+    entries: Mapping[int, int]
 
-    def __post_init__(self):
-        if not {*self.entries.values()} <= {-1, 1}:
-            raise ValueError("coefficients must be +1 or -1")
+    def __post_init__(self):  # C-level passes over the entries, no per-key Python loop
+        keys, size = self.entries, self.dim ** (self.input_arity + self.output_arity)
+        if not ({*keys.values()} <= {-1, 1} and (not keys or {*map(type, keys)} <= {int}
+                                                  and 0 <= min(keys) and max(keys) < size)):
+            raise ValueError("keys must be ints in [0, N**(k+l)) and coefficients +1 or -1")
 
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, SparseTensorMap)
-                and (self.dim, self.input_arity, self.output_arity, self.entries)
-                == (other.dim, other.input_arity, other.output_arity, other.entries))
+    def _codes(self):  # each entry as ((out_code, in_code), coefficient)
+        return zip(map(divmod, self.entries, itertools.repeat(self.dim ** self.input_arity)),
+                   self.entries.values())
 
     def tensor(self, other: "SparseTensorMap") -> "SparseTensorMap":
         if self.dim != other.dim:
             raise FrameError("tensor product needs equal local dimensions")
-        ent = {}
-        for (o1, i1), c1 in self.entries.items():
-            for (o2, i2), c2 in other.entries.items():
-                ent[(o1 + o2, i1 + i2)] = c1 * c2
-        return SparseTensorMap(self.dim, self.input_arity + other.input_arity,
-                               self.output_arity + other.output_arity, ent)
+        n, k = self.dim, self.input_arity + other.input_arity  # keys o1 o2 | i1 i2
+        top, mid, low = n ** (other.output_arity + k), n ** k, n ** other.input_arity
+        left = [(o * top + i * low, c) for (o, i), c in self._codes()]
+        right = [(o * mid + i, c) for (o, i), c in other._codes()]
+        return SparseTensorMap(n, k, self.output_arity + other.output_arity,
+                               {a + b: c * d for a, c in left for b, d in right})
 
     def matmul(self, other: "SparseTensorMap") -> dict:
-        """Matrix product self . other (apply ``other`` first).
-
-        Returns a plain coefficient dict; composite coefficients are
-        generally multiples of the loop factor N**c.
-        """
+        """Matrix product self . other (``other`` first), a plain dict of its nonzero entries."""
         if self.dim != other.dim or self.input_arity != other.output_arity:
             raise FrameError("composition needs matching middle arity")
-        by_mid: dict[Tuples, list] = {}
-        for (o, i), c in other.entries.items():
-            by_mid.setdefault(o, []).append((i, c))
-        out: dict[tuple[Tuples, Tuples], int] = {}
-        for (o, mid), c in self.entries.items():
+        by_mid: dict[int, list] = {}
+        for (mid, i), c in other._codes():
+            by_mid.setdefault(mid, []).append((i, c))
+        out: dict[int, int] = {}
+        for (o, mid), c in self._codes():
+            o *= self.dim ** other.input_arity
             for i, c2 in by_mid.get(mid, ()):
-                key = (o, i)
-                out[key] = out.get(key, 0) + c * c2
+                out[o + i] = out.get(o + i, 0) + c * c2
         return {k: v for k, v in out.items() if v}
 
     def adjoint(self) -> "SparseTensorMap":
-        ent = {(i, o): c for (o, i), c in self.entries.items()}
-        return SparseTensorMap(self.dim, self.output_arity, self.input_arity, ent)
+        shift = self.dim ** self.output_arity
+        return SparseTensorMap(self.dim, self.output_arity, self.input_arity,
+                               {i * shift + o: c for (o, i), c in self._codes()})
 
 
 def t_map(p: Partition, n: int, twisted: bool = False) -> SparseTensorMap:
-    """The linear map of a partition: entry at (out, in) is delta(p, in+out),
-    one per block assignment in ``itertools.product`` order, signed as by
-    ``t_entries``.  For noncrossing ``p`` twisted and untwisted maps coincide."""
-    k, l, b = p.upper, p.lower, p.block_count
-    keys = zip(*(map(_row_getter(row), itertools.product(range(1, n + 1), repeat=b))
-                 for row in (p.labels[k:], p.labels[:k])))
+    """The linear map of a partition: entry ``entry_key(n, out, in)`` is delta(p, in+out), one
+    per block assignment in ``itertools.product`` order, signed as by ``t_entries``.  For
+    noncrossing ``p`` twisted and untwisted maps coincide."""
+    _check_dimension(n)
+    k, l = p.upper, p.lower
+    weights = [0] * p.block_count  # a block's step: the key's N**(k+l-1-d) over its legs' digits d
+    for d, b in enumerate(p.labels[k:] + p.labels[:k]):
+        weights[b] += n ** (k + l - 1 - d)
+    steps = [range(0, n * w, w) for w in weights]
+    low = [*map(sum, itertools.product(*steps[len(steps) // 2:]))]  # keys of the last blocks
+    keys = [a + b for a in map(sum, itertools.product(*steps[:len(steps) // 2])) for b in low]
     if not twisted or (not p.odd_pairs and p.has_even_blocks()):  # every sign +1
         return SparseTensorMap(n, k, l, dict.fromkeys(keys, 1))
     return SparseTensorMap(n, k, l, dict(zip(keys, t_entries(p, n, True)[1].tolist())))
@@ -111,6 +118,7 @@ def t_entries(p: Partition, n: int, twisted: bool = False) -> tuple[np.ndarray, 
     """T_p's entries as arrays in ``t_map`` order, off the grid of all block assignments:
     each leg's 0-based index, shape (legs, N^blocks), upper row first, and each entry's
     sign, twisted ones (even blocks only) from one ``twisted_sign`` call on the grid."""
+    _check_dimension(n)
     if twisted and not p.has_even_blocks():
         raise PartitionClassError("twisted maps need even block sizes")
     b = p.block_count
@@ -119,16 +127,9 @@ def t_entries(p: Partition, n: int, twisted: bool = False) -> tuple[np.ndarray, 
     return grid.take(p.labels, axis=0), signs
 
 
-def _row_getter(labels: Sequence[int]):
-    """Getter of a row's values, as a tuple, from a block assignment."""
-    if len(labels) > 1:
-        return operator.itemgetter(*labels)
-    return operator.itemgetter(slice(labels[0], labels[0] + 1) if labels else slice(0))
-
-
 def xi_vector(p: Partition, n: int, twisted: bool = False) -> SparseTensorMap:
     """Fixed vector of a partition without upper legs: its map from the
-    scalars, with entries keyed ``(t, ())``."""
+    scalars, with entries keyed ``entry_key(n, t, ())``."""
     if p.upper != 0:
         raise FrameError("fixed vectors need a lower-row-only partition")
     return t_map(p, n, twisted)
@@ -149,7 +150,7 @@ def inner_product(v: SparseTensorMap, w: SparseTensorMap) -> int:
 
 def tensor_concat(p: Partition, q: Partition) -> Partition:
     """Horizontal concatenation: q is placed to the right of p."""
-    q_labels = tuple(p.block_count + b for b in q.labels)
+    q_labels = tuple(map(p.block_count.__add__, q.labels))
     labels = (p.labels[: p.upper] + q_labels[: q.upper]
               + p.labels[p.upper:] + q_labels[q.upper:])
     colors = (p.colors[: p.upper] + q.colors[: q.upper]
@@ -166,8 +167,7 @@ def compose(p: Partition, q: Partition) -> tuple[Partition, int]:
     if p.colors[p.upper:] != q.colors[: q.upper]:
         raise FrameError("middle colors do not match")
     k, mid = p.upper, p.lower
-    # one union-find over the blocks of p and then of q; each middle leg
-    # joins its block in p to its block in q
+    # one union-find over the blocks of p, then of q: each middle leg joins its two blocks
     bp = p.block_count
     roots = _roots(bp + q.block_count, zip(p.labels[k:], (bp + b for b in q.labels[:mid])))
     outer = [roots[b] for b in p.labels[:k]] + [roots[bp + b] for b in q.labels[mid:]]

@@ -34,7 +34,7 @@ from .relations import (
     relation_group,
     sphere_relations,
 )
-from .tensors import inner_product, t_map, tensor_concat, xi_vector
+from .tensors import entry_key, inner_product, t_map, tensor_concat, xi_vector
 from .weingarten import (
     GROUPS,
     SPHERES,
@@ -101,20 +101,13 @@ def check_functoriality(quick: bool = False):
     """Criterion 3: tensor, composition and adjoint identities, exactly."""
     ns = (2,) if quick else (2, 3)
     pool = _even_pool(2 if quick else 3)
-    maps: dict = {}
-
-    def tm(p, n, tw):
-        key = (p, n, tw)
-        if key not in maps:
-            maps[key] = t_map(p, n, tw)
-        return maps[key]
-
     checked = 0
     flat = [p for ps in pool.values() for p in ps]
     for n in ns:
         for tw in (False, True):
-            for p, q in itertools.product(flat, repeat=2):
-                if tm(p, n, tw).tensor(tm(q, n, tw)) != tm(tensor_concat(p, q), n, tw):
+            maps = {p: t_map(p, n, tw) for p in flat}  # then the composites, as they come
+            for (p, a), (q, b) in itertools.product(maps.items(), repeat=2):
+                if a.tensor(b) != t_map(tensor_concat(p, q), n, tw):
                     return False, f"tensor failed at {p}, {q}"
                 checked += 1
             for (k, l), ps in pool.items():
@@ -123,14 +116,15 @@ def check_functoriality(quick: bool = False):
                         continue
                     for p, q in itertools.product(ps, qs):
                         comp, loops = tensors.compose(p, q)
-                        prod = tm(q, n, tw).matmul(tm(p, n, tw))
-                        target = tm(comp, n, tw)
+                        prod = maps[q].matmul(maps[p])
+                        if comp not in maps:
+                            maps[comp] = t_map(comp, n, tw)
                         factor = n ** loops
-                        if prod != {key: factor * c for key, c in target.entries.items()}:
+                        if prod != {key: factor * c for key, c in maps[comp].entries.items()}:
                             return False, f"composition failed at {p} over {q}"
                         checked += 1
             for p in flat:
-                if tm(p, n, tw).adjoint() != tm(tensors.involution(p), n, tw):
+                if maps[p].adjoint() != t_map(tensors.involution(p), n, tw):
                     return False, f"adjoint failed at {p}"
                 checked += 1
     return True, f"{checked} exact identities"
@@ -144,13 +138,13 @@ def check_explicit_twisted_maps(quick: bool = False):
         m = t_map(P("ab|ba"), n, twisted=True)
         for i in range(1, n + 1):
             for j in range(1, n + 1):
-                if m.entries.get(((j, i), (i, j))) != (1 if i == j else -1):
+                if m.entries.get(entry_key(n, (j, i), (i, j))) != (1 if i == j else -1):
                     return False, f"crossing map wrong at N={n}"
         m3 = t_map(P("abc|cba"), n, twisted=True)
         for t in itertools.product(range(1, n + 1), repeat=3):
             i, j, k = t
             want = -1 if len({i, j, k}) == 3 else 1
-            if m3.entries.get(((k, j, i), (i, j, k))) != want:
+            if m3.entries.get(entry_key(n, (k, j, i), (i, j, k))) != want:
                 return False, f"reversal map wrong at N={n}"
     total_legs = 6 if quick else 8
     count = 0

@@ -39,7 +39,7 @@ from .partitions import (
     _roots,
     enumerate_partitions,
 )
-from .tensors import delta
+from .tensors import _check_dimension, delta
 
 
 class Field(enum.Enum):
@@ -309,11 +309,6 @@ def category_pairings(g: GroupSpec, alpha=None, k: int | None = None
     ``k`` must be the length of ``alpha``.
     """
     return _pairings(_category(g, alpha, k))
-
-
-def _check_dimension(n: int) -> None:
-    if n < 1:
-        raise ValueError(f"dimension N={n} must be at least 1")
 
 
 # The inverse on a 2-core host at N=5: 105 pairings (o_n, k=8, one orbit) take

@@ -27,7 +27,7 @@ from ncspheres.models import (
 )
 from ncspheres.partitions import LegColor, PartitionClass, enumerate_partitions, parse_partition
 from ncspheres.relations import monomial_system, relation_sign, saturate, sphere_relations
-from ncspheres.tensors import t_map, xi_vector
+from ncspheres.tensors import entry_key, t_map, xi_vector
 from ncspheres.weingarten import (
     SPHERES,
     Field,
@@ -603,11 +603,19 @@ def _reference_relations(model, sphere, tol=TOL):
     return out
 
 
+def _tuple_entries(m):
+    """A map's entries in entry order, keyed by their 1-based (out, in) tuples."""
+    tuples = itertools.product(range(1, m.dim + 1), repeat=m.output_arity + m.input_arity)
+    decode = {entry_key(m.dim, t[:m.output_arity], t[m.output_arity:]): t for t in tuples}
+    return [((decode[key][:m.output_arity], decode[key][m.output_arity:]), c)
+            for key, c in m.entries.items()]
+
+
 def _reference_fixed_vector(p, model, twisted):
     """Per-tuple fixed-vector sum: each product multiplied from np.eye."""
     mats = list(model.coordinates)
     total = np.zeros((model.d, model.d), dtype=complex)
-    for (tup, _), coeff in xi_vector(p, model.n, twisted).entries.items():
+    for (tup, _), coeff in _tuple_entries(xi_vector(p, model.n, twisted)):
         prod = np.eye(model.d, dtype=complex)
         for c, j in zip(p.colors, tup):
             m = mats[j - 1]
@@ -700,7 +708,7 @@ def test_stacked_fixed_vector_sum_matches_the_per_tuple_reference():
 def _reference_intertwiner(p, u, twisted, tol):
     n = u.shape[0]
     t = np.zeros((n,) * (p.lower + p.upper), dtype=complex)
-    for (o, i), c in t_map(p, n, twisted).entries.items():
+    for (o, i), c in _tuple_entries(t_map(p, n, twisted)):
         t[tuple(x - 1 for x in o + i)] = c
     t = t.reshape(n ** p.lower, n ** p.upper)
     powers = []

@@ -25,7 +25,7 @@ from ncspheres.partitions import (
     signature,
     standard_form,
 )
-from ncspheres.tensors import involution, t_map, tensor_concat
+from ncspheres.tensors import entry_key, involution, t_map, tensor_concat
 
 P = parse_partition
 
@@ -340,7 +340,7 @@ def test_odd_pair_sign_matches_row_inversion_parity():
             for v in itertools.product(range(1, n + 1), repeat=p.block_count):
                 t = [v[b] for b in p.labels]
                 want = reference_inversion_sign(t, k)
-                assert p.twisted_sign(v) == want == m[(tuple(t[k:]), tuple(t[:k]))], (p, v)
+                assert p.twisted_sign(v) == want == m[entry_key(n, t[k:], t[:k])], (p, v)
                 cases += 1
     assert cases == 141406
 

@@ -19,6 +19,7 @@ from ncspheres.tensors import (
     SparseTensorMap,
     compose,
     delta,
+    entry_key,
     inner_product,
     involution,
     t_entries,
@@ -79,7 +80,7 @@ def test_twisted_crossing_map(n):
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             expected = 1 if i == j else -1
-            assert m.entries[((j, i), (i, j))] == expected
+            assert m.entries[entry_key(n, (j, i), (i, j))] == expected
     assert len(m.entries) == n * n
 
 
@@ -89,7 +90,7 @@ def test_twisted_reversal_map(n):
     for t in itertools.product(range(1, n + 1), repeat=3):
         i, j, k = t
         expected = -1 if len({i, j, k}) == 3 else 1
-        assert m.entries[((k, j, i), (i, j, k))] == expected
+        assert m.entries[entry_key(n, (k, j, i), (i, j, k))] == expected
 
 
 def test_twist_trivial_on_noncrossing():
@@ -128,10 +129,15 @@ def reference_t_map(p, n, twisted=False):
     return entries
 
 
+def encoded(n, entries):
+    """Tuple-keyed entries under their int keys, in the same order."""
+    return {entry_key(n, o, i): c for (o, i), c in entries.items()}
+
+
 def assert_same_map(p, n, twisted):
-    got, want = t_map(p, n, twisted).entries, reference_t_map(p, n, twisted)
+    got, want = t_map(p, n, twisted).entries, encoded(n, reference_t_map(p, n, twisted))
     assert got == want and list(got) == list(want), (p, n, twisted)
-    assert all(type(x) is int for key in got for row in key for x in row), (p, n)
+    assert all(type(key) is int for key in got), (p, n)
     assert all(type(c) is int for c in got.values()), (p, n, twisted)
     return len(got)
 
@@ -163,7 +169,7 @@ def test_t_map_of_the_empty_partition():
     for n in (1, 2):
         for tw in (False, True):
             assert assert_same_map(p, n, tw) == 1
-            assert t_map(p, n, tw).entries == {((), ()): 1}
+            assert t_map(p, n, tw).entries == {entry_key(n, (), ()): 1} == {0: 1}
 
 
 def test_t_entries_are_the_reference_entries_as_arrays():
@@ -197,10 +203,50 @@ def test_twisted_sign_on_a_grid_equals_the_scalar_form():
         assert p.twisted_sign(grid).tolist() == want, p
 
 
+def test_entry_key_is_the_flat_index_of_the_dense_matrix():
+    # out_code * N^k + in_code, first leg most significant: the row-major index
+    # of the 0-based tuple out + in in an array of shape (N,) * (l + k)
+    for n in (1, 2, 3):
+        for l, k in itertools.product(range(3), repeat=2):
+            for t in itertools.product(range(1, n + 1), repeat=l + k):
+                flat = np.ravel_multi_index([x - 1 for x in t], (n,) * (l + k)) if t else 0
+                assert entry_key(n, t[:l], t[l:]) == flat, (n, t, l)
+    assert entry_key(10, (3, 1), (2,)) == 201 and entry_key(2, (2, 2), (1, 2)) == 13
+    for out, inp in (((3,), ()), ((1,), (0,)), ((1, -1), (1,))):
+        with pytest.raises(ValueError):
+            entry_key(2, out, inp)
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_dimension_below_one_is_refused(n):
+    for build in (lambda: t_map(P("ab|ab"), n), lambda: t_map(P("|abab"), n, True),
+                  lambda: t_entries(P("ab|ab"), n), lambda: t_entries(P("|abab"), n, True),
+                  lambda: xi_vector(P("|aa"), n)):
+        with pytest.raises(ValueError, match="at least 1"):
+            build()
+
+
+@pytest.mark.parametrize("keys", [
+    {((1,), (1,)): 1},                  # the old tuple keys
+    {0: 1, ((2,), (2,)): 1},            # tuple keys next to int keys
+    {4: 1}, {-1: 1}, {2 ** 70: 1},      # outside [0, N^(k+l)) = [0, 4)
+    {1.0: 1}, {"0": 1},                 # not ints
+])
+def test_sparse_map_refuses_keys_that_are_not_entry_keys(keys):
+    with pytest.raises(ValueError, match="keys must be ints"):
+        SparseTensorMap(2, 1, 1, keys)
+
+
+def test_sparse_map_takes_every_key_of_its_frame():
+    assert SparseTensorMap(2, 1, 1, {}).entries == {}
+    assert len(SparseTensorMap(3, 2, 1, dict.fromkeys(range(27), -1)).entries) == 27
+    assert SparseTensorMap(3, 0, 0, {0: 1}) == t_map(P("|"), 3)
+
+
 @pytest.mark.parametrize("bad", [0, 2])
 def test_sparse_map_refuses_coefficients_other_than_plus_minus_one(bad):
     with pytest.raises(ValueError):
-        SparseTensorMap(2, 1, 1, {((1,), (1,)): 1, ((2,), (2,)): bad})
+        SparseTensorMap(2, 1, 1, {entry_key(2, (1,), (1,)): 1, entry_key(2, (2,), (2,)): bad})
 
 
 # ---------------------------------------------------------------------------
@@ -210,10 +256,10 @@ def test_sparse_map_refuses_coefficients_other_than_plus_minus_one(bad):
 def test_xi_crossing_vector():
     v = xi_vector(P("|abab"), 3, twisted=True)
     for i in range(1, 4):
-        assert v.entries[((i, i, i, i), ())] == 1
+        assert v.entries[entry_key(3, (i, i, i, i), ())] == 1
         for j in range(1, 4):
             if i != j:
-                assert v.entries[((i, j, i, j), ())] == -1
+                assert v.entries[entry_key(3, (i, j, i, j), ())] == -1
     assert len(v.entries) == 9
 
 
@@ -222,7 +268,7 @@ def test_xi_halfliberating_vector():
     for t in itertools.product(range(1, 4), repeat=3):
         i, j, k = t
         expected = -1 if len({i, j, k}) == 3 else 1
-        assert v.entries[((i, j, k, i, j, k), ())] == expected
+        assert v.entries[entry_key(3, (i, j, k, i, j, k), ())] == expected
 
 
 def test_xi_needs_lower_only():
@@ -350,3 +396,49 @@ def test_functoriality_adjoint():
             for n in (2, 3):
                 for tw in (False, True):
                     assert t_map(p, n, tw).adjoint() == t_map(involution(p), n, tw)
+
+
+# ---------------------------------------------------------------------------
+# the coded operations against the tuple-keyed ones
+
+
+def reference_tensor(a, b):
+    return {(o1 + o2, i1 + i2): c1 * c2 for (o1, i1), c1 in a.items() for (o2, i2), c2 in b.items()}
+
+
+def reference_matmul(a, b):
+    """a . b on tuple keys, one middle tuple at a time."""
+    out = {}
+    for (o, mid), c in a.items():
+        for (mid2, i), c2 in b.items():
+            if mid == mid2:
+                out[(o, i)] = out.get((o, i), 0) + c * c2
+    return {key: c for key, c in out.items() if c}
+
+
+def reference_adjoint(a):
+    return {(i, o): c for (o, i), c in a.items()}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_coded_operations_match_the_tuple_keyed_reference(n):
+    # every pair of the even pool with rows <= 3, twisted and not
+    pool = [p for k, l in frames_even(3) for p in even_partitions(k, l)]
+    assert len(pool) == 47
+    summed = 0
+    for tw in (False, True):
+        maps = {p: t_map(p, n, tw) for p in pool}
+        refs = {p: reference_t_map(p, n, tw) for p in pool}
+        for p in pool:
+            adj = maps[p].adjoint()
+            assert (adj.input_arity, adj.output_arity) == (p.lower, p.upper)
+            assert adj.entries == encoded(n, reference_adjoint(refs[p])), (p, tw)
+        for p, q in itertools.product(pool, repeat=2):
+            prod = maps[p].tensor(maps[q])
+            assert (prod.input_arity, prod.output_arity) == (p.upper + q.upper, p.lower + q.lower)
+            assert prod.entries == encoded(n, reference_tensor(refs[p], refs[q])), (p, q, tw)
+            if q.upper == p.lower:
+                want = reference_matmul(refs[q], refs[p])
+                assert maps[q].matmul(maps[p]) == encoded(n, want), (p, q, tw)
+                summed += any(abs(c) > 1 for c in want.values())
+    assert (summed > 0) == (n > 1)  # closed loops add up N terms from N = 2 on
