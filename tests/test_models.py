@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -603,12 +604,17 @@ def _reference_relations(model, sphere, tol=TOL):
     return out
 
 
+@functools.lru_cache(maxsize=None)
+def _decode(n, l, k):
+    """Each key of a frame, through entry_key, to its 1-based (out, in) tuples."""
+    return {entry_key(n, t[:l], t[l:]): (t[:l], t[l:])
+            for t in itertools.product(range(1, n + 1), repeat=l + k)}
+
+
 def _tuple_entries(m):
     """A map's entries in entry order, keyed by their 1-based (out, in) tuples."""
-    tuples = itertools.product(range(1, m.dim + 1), repeat=m.output_arity + m.input_arity)
-    decode = {entry_key(m.dim, t[:m.output_arity], t[m.output_arity:]): t for t in tuples}
-    return [((decode[key][:m.output_arity], decode[key][m.output_arity:]), c)
-            for key, c in m.entries.items()]
+    decode = _decode(m.dim, m.output_arity, m.input_arity)
+    return [(decode[key], c) for key, c in m.entries.items()]
 
 
 def _reference_fixed_vector(p, model, twisted):

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -129,9 +130,12 @@ def reference_t_map(p, n, twisted=False):
     return entries
 
 
+key_of = functools.lru_cache(maxsize=None)(entry_key)  # the same tuples recur across maps
+
+
 def encoded(n, entries):
     """Tuple-keyed entries under their int keys, in the same order."""
-    return {entry_key(n, o, i): c for (o, i), c in entries.items()}
+    return {key_of(n, o, i): c for (o, i), c in entries.items()}
 
 
 def assert_same_map(p, n, twisted):
