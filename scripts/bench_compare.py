@@ -13,17 +13,20 @@ inside a pair and seeds 1 to 10 across pairs; the side that runs first
 alternates from pair to pair, so a drift of the host's speed favours
 neither.
 
-After the pairs, each side makes one traced run (``--trace 1``, seed 1)
-per workload, and the per-layer metrics of the two are set side by side.
+After the pairs, each side makes three traced runs (``--trace 1``,
+seeds 1 to 3, the first side alternating as above) per workload.  Each
+per-layer metric of a side is the median over its traced runs, so one
+noisy run does not move a layer; the two sides are set side by side.
 
 The output JSON holds the environment, and for every workload and
 end-to-end metric named in ``BENCHMARK.json`` the per-pair values, the
 median and interquartile range of each side, and the number of pairs
 whose change value is better than its base value.  Under ``per_layer``
-it holds, for every workload, each per-layer metric of the traced runs
-with its base value, change value and delta (change minus base), and the
-spans each side's tracer did not find.  A metric or span that one side
-has and the other lacks is kept, with a null value and delta.
+it holds, for every workload, each per-layer metric's median over the
+traced runs (``trace_seeds``) with its base value, change value and delta
+(change minus base), and the spans each side's tracer did not find in any
+of them.  A metric or span that one side has and the other lacks is kept,
+with a null value and delta.
 """
 
 from __future__ import annotations
@@ -48,8 +51,8 @@ ROOT = Path(__file__).resolve().parent.parent
 RUN_TIMEOUT_S = 600
 # the gain rule compares ten alternating pairs
 PAIRS = 10
-# the seed of the one traced run a side makes per workload
-TRACE_SEED = 1
+# the seeds of the traced runs a side makes per workload
+TRACE_SEEDS = (1, 2, 3)
 
 
 def extract(rev: str, into: Path) -> str:
@@ -96,11 +99,13 @@ def summarize(metrics: list[dict], runs: dict[str, list[dict]]) -> dict:
     return out
 
 
-def layer_deltas(checkouts: dict[str, Path], runs: dict[str, dict], workload: str) -> dict:
-    """Per-layer metrics of one traced run a side, over the union of both sides' names."""
-    values = {side: {name: m["value"] for name, m in run["metrics"].items()}
-              for side, run in runs.items()}
-    units = {name: m["unit"] for run in runs.values() for name, m in run["metrics"].items()}
+def layer_deltas(checkouts: dict[str, Path], runs: dict[str, list[dict]], workload: str) -> dict:
+    """Per-layer medians of each side's traced runs, over the union of both sides' names."""
+    values = {side: {name: statistics.median(r["metrics"][name]["value"] for r in side_runs)
+                     for name in set.intersection(*(set(r["metrics"]) for r in side_runs))}
+              for side, side_runs in runs.items()}
+    units = {name: m["unit"] for side_runs in runs.values() for run in side_runs
+             for name, m in run["metrics"].items()}
     metrics = {}
     for name in sorted(units):
         base, change = values["base"].get(name), values["change"].get(name)
@@ -108,8 +113,9 @@ def layer_deltas(checkouts: dict[str, Path], runs: dict[str, dict], workload: st
                          "delta": None if base is None or change is None else change - base}
     missing = {}
     for side, checkout in checkouts.items():
-        detail = checkout / ".perfbench" / f"result-{workload}-seed{TRACE_SEED}-trace1.json"
-        missing[side] = json.loads(detail.read_text())["missing_spans"]
+        missing[side] = sorted({span for seed in TRACE_SEEDS for span in json.loads(
+            (checkout / ".perfbench" / f"result-{workload}-seed{seed}-trace1.json").read_text()
+        )["missing_spans"]})
     return {"metrics": metrics, "missing_spans": missing}
 
 
@@ -152,7 +158,7 @@ def main(argv=None) -> int:
 
     report = {"base": None, "change": None, "environment": environment(),
               "pairs": PAIRS, "seconds": spec["run_seconds"],
-              "seeds": list(range(1, PAIRS + 1)),
+              "seeds": list(range(1, PAIRS + 1)), "trace_seeds": list(TRACE_SEEDS),
               "loadavg_start": loadavg(), "workloads": {}, "per_layer": {}}
     started = time.perf_counter()
     with tempfile.TemporaryDirectory(prefix="bench-compare-", dir=args.scratch) as tmp:
@@ -170,8 +176,11 @@ def main(argv=None) -> int:
                       f"{runs['change'][-1]['metrics']['wall_s']['value']:.3f}", flush=True)
             report["workloads"][workload] = summarize(spec["end_to_end"], runs)
         for workload in (w["name"] for w in spec["workloads"]):
-            traced = {side: run_once(sides[side], workload, TRACE_SEED, report["seconds"], trace=1)
-                      for side in ("base", "change")}
+            traced: dict[str, list[dict]] = {"base": [], "change": []}
+            for seed in TRACE_SEEDS:
+                for side in ("base", "change") if seed % 2 else ("change", "base"):
+                    traced[side].append(run_once(sides[side], workload, seed,
+                                                 report["seconds"], trace=1))
             report["per_layer"][workload] = layer_deltas(sides, traced, workload)
     report["loadavg_end"] = loadavg()
     report["elapsed_s"] = round(time.perf_counter() - started, 1)

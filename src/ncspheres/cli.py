@@ -24,7 +24,6 @@ from .partitions import (
     crossing_count,
     enumerate_partitions,
     halfcommuting_membership,
-    is_member,
     parse_partition,
     perm_to_partition,
     signature,
@@ -63,7 +62,7 @@ POWER_BIT_BOUND = 4096
 # operations running (directly or transitively) under each subcommand, for
 # the coverage check
 COMMAND_OPERATIONS = {
-    "partitions": ["enumerate_partitions", "is_member", "kernel"],
+    "partitions": ["enumerate_partitions", "kernel"],
     "signature": ["parse_partition", "signature", "standard_form", "crossing_count", "kernel"],
     "gram": ["category_pairings", "gram"],
     "weingarten": ["category_pairings", "gram", "weingarten_matrix"],
@@ -71,7 +70,7 @@ COMMAND_OPERATIONS = {
     "trace": ["sphere_trace"],
     "rank": ["gram_rank_products"],
     "classify": ["classify_monomial_sphere", "halfcommuting_membership",
-                 "perm_to_partition"],
+                 "is_member", "perm_to_partition"],
     "saturate": ["saturate", "sphere_relations", "relation_sign",
                  "group_relation_sign", "relation_group", "comult_sign_check"],
     "reduce": ["reduce", "parse_word"],

@@ -17,12 +17,14 @@ partition builds the word of its result and canonicalizes it through
 Partition literals are two strings over lowercase letters separated by
 ``|``, upper row first, with equal letters marking equal blocks.  An
 optional suffix ``:`` carries one color character per leg (upper row then
-lower row), ``o`` for white (plain symbol) and ``*`` for black (starred
-symbol).  Examples::
+lower row), ``o`` for white (plain symbol), ``*`` for black (starred
+symbol) and ``?`` for an uncolored leg, as on a frame that colors one row
+and not the other.  Examples::
 
     "|abab"        crossing on four lower legs
     "ab|ba"        through-crossing
     "|abab:oo**"   crossing with lower legs colored white,white,black,black
+    "aa|bb:o*??"   colored upper row over an uncolored lower row
 
 A *switch* exchanges two row-adjacent legs belonging to different blocks.
 Every partition with even block sizes can be switched into a noncrossing
@@ -35,12 +37,14 @@ from __future__ import annotations
 import enum
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .errors import FrameError, PartitionClassError, SizeLimitError
 
 ENUMERATION_LEG_BOUND = 12
+ENUMERATION_MEMBER_BOUND = 1 << 18
 
 
 class LegColor(enum.Enum):
@@ -213,13 +217,6 @@ class Partition:
                 stack.pop()
         return True
 
-    def is_through_pairing(self) -> bool:
-        return (
-            self.upper == self.lower
-            and self.is_pairing()
-            and all(min(b) < self.upper <= max(b) for b in self.blocks)
-        )
-
     # -- literals ------------------------------------------------------
 
     def literal(self) -> str:
@@ -243,7 +240,8 @@ def parse_partition(text: str) -> Partition:
     if "|" not in body:
         raise ValueError(f"partition literal needs a '|': {text!r}")
     up, low = body.split("|", 1)
-    return kernel(up + low, len(up), len(low), colortext)
+    colors = [LegColor.UNCOLORED if c == "?" else c for c in colortext]
+    return kernel(up + low, len(up), len(low), colors)
 
 
 # ---------------------------------------------------------------------------
@@ -384,52 +382,53 @@ def crossing_count(p: Partition) -> int:
 # class predicates and enumeration
 
 
-def _color_balanced(p: Partition) -> bool:
-    """Colored block rule: within each block, white-upper plus black-lower
-    legs must balance black-upper plus white-lower legs.  For a pair this
-    says a through string joins equal colors and a same-row string joins
-    opposite colors.  Uncolored legs are unconstrained."""
-    for b in p.blocks:
-        bal = 0
-        for leg in b:
-            c = p.colors[leg]
-            if c is LegColor.UNCOLORED:
-                continue
-            sign = 1 if c is LegColor.WHITE else -1
-            bal += sign if leg < p.upper else -sign
-        if bal != 0:
-            return False
+# The rule of each class for one block, on its legs' linear positions:
+# (most legs, a multiple of how many legs, the link between each two
+# consecutive legs x < y on a frame of k upper legs, noncrossing).  Every
+# block also balances its colors (``_weights``).  The odd link is P2*'s
+# rule that a string joins opposite labels of the alternating black/white
+# labelling; a noncrossing class with even blocks obeys it too, since the
+# legs between two consecutive legs of a block make up whole even blocks.
+def _any_link(x: int, y: int, k: int) -> bool:
     return True
 
 
-def _alternating_rule(p: Partition) -> bool:
-    """Each string of a pairing joins legs of opposite parity in the
-    cyclic black/white labelling along the linear order."""
-    return all((y - x) % 2 for x, y in _linear_blocks(p))
+def _odd_link(x: int, y: int, k: int) -> bool:
+    return (y - x) % 2 == 1
+
+
+def _through_link(x: int, y: int, k: int) -> bool:
+    return x < k <= y
+
+
+_RULES = {
+    PartitionClass.P: (math.inf, 1, _any_link, False),
+    PartitionClass.P_EVEN: (math.inf, 2, _any_link, False),
+    PartitionClass.P2: (2, 2, _any_link, False),
+    PartitionClass.NC: (math.inf, 1, _any_link, True),
+    PartitionClass.NC_EVEN: (math.inf, 2, _odd_link, True),
+    PartitionClass.NC2: (2, 2, _odd_link, True),
+    PartitionClass.P2_STAR: (2, 2, _odd_link, False),
+    PartitionClass.PERM: (2, 2, _through_link, False),
+}
+_WEIGHT = {LegColor.WHITE: 1, LegColor.BLACK: -1, LegColor.UNCOLORED: 0}
+
+
+def _weights(upper: int, colors: Sequence[LegColor]) -> list[int]:
+    """Color weight of each leg in the linear order, negated on the lower
+    row.  A block is balanced when its weights sum to 0: a through string
+    joins equal colors and a same-row string joins opposite colors."""
+    linear = [*colors[:upper], *reversed(colors[upper:])]
+    return [_WEIGHT[c] if x < upper else -_WEIGHT[c] for x, c in enumerate(linear)]
 
 
 def is_member(p: Partition, cls: PartitionClass) -> bool:
-    if cls is PartitionClass.P:
-        ok = True
-    elif cls is PartitionClass.P_EVEN:
-        ok = p.has_even_blocks()
-    elif cls is PartitionClass.P2:
-        ok = p.is_pairing()
-    elif cls is PartitionClass.NC:
-        ok = p.is_noncrossing()
-    elif cls is PartitionClass.NC_EVEN:
-        ok = p.has_even_blocks() and p.is_noncrossing()
-    elif cls is PartitionClass.NC2:
-        ok = p.is_pairing() and p.is_noncrossing()
-    elif cls is PartitionClass.P2_STAR:
-        ok = p.is_pairing() and _alternating_rule(p)
-    elif cls is PartitionClass.PERM:
-        ok = p.is_through_pairing()
-    else:  # pragma: no cover
-        raise ValueError(cls)
-    if ok and p.is_colored():
-        ok = _color_balanced(p)
-    return ok
+    """True iff ``p`` obeys the block rule and the noncrossing flag of ``cls``."""
+    most, step, link, noncrossing = _RULES[cls]
+    weight = _weights(p.upper, p.colors)
+    return all(len(b) <= most and len(b) % step == 0 and sum(weight[x] for x in b) == 0
+               and all(link(x, y, p.upper) for x, y in zip(b, b[1:]))
+               for b in _linear_blocks(p)) and (not noncrossing or p.is_noncrossing())
 
 
 def _restricted_growth_strings(n: int) -> Iterator[tuple[int, ...]]:
@@ -451,41 +450,18 @@ def _restricted_growth_strings(n: int) -> Iterator[tuple[int, ...]]:
     yield from rec(1, 0)
 
 
-def _pairing_words(n: int, noncrossing: bool = False) -> Iterator[tuple[int, ...]]:
-    """All pairings of range(n) as label words, pairs numbered by their
-    first element; none for odd ``n``, and only noncrossing ones with ``noncrossing``."""
-    if n % 2:
-        return
-    word: list = [None] * n
-
-    def rec(i: int, label: int):
-        while i < n and word[i] is not None:
-            i += 1
-        if i == n:
-            yield tuple(word)
-            return
-        word[i] = label
-        for j in range(i + 1, n):
-            if word[j] is None:
-                word[j] = label
-                yield from rec(i + 1, label + 1)
-                word[j] = None
-            elif noncrossing:  # a partner past a paired leg would cross its string
-                break
-        word[i] = None
-
-    yield from rec(0, 0)
-
-
-_PAIRING_CLASSES = {PartitionClass.P2, PartitionClass.NC2, PartitionClass.P2_STAR,
-                    PartitionClass.PERM}
-
-
 def enumerate_partitions(cls: PartitionClass, upper=0, lower=0) -> list[Partition]:
     """All members of a partition class on the given frame, canonically ordered.
 
     ``upper``/``lower`` are either leg counts (uncolored) or color words
     over ``o`` and ``*``.  Pairing classes on an odd frame yield ``[]``.
+
+    Members are built block by block in the linear order.  Each block opens
+    at the first free leg and takes further legs in increasing order,
+    closing (where the class rule lets it) before it grows, so members come
+    out sorted by their blocks' linear positions.  In a noncrossing class a
+    block stays below the first leg taken after its first leg.  A class
+    with more than ``ENUMERATION_MEMBER_BOUND`` members is refused.
     """
     cu = _color_word(upper, upper if isinstance(upper, int) else len(upper))
     cl = _color_word(lower, lower if isinstance(lower, int) else len(lower))
@@ -494,12 +470,38 @@ def enumerate_partitions(cls: PartitionClass, upper=0, lower=0) -> list[Partitio
     if n > ENUMERATION_LEG_BOUND:
         raise SizeLimitError(f"{n} legs exceeds the enumeration bound {ENUMERATION_LEG_BOUND}")
     colors = cu + cl
-    if cls is PartitionClass.NC2:  # pruned in the linear order: the lower row reversed
-        words = ((*w[:k], *reversed(w[k:])) for w in _pairing_words(n, noncrossing=True))
-    else:
-        words = _pairing_words(n) if cls in _PAIRING_CLASSES else _restricted_growth_strings(n)
-    out = [p for p in (kernel(w, k, l, colors) for w in words) if is_member(p, cls)]
-    out.sort(key=_linear_blocks)
+    most, step, link, noncrossing = _RULES[cls]
+    weight = _weights(k, colors)
+    word: list = [None] * n  # block of each leg in the linear order
+    out: list[Partition] = []
+
+    def open_block(label: int):
+        if None not in word:
+            if len(out) == ENUMERATION_MEMBER_BOUND:
+                raise SizeLimitError(f"{cls.value} has more than {ENUMERATION_MEMBER_BOUND} "
+                                     f"members on {k} upper and {l} lower legs")
+            out.append(kernel((*word[:k], *reversed(word[k:])), k, l, colors))
+            return
+        first = word.index(None)
+        word[first] = label
+        grow(label, first, 1, weight[first])
+        word[first] = None
+
+    def grow(label: int, last: int, size: int, balance: int):
+        if size % step == 0 and balance == 0:
+            open_block(label + 1)
+        if size == most:
+            return
+        for y in range(last + 1, n):
+            if word[y] is not None:
+                if noncrossing:
+                    return
+            elif link(last, y, k):
+                word[y] = label
+                grow(label, y, size + 1, balance + weight[y])
+                word[y] = None
+
+    open_block(0)
     return out
 
 
@@ -523,7 +525,7 @@ def perm_to_partition(perm: Sequence[int]) -> Partition:
     return kernel([*range(k), *lower], k, k)
 
 
-def halfcommuting_membership(perm: Sequence[int] | Partition) -> bool:
+def halfcommuting_membership(perm: Sequence[int]) -> bool:
     """True iff a permutation has the black-to-white joining property.
 
     Legs of its k-over-k diagram are labelled alternately black/white along
@@ -531,7 +533,4 @@ def halfcommuting_membership(perm: Sequence[int] | Partition) -> bool:
     labels.  These permutations form the subgroups S_k* with
     ``|S_{2n}*| = (n!)^2`` and ``|S_{2n+1}*| = n!(n+1)!``.
     """
-    p = perm if isinstance(perm, Partition) else perm_to_partition(perm)
-    if not p.is_through_pairing():
-        raise PartitionClassError("expected a permutation diagram")
-    return is_member(p, PartitionClass.P2_STAR)
+    return is_member(perm_to_partition(perm), PartitionClass.P2_STAR)

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +8,8 @@ from hypothesis import strategies as st
 
 from ncspheres.errors import FrameError, PartitionClassError, SizeLimitError
 from ncspheres.partitions import (
+    _color_word,
+    _linear_blocks,
     _restricted_growth_strings,
     _row_inversions,
     LegColor,
@@ -58,6 +61,27 @@ def test_colored_literal_roundtrip():
     p = P("|abab:oo**")
     assert p.colors == (LegColor.WHITE, LegColor.WHITE, LegColor.BLACK, LegColor.BLACK)
     assert p.literal() == "|abab:oo**"
+
+
+def test_mixed_frame_literals_parse_back():
+    # a frame that colors one row and not the other prints "?" for its
+    # uncolored legs; the literal reads back as the same partition
+    cases = 0
+    for k, l in frames(6):
+        for colored in range(2):
+            if (k, l)[colored] and (k, l)[1 - colored]:
+                for word in map("".join, itertools.product("o*", repeat=(k, l)[colored])):
+                    upper, lower = (word, l) if colored == 0 else (k, word)
+                    for cls in PartitionClass:
+                        for p in enumerate_partitions(cls, upper, lower):
+                            assert "?" in p.literal() and P(p.literal()) == p, p
+                            cases += 1
+    assert cases > 1000
+    p = tensor_concat(P("|aa:o*"), P("|aa"))
+    assert p.literal() == "|aabb:o*??" and P(p.literal()) == p
+    assert P("aa|bb:o*??") == enumerate_partitions(PartitionClass.NC2, "o*", 2)[0]
+    with pytest.raises(ValueError, match="bad exponent"):
+        _color_word("o?", 2)
 
 
 def test_structural_equality_ignores_letter_names():
@@ -122,25 +146,137 @@ def test_subset_chain_exhaustive():
             assert p2 <= pe
 
 
-def test_nc2_pruning_keeps_the_unpruned_list(monkeypatch):
-    # the NC2 recursion skips crossing partners, in the linear order; the
-    # membership filter and the final sort stay, so the lists must agree.
-    # The pruning reads no colours: a colour word only filters after it
+def reference_classes(p):
+    """The classes ``p`` belongs to by the block predicates the enumeration
+    filtered with before it built each class directly (colors aside)."""
+    pairing, even, noncrossing = p.is_pairing(), p.has_even_blocks(), p.is_noncrossing()
+    member = {
+        PartitionClass.P: True,
+        PartitionClass.P_EVEN: even,
+        PartitionClass.P2: pairing,
+        PartitionClass.NC: noncrossing,
+        PartitionClass.NC_EVEN: even and noncrossing,
+        PartitionClass.NC2: pairing and noncrossing,
+        PartitionClass.P2_STAR: pairing and all((y - x) % 2 for x, y in _linear_blocks(p)),
+        PartitionClass.PERM: pairing and p.upper == p.lower
+        and all(min(b) < p.upper <= max(b) for b in p.blocks),
+    }
+    return {cls for cls, ok in member.items() if ok}
+
+
+def reference_color_balanced(p, colors):
+    """Within each block, white-upper plus black-lower legs balance
+    black-upper plus white-lower legs."""
+    return not any(sum((1 if colors[leg] == "o" else -1) * (1 if leg < p.upper else -1)
+                       for leg in b) for b in p.blocks)
+
+
+def reference_enumeration(n):
+    """The linear words of each class's members on every uncolored frame
+    of ``n`` legs, by frame: every restricted growth string, filtered and
+    sorted by ``_linear_blocks``.  Only membership of PERM depends on where
+    the frame splits the linear order, so the rest is read off the one-row
+    frame."""
+    parts = sorted(map(kernel, _restricted_growth_strings(n)), key=_linear_blocks)
+    classes = [reference_classes(p) for p in parts]
+    words = {cls: [list(p.labels) for p, c in zip(parts, classes) if cls in c]
+             for cls in PartitionClass}
+    out = {}
+    for k in range(n + 1):
+        on_frame = (kernel((*w[:k], *w[k:][::-1]), k, n - k) for w in words[PartitionClass.P2])
+        perm = [p.linear_word() for p in on_frame if PartitionClass.PERM in reference_classes(p)]
+        out.update({(k, n - k, cls): perm if cls is PartitionClass.PERM else words[cls]
+                    for cls in PartitionClass})
+    return out
+
+
+def test_enumeration_matches_the_filtered_reference():
+    # every class on every uncolored frame up to 9 legs, in the same order
+    for n in range(10):
+        for (k, l, cls), want in reference_enumeration(n).items():
+            got = enumerate_partitions(cls, k, l)
+            assert [p.linear_word() for p in got] == want, (cls, k, l)
+            assert all((p.upper, p.lower) == (k, l) and not p.is_colored() for p in got)
+
+
+def test_colored_enumeration_matches_the_filtered_reference():
+    # every class on every frame of up to 6 legs with both rows colored
+    cases = 0
+    for n in range(7):
+        reference = reference_enumeration(n)
+        for k in range(n + 1):
+            parts = {tuple(w): kernel((*w[:k], *w[k:][::-1]), k, n - k)
+                     for w in reference[k, n - k, PartitionClass.P]}
+            for colors in map("".join, itertools.product("o*", repeat=n)):
+                balanced = {w for w, p in parts.items() if reference_color_balanced(p, colors)}
+                word = _color_word(colors, n)
+                for cls in PartitionClass:
+                    got = enumerate_partitions(cls, colors[:k], colors[k:])
+                    assert [p.linear_word() for p in got] == \
+                        [w for w in reference[k, n - k, cls] if tuple(w) in balanced]
+                    assert all(p.colors == word for p in got)
+                    cases += 1
+    assert cases == 6152
+
+
+def test_kernel_runs_once_per_member(monkeypatch):
     from ncspheres import partitions
 
-    frames = [(k, n - k) for n in range(0, 13, 2) for k in range(n + 1)]
-    for n in range(2, 9, 2):
-        for word in map("".join, itertools.product("o*", repeat=n)):
-            frames += [(0, word)] + [(word[:k], word[k:]) for k in range(1, n) if n <= 6]
-    frames += [(0, "o*" * 5), (0, "*o" * 5), (0, "ooooo*****"), (0, "o*" * 6),
-               (0, "oo**" * 3), ("o*o*o*", "*o*o*o"), ("ooo", "***o*o*o*")]
-    pruned = [enumerate_partitions(PartitionClass.NC2, k, l) for k, l in frames]
-    real = partitions._pairing_words
-    monkeypatch.setattr(partitions, "_pairing_words", lambda n, noncrossing=False: real(n))
-    assert [enumerate_partitions(PartitionClass.NC2, k, l) for k, l in frames] == pruned
-    for n in range(0, 13, 2):
-        expect = [w for w in real(n) if partitions.kernel(w).is_noncrossing()]
-        assert list(real(n, noncrossing=True)) == expect
+    calls = []
+    real = partitions.kernel
+    monkeypatch.setattr(partitions, "kernel", lambda *a: calls.append(a) or real(*a))
+    for cls, k, l in [(PartitionClass.NC_EVEN, 4, 4), (PartitionClass.NC, 3, 3),
+                      (PartitionClass.P_EVEN, 2, 4), (PartitionClass.P, 0, 5),
+                      (PartitionClass.NC2, 3, 5), (PartitionClass.P2, 0, "oo**"),
+                      (PartitionClass.P2_STAR, 3, 3), (PartitionClass.PERM, 4, 4)]:
+        calls.clear()
+        assert len(enumerate_partitions(cls, k, l)) == len(calls) > 0, cls
+
+
+def test_nc_even_on_six_over_six():
+    assert len(enumerate_partitions(PartitionClass.NC_EVEN, 6, 6)) == 1428
+
+
+def test_noncrossing_even_search_has_no_dead_end():
+    # on an uncolored frame of even size every partial block of NC2 and
+    # NC_even grows into a member: a block that left an odd gap, which no
+    # even blocks can fill, is never built.  A dead end is a call of the
+    # block-growing step during which no member is made
+    made, dead_ends = [], 0
+
+    def profile(frame, event, arg):
+        nonlocal dead_ends
+        name = frame.f_code.co_name
+        if name == "grow" and event == "call":
+            made.append(False)
+        elif name == "grow" and event == "return":
+            done = made.pop()
+            dead_ends += not done
+            if made:
+                made[-1] |= done
+        elif name == "kernel" and event == "call" and made:
+            made[-1] = True
+
+    for cls, k, l in [(PartitionClass.NC2, 0, 12), (PartitionClass.NC2, 5, 5),
+                      (PartitionClass.NC_EVEN, 6, 4), (PartitionClass.NC_EVEN, 0, 10)]:
+        sys.setprofile(profile)
+        try:
+            enumerate_partitions(cls, k, l)
+        finally:
+            sys.setprofile(None)
+        assert dead_ends == 0 and not made, (cls, k, l)
+
+
+def test_member_bound(monkeypatch):
+    from ncspheres import partitions
+
+    # the classes the largest frames answer fit under the bound; P on 11 legs
+    # (Bell(11) = 678570 members) does not
+    assert 150349 < 208012 <= partitions.ENUMERATION_MEMBER_BOUND < 678570
+    monkeypatch.setattr(partitions, "ENUMERATION_MEMBER_BOUND", 52)
+    assert len(enumerate_partitions(PartitionClass.P, 2, 3)) == 52
+    with pytest.raises(SizeLimitError, match="more than 52 members on 0 upper and 6 lower"):
+        enumerate_partitions(PartitionClass.P, 0, 6)
 
 
 # ---------------------------------------------------------------------------
