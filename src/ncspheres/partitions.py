@@ -454,7 +454,8 @@ def enumerate_partitions(cls: PartitionClass, upper=0, lower=0) -> list[Partitio
     """All members of a partition class on the given frame, canonically ordered.
 
     ``upper``/``lower`` are either leg counts (uncolored) or color words
-    over ``o`` and ``*``.  Pairing classes on an odd frame yield ``[]``.
+    over ``o`` and ``*``.  A frame whose leg count is not a multiple of the
+    class's block step, or whose colours do not balance, yields ``[]`` at once.
 
     Members are built block by block in the linear order.  Each block opens
     at the first free leg and takes further legs in increasing order,
@@ -472,6 +473,8 @@ def enumerate_partitions(cls: PartitionClass, upper=0, lower=0) -> list[Partitio
     colors = cu + cl
     most, step, link, noncrossing = _RULES[cls]
     weight = _weights(k, colors)
+    if n % step or sum(weight):  # every block must meet both, so the frame must
+        return []
     word: list = [None] * n  # block of each leg in the linear order
     out: list[Partition] = []
 

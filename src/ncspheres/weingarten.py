@@ -9,9 +9,11 @@ free level, colored by the exponent word in the complex case.  Twisting
 never changes the pairing set, only the signs inside the Kronecker
 symbols.
 
-The Gram matrix ``G(pi, sigma) = N ** |pi v sigma|`` is integral, its
-inverse is solved exactly, one column per orbit of the leg symmetries, and
-joint moments of the coordinates follow from the Weingarten sum.  Each
+The Gram matrix ``G(pi, sigma) = N ** |pi v sigma|`` is integral.  Its
+inverse W is solved exactly, one column per orbit of the leg symmetries, on
+primitive integer rows, whose entries never exceed the Bareiss ones (see
+``_eliminate``), and kept in lowest terms; joint moments of the
+coordinates follow from the Weingarten sum.  Each
 public call resolves (group, alpha, k) to one category key, which the
 builders of pairings, G and W take.  Pairing sets, block counts
 ``|pi v sigma|`` and leg symmetries are memoised per category, Weingarten
@@ -117,17 +119,19 @@ def sphere_by_name(name: str) -> SphereSpec:
 # exact rational matrices
 
 
-def _eliminate(rows: list[list[int]], ncols: int) -> tuple[int, int]:
-    """Fraction-free forward elimination (Bareiss 1968), in place.
+def _eliminate(rows: list[list[int]], ncols: int) -> int:
+    """Forward elimination on primitive integer rows, in place; the rank.
 
     Pivots are sought in the first ``ncols`` columns; further columns (an
-    augmented block) are carried along.  Each step replaces every row below
-    the pivot row by ``(piv * row - f * pivot_row) // prev``, ``prev`` the
-    previous pivot, exactly (Sylvester's identity).  Returns the rank and
-    the last pivot: for a nonsingular square block, its determinant up to sign.
+    augmented block) are carried along.  A row below the pivot row with
+    ``f = row[col] != 0`` becomes ``(piv * row - f * pivot_row) / gcd(piv, f)``,
+    divided by the gcd of its entries; a row with ``f == 0`` stays.  Each
+    row is then the primitive integer vector along the row of the rational
+    Schur complement that Bareiss elimination scales by a leading minor, so
+    no entry exceeds the Bareiss one, and most are far smaller.
     """
     nrows = len(rows)
-    rank, prev = 0, 1
+    rank = 0
     for col in range(ncols):
         pivot = next((r for r in range(rank, nrows) if rows[r][col]), None)
         if pivot is None:
@@ -135,16 +139,15 @@ def _eliminate(rows: list[list[int]], ncols: int) -> tuple[int, int]:
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
         piv, *tail = rows[rank][col:]
         for row in rows[rank + 1:]:
-            f = row[col]
-            if f:
-                row[col + 1:] = [(piv * x - f * y) // prev for x, y in zip(row[col + 1:], tail)]
-            else:
-                row[col + 1:] = [piv * x // prev for x in row[col + 1:]]
-        prev = piv
+            if f := row[col]:
+                p, q = piv // (g := math.gcd(piv, f)), f // g
+                new = [p * x - q * y for x, y in zip(row[col + 1:], tail)]
+                g = math.gcd(*new)
+                row[col + 1:] = [x // g for x in new] if g > 1 else new
         rank += 1
         if rank == nrows:
             break
-    return rank, prev
+    return rank
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -184,13 +187,16 @@ class ExactMatrix:
         return [Fraction(sum(row), self.den) for row in self.num]
 
     def inverse(self, generators: Sequence[Sequence[int]] = ()) -> "ExactMatrix":
-        """Exact inverse by fraction-free elimination; raises on singular input.
+        """Exact inverse in lowest terms; raises on singular input.
 
         Each generator ``g``, an index permutation with ``M[g[a], g[b]] ==
         M[a, b]``, gives the inverse the same symmetry, so one column per
-        orbit is solved: back substitution gives ``x = det * num^-1 e_r``, an
-        adjugate column up to sign.  The inverse of ``num / den`` is
-        ``den * x / det``; other columns are known ones permuted."""
+        orbit is solved; other columns are known ones permuted.  Back
+        substitution keeps a column's solved part as integers ``x`` over one
+        ``d``, divided by their gcd at each step, so ``d`` never exceeds the
+        column's own denominator.  The inverse of ``num / den`` is ``den * x
+        / d``, the columns taken over the lcm of their ``d`` and the whole
+        divided by its gcd."""
         n = self.nrows
         if n != self.ncols:
             raise ValueError("inverse needs a square matrix")
@@ -204,19 +210,29 @@ class ExactMatrix:
                 queue += fresh
         reps = [r for r, step in steps.items() if step is None]
         aug = [[*row, *(int(i == r) for r in reps)] for i, row in enumerate(self.num)]
-        rank, det = _eliminate(aug, n)
-        if rank < n:
+        if _eliminate(aug, n) < n:
             raise ZeroDivisionError("singular matrix")
         cols: list = [None] * n
+        dens = {}
         for t, r in enumerate(reps, n):
-            cols[r] = x = [0] * n
+            x, d = [0] * n, 1  # x[i:] / d solves rows i.. of the column
             for i, row in reversed(list(enumerate(aug))):
-                x[i] = (det * row[t] - sum(u * v for u, v in zip(row[i + 1:], x[i + 1:]))) // row[i]
-        for c, step in steps.items():
-            if step:  # W[g[a], c] = W[a, b]
-                cols[c] = [v for _, v in sorted(zip(step[1], cols[step[0]]))]
-        scale = self.den if det > 0 else -self.den
-        return ExactMatrix([[x * scale for x in row] for row in zip(*cols)], abs(det))
+                s = d * row[t] - sum(u * v for u, v in zip(row[i + 1:], x[i + 1:]))
+                g = math.gcd(s, row[i])
+                if (u := row[i] // g) != 1:
+                    x[i + 1:] = [v * u for v in x[i + 1:]]
+                    d *= u
+                x[i] = s // g
+                if (g := math.gcd(d, *x[i:])) > 1:
+                    x[i:] = [v // g for v in x[i:]]
+                    d //= g
+            cols[r], dens[r] = x, d
+        lcm = math.lcm(*dens.values())
+        for c, step in steps.items():  # W[g[a], c] = W[a, b]; a solved column over lcm
+            cols[c] = ([v for _, v in sorted(zip(step[1], cols[step[0]]))] if step
+                       else [v * (lcm // dens[c] * self.den) for v in cols[c]])
+        g = math.gcd(lcm, *(v for col in cols for v in col))
+        return ExactMatrix([[v // g for v in row] for row in zip(*cols)], lcm // g)
 
     def to_strings(self) -> list[list[str]]:
         """Entries as ``str`` of their Fractions prints them: ``p/q`` in

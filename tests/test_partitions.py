@@ -233,6 +233,26 @@ def test_kernel_runs_once_per_member(monkeypatch):
         assert len(enumerate_partitions(cls, k, l)) == len(calls) > 0, cls
 
 
+@pytest.mark.parametrize("cls, upper, lower", [
+    (PartitionClass.P_EVEN, 0, 11),   # odd frame, even blocks
+    (PartitionClass.P2, 3, 4),        # odd frame, pairings
+    (PartitionClass.NC_EVEN, 3, 4),
+    (PartitionClass.P, "oo", 0),      # two white upper legs cannot balance
+    (PartitionClass.NC2, "o*o", "*"),
+])
+def test_impossible_frame_is_refused_before_the_search(monkeypatch, cls, upper, lower):
+    # every block has a multiple of the class's step legs and balances its
+    # colours, so a frame that does not is empty without growing any block
+    from ncspheres import partitions
+
+    most, step, link, noncrossing = partitions._RULES[cls]
+    calls = []
+    monkeypatch.setitem(partitions._RULES, cls,
+                        (most, step, lambda *a: calls.append(a) or link(*a), noncrossing))
+    assert enumerate_partitions(cls, upper, lower) == []
+    assert calls == []
+
+
 def test_nc_even_on_six_over_six():
     assert len(enumerate_partitions(PartitionClass.NC_EVEN, 6, 6)) == 1428
 

@@ -88,7 +88,7 @@ def _is_inverse(a, b):
 
 def _kernel_rank(m):
     """The rank the elimination kernel returns, on a copy of m's rows."""
-    return _eliminate([list(r) for r in m.num], m.ncols)[0]
+    return _eliminate([list(r) for r in m.num], m.ncols)
 
 
 def test_exact_inverse_and_rank():
@@ -688,10 +688,11 @@ def test_block_counts_match_join_in_every_category():
 
 def gauss_jordan_inverse(m):
     """The integer inverse the library computed before its orbit solve, as
-    ``(num, den)``: fraction-free Gauss-Jordan elimination of ``num``
-    augmented by the identity, every other row updated at each pivot, the
-    block left over ``|det|``.  ``weingarten_matrix`` must match it byte
-    for byte."""
+    ``(num, den)`` in lowest terms: fraction-free Gauss-Jordan elimination
+    of ``num`` augmented by the identity, every other row updated at each
+    pivot, the block left over ``|det|``, and the whole divided by the gcd
+    of ``den`` and every entry, which makes it canonical.
+    ``weingarten_matrix`` must match it byte for byte."""
     n = m.nrows
     rows = [[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(m.num)]
     prev = 1
@@ -710,7 +711,9 @@ def gauss_jordan_inverse(m):
                 row[col:] = [piv * x // prev for x in row[col:]]
         prev = piv
     scale = m.den if prev > 0 else -m.den
-    return tuple(tuple(x * scale for x in row[n:]) for row in rows), abs(prev)
+    num = [[x * scale for x in row[n:]] for row in rows]
+    g = math.gcd(abs(prev), *(x for row in num for x in row))
+    return tuple(tuple(x // g for x in row) for row in num), abs(prev) // g
 
 
 def _orbits(size, generators):
@@ -722,11 +725,17 @@ def _orbits(size, generators):
 @pytest.mark.parametrize("level", list(Level), ids=lambda level: level.value)
 def test_weingarten_matches_the_gauss_jordan_reference(level):
     # every category up to 8 legs at N = 1..7, singular N and the empty
-    # categories of odd k included, and NC2 at 10 legs (42 pairings, 6 orbits)
+    # categories of odd k included; the 24-pairing words the benchmark
+    # solves at larger N; and NC2 at 10 legs (42 pairings, 6 orbits) at
+    # N = 1..13, with both alternating colour words
     cases = [(g, kw, range(1, 8)) for g, kw in _categories(8, 8) if g.level is level]
+    if level is Level.CLASSICAL:
+        cases += [(COMPLEX_CLASSICAL, dict(alpha="11**11**"), range(12, 16)),
+                  (COMPLEX_CLASSICAL, dict(alpha="1111****"), range(8, 12))]
     if level is Level.FREE:
-        cases += [(GroupSpec(Field.REAL, level), dict(k=10), (2, 5)),
-                  (GroupSpec(Field.COMPLEX, level), dict(alpha="1*" * 5), (2, 5))]
+        cases += [(GroupSpec(Field.REAL, level), dict(k=10), range(1, 14)),
+                  (GroupSpec(Field.COMPLEX, level), dict(alpha="1*" * 5), range(1, 14)),
+                  (GroupSpec(Field.COMPLEX, level), dict(alpha="*1" * 5), range(1, 14))]
     for g, kw, ns in cases:
         for n in ns:
             try:
@@ -737,6 +746,7 @@ def test_weingarten_matches_the_gauss_jordan_reference(level):
                 continue
             w = weingarten_matrix(g, n, **kw)
             assert (w.num, w.den) == expect, (g.name, kw, n)
+            assert math.gcd(w.den, *(x for row in w.num for x in row)) == 1
             if not category_pairings(g, **kw):
                 assert expect == ((), 1)
 
