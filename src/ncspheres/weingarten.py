@@ -219,16 +219,16 @@ class ExactMatrix:
             for i, row in reversed(list(enumerate(aug))):
                 s = d * row[t] - sum(u * v for u, v in zip(row[i + 1:], x[i + 1:]))
                 g = math.gcd(s, row[i])
-                if (u := row[i] // g) != 1:
-                    x[i + 1:] = [v * u for v in x[i + 1:]]
-                    d *= u
+                if (scale := row[i] // g) != 1:
+                    x[i + 1:] = [v * scale for v in x[i + 1:]]
+                    d *= scale
                 x[i] = s // g
                 if (g := math.gcd(d, *x[i:])) > 1:
                     x[i:] = [v // g for v in x[i:]]
                     d //= g
             cols[r], dens[r] = x, d
         lcm = math.lcm(*dens.values())
-        for c, step in steps.items():  # W[g[a], c] = W[a, b]; a solved column over lcm
+        for c, step in steps.items():  # W[g[a], c] = W[a, b]; solved columns go over lcm
             cols[c] = ([v for _, v in sorted(zip(step[1], cols[step[0]]))] if step
                        else [v * (lcm // dens[c] * self.den) for v in cols[c]])
         g = math.gcd(lcm, *(v for col in cols for v in col))
@@ -327,10 +327,10 @@ def category_pairings(g: GroupSpec, alpha=None, k: int | None = None
     return _pairings(_category(g, alpha, k))
 
 
-# The inverse on a 2-core host at N=5: 105 pairings (o_n, k=8, one orbit) take
-# 0.44 s, 120 (o_n_star, k=10, one orbit) 0.7 to 0.9 s, 132 (o_n_plus, k=12, 12
-# orbits) 1.2 s.  The elimination is cubic, so the next counts the enumeration
-# reaches, 720 (o_n_star, k=12) and 945 (o_n, k=10), would take over 200 times as long.
+# The inverse on a 2-core host at N=5 takes 0.05 to 0.07 s for 105 pairings (o_n,
+# k=8, one orbit), 0.07 to 0.09 s for 120 (o_n_star, k=10, one orbit) and 0.05 to
+# 0.06 s for 132 (o_n_plus, k=12, 12 orbits).  The elimination is cubic, so the next
+# counts, 720 (o_n_star, k=12) and 945 (o_n, k=10), would take over 200 times as long.
 GRAM_PAIRING_BOUND = 132
 
 
