@@ -62,7 +62,7 @@ POWER_BIT_BOUND = 4096
 # operations running (directly or transitively) under each subcommand, for
 # the coverage check
 COMMAND_OPERATIONS = {
-    "partitions": ["enumerate_partitions", "kernel"],
+    "partitions": ["enumerate_partitions"],
     "signature": ["parse_partition", "signature", "standard_form", "crossing_count", "kernel"],
     "gram": ["category_pairings", "gram"],
     "weingarten": ["category_pairings", "gram", "weingarten_matrix"],

@@ -294,9 +294,16 @@ def kernel(values: Sequence, upper: int | None = None, lower: int = 0,
     for v in itertools.chain(values[:upper], reversed(values[upper:])):
         if v not in rename:
             rename[v] = len(rename)
+    return _partition(upper, lower, tuple(map(rename.__getitem__, values)),
+                      _color_word(colors, n))
+
+
+def _partition(upper: int, lower: int, labels: tuple[int, ...],
+               colors: tuple[LegColor, ...]) -> Partition:
+    """The one constructor of a partition from its canonical label word and
+    its leg colors, both already checked."""
     p = object.__new__(Partition)
-    vars(p).update(upper=upper, lower=lower, labels=tuple(map(rename.__getitem__, values)),
-                   colors=_color_word(colors, n))
+    vars(p).update(upper=upper, lower=lower, labels=labels, colors=colors)
     return p
 
 
@@ -457,7 +464,8 @@ def enumerate_partitions(cls: PartitionClass, upper=0, lower=0) -> list[Partitio
     over ``o`` and ``*``.  A frame whose leg count is not a multiple of the
     class's block step, or whose colours do not balance, yields ``[]`` at once.
 
-    Members are built block by block in the linear order.  Each block opens
+    Members are built block by block in the linear order, numbered by first
+    occurrence, so each label word is canonical as built.  Each block opens
     at the first free leg and takes further legs in increasing order,
     closing (where the class rule lets it) before it grows, so members come
     out sorted by their blocks' linear positions.  In a noncrossing class a
@@ -483,7 +491,7 @@ def enumerate_partitions(cls: PartitionClass, upper=0, lower=0) -> list[Partitio
             if len(out) == ENUMERATION_MEMBER_BOUND:
                 raise SizeLimitError(f"{cls.value} has more than {ENUMERATION_MEMBER_BOUND} "
                                      f"members on {k} upper and {l} lower legs")
-            out.append(kernel((*word[:k], *reversed(word[k:])), k, l, colors))
+            out.append(_partition(k, l, (*word[:k], *reversed(word[k:])), colors))
             return
         first = word.index(None)
         word[first] = label

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -398,29 +399,18 @@ class _Engine:
         self.truncated = False
         self.trace: list[dict] = []
 
-    # -- moves ---------------------------------------------------------
-
-    def _neighbors(self, word: Word):
-        """(word, sign) for every move of every window of ``word``."""
-        n = len(word)
-        images = self._images
-        for m in self._lengths:
-            for w in range(n - m + 1):
-                window = word[w:w + m]
-                moves = images.get(window)
-                if moves is None:  # first meeting: the window's shape letters map onto it
-                    shape = _shape(window)
-                    self._windows[shape].append(window)
-                    to_window = bytes.maketrans(shape, window)
-                    moves = images[window] = [
-                        (image.translate(to_window), sign) for image, sign in self._moves[shape]]
-                for image, sign in moves:
-                    yield word[:w] + image + word[w + m:], sign
+    # -- classes -------------------------------------------------------
 
     def component(self, word: Word) -> _Component:
+        """The rewriting class of ``word``.  Each frontier word is expanded
+        in place, window by window and move by move, a window met first
+        taking its images from its shape's moves.  The order reaches no
+        result: a class's words, its ``collapsed`` flag and, when not
+        collapsed, its relative signs do not depend on it."""
         comp = self._components.get(word)
         if comp is not None:
             return comp
+        images = self._images
         signs = {word: 1}
         collapsed = False
         frontier = [word]
@@ -428,14 +418,28 @@ class _Engine:
             nxt = []
             for u in frontier:
                 su = signs[u]
-                for v, sign in self._neighbors(u):
-                    sv = su * sign
-                    if v in signs:
-                        if signs[v] != sv:
-                            collapsed = True
-                        continue
-                    signs[v] = sv
-                    nxt.append(v)
+                for m in self._lengths:
+                    for w in range(len(u) - m + 1):
+                        window = u[w:w + m]
+                        moves = images.get(window)
+                        if moves is None:
+                            shape = _shape(window)
+                            self._windows[shape].append(window)
+                            to_window = bytes.maketrans(shape, window)
+                            moves = images[window] = [(image.translate(to_window), sign)
+                                                      for image, sign in self._moves[shape]]
+                        if not moves:
+                            continue
+                        head, tail = u[:w], u[w + m:]
+                        for image, sign in moves:
+                            v = head + image + tail
+                            sv = su * sign
+                            seen = signs.get(v)
+                            if seen is None:
+                                signs[v] = sv
+                                nxt.append(v)
+                            elif seen != sv:
+                                collapsed = True
                 if len(signs) > COMPONENT_WORD_BOUND:
                     raise SizeLimitError(f"the rewriting class of a degree-{len(word)} word "
                                          f"holds more than {COMPONENT_WORD_BOUND} words")
@@ -742,22 +746,24 @@ def relation_group(system: RelationSystem, k: int) -> set[tuple[int, ...]]:
         raise ValueError(f"relation_group needs k >= 0, got {k}")
     if k > 6:
         raise SizeLimitError("relation_group supports k <= 6")
+    if k < 2:  # the identity alone, and an itemgetter of under two positions gives no tuple
+        return {tuple(range(1, k + 1))}
     engine = _Engine(system, Bounds(max_degree=k, max_indices=k))
     exp_choices = ((False, True) if system.complex_symbols else (False,))
-    alive = set(itertools.permutations(range(1, k + 1)))
+    twisted = system.twisted
+    alive = {sigma: operator.itemgetter(*(t - 1 for t in sigma))
+             for sigma in itertools.permutations(range(1, k + 1))}
     for kern in _restricted_growth_strings(k):
-        wants = {sigma: relation_sign(sigma, kern, system.twisted) for sigma in alive}
+        # a forced sign is computed only when a non-collapsed class reads it
+        forced = functools.cache(lambda sigma, kern=kern: relation_sign(sigma, kern, True))
         for exps in itertools.product(exp_choices, repeat=k):
             # the identity never dies: it maps each seed to itself, sign +1
             if len(alive) == 1:
-                return alive
+                return set(alive)
             seed = bytes([2 * kern[p] + exps[p] for p in range(k)])
             comp = engine.component(seed)
             root = comp.signs[seed]  # signs are relative to the root
-            dead = set()
-            for sigma in alive:
-                got = comp.signs.get(bytes([seed[t - 1] for t in sigma]))
-                if got is None or (got * root != wants[sigma] and not comp.collapsed):
-                    dead.add(sigma)
-            alive -= dead
-    return alive
+            alive = {sigma: take for sigma, take in alive.items()
+                     if (got := comp.signs.get(bytes(take(seed)))) is not None
+                     and (comp.collapsed or got * root == (forced(sigma) if twisted else 1))}
+    return set(alive)

@@ -219,12 +219,14 @@ def test_colored_enumeration_matches_the_filtered_reference():
     assert cases == 6152
 
 
-def test_kernel_runs_once_per_member(monkeypatch):
+def test_constructor_runs_once_per_member(monkeypatch):
+    # members are built through the one constructor, from the label word
+    # the search already holds: no member is renamed, filtered or rebuilt
     from ncspheres import partitions
 
     calls = []
-    real = partitions.kernel
-    monkeypatch.setattr(partitions, "kernel", lambda *a: calls.append(a) or real(*a))
+    real = partitions._partition
+    monkeypatch.setattr(partitions, "_partition", lambda *a: calls.append(a) or real(*a))
     for cls, k, l in [(PartitionClass.NC_EVEN, 4, 4), (PartitionClass.NC, 3, 3),
                       (PartitionClass.P_EVEN, 2, 4), (PartitionClass.P, 0, 5),
                       (PartitionClass.NC2, 3, 5), (PartitionClass.P2, 0, "oo**"),
@@ -274,7 +276,7 @@ def test_noncrossing_even_search_has_no_dead_end():
             dead_ends += not done
             if made:
                 made[-1] |= done
-        elif name == "kernel" and event == "call" and made:
+        elif name == "_partition" and event == "call" and made:
             made[-1] = True
 
     for cls, k, l in [(PartitionClass.NC2, 0, 12), (PartitionClass.NC2, 5, 5),

@@ -1,5 +1,4 @@
 import itertools
-from collections import Counter
 
 import pytest
 
@@ -369,12 +368,40 @@ def _reference_neighbors(engine, word):
             yield spliced(w, m, img), sign
 
 
-def _assert_neighbors_match_reference(engine):
-    words = list(engine._components)
-    assert words
-    for word in words:
-        assert Counter(engine._neighbors(word)) == Counter(_reference_neighbors(engine, word)), (
-            engine.system, word)
+def _reference_class(engine, root):
+    """Breadth-first search from ``root`` over ``_reference_neighbors``:
+    each word reached with its sign relative to ``root``, and whether some
+    word is reached with both signs."""
+    signs = {root: 1}
+    collapsed = False
+    frontier = [root]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for v, sign in _reference_neighbors(engine, u):
+                if v not in signs:
+                    signs[v] = signs[u] * sign
+                    nxt.append(v)
+                elif signs[v] != signs[u] * sign:
+                    collapsed = True
+        frontier = nxt
+    return signs, collapsed
+
+
+def _assert_classes_match_reference(engine):
+    """Every cached class equals the reference search from its root, the
+    word it was built from: same words, same ``collapsed`` flag, and the
+    same relative signs when not collapsed."""
+    classes = {id(comp): comp for comp in engine._components.values()}
+    assert classes
+    for cached in classes.values():
+        root = next(iter(cached.signs))
+        signs, collapsed = _reference_class(engine, root)
+        assert signs.keys() == cached.signs.keys(), (engine.system, root)
+        assert collapsed == cached.collapsed, (engine.system, root)
+        if not collapsed:
+            for u, sign in signs.items():
+                assert cached.signs[u] * cached.signs[root] == sign, (engine.system, root, u)
 
 
 class _InvalidatingEngine(_Engine):
@@ -422,7 +449,7 @@ def test_rule_table_matches_linear_scan_after_saturation(monkeypatch, regime):
             assert (res.schemas, res.truncated) == (ref.schemas, ref.truncated), perm
             res.has_family((2, 1))
             res.has_family((3, 2, 1))
-            _assert_neighbors_match_reference(res.engine)
+            _assert_classes_match_reference(res.engine)
             _assert_cached_classes_match_fresh_search(res.engine)
 
 
@@ -436,7 +463,7 @@ def test_rule_table_matches_linear_scan_on_relation_group_engines():
         for kern in _restricted_growth_strings(k):
             for stars in itertools.product(exps, repeat=k):
                 engine.component(bytes(2 * b + s for b, s in zip(kern, stars)))
-        _assert_neighbors_match_reference(engine)
+        _assert_classes_match_reference(engine)
 
 
 def test_rule_table_matches_linear_scan_on_hand_promoted_rules():
@@ -448,7 +475,7 @@ def test_rule_table_matches_linear_scan_on_hand_promoted_rules():
     for kern in _restricted_growth_strings(4):
         for stars in itertools.product((False, True), repeat=4):
             engine.component(bytes(2 * b + s for b, s in zip(kern, stars)))
-    _assert_neighbors_match_reference(engine)
+    _assert_classes_match_reference(engine)
 
 
 def test_rule_table_moves_starred_words_in_the_real_regime():
@@ -618,6 +645,16 @@ def test_relation_group_of_the_empty_word_is_trivial():
     assert relation_group(sphere_relations(sphere_by_name("s_r")), 0) == {()}
 
 
+def test_relation_group_up_to_two_letters():
+    # a classical, a half-liberated and a free preset: k <= 1 leaves the
+    # identity alone, and k = 2 keeps the swap at the classical level only
+    for name, swaps in (("s_r", True), ("bar_s_c_star2", False), ("s_c_plus", False)):
+        system = sphere_relations(sphere_by_name(name))
+        assert relation_group(system, 0) == {()}
+        assert relation_group(system, 1) == {(1,)}
+        assert relation_group(system, 2) == ({(1, 2), (2, 1)} if swaps else {(1, 2)}), name
+
+
 def test_relation_group_matches_halfcommuting_predicate():
     half = sphere_relations(sphere_by_name("bar_s_r_star"))
     for k in (3, 4):
@@ -647,9 +684,10 @@ def _full_scan_relation_group(system, k):
 
 
 def test_relation_group_matches_the_full_scan_on_presets():
+    # k = 6 is the largest relation_group; the real presets reach it cheaply
     for sphere in SPHERES:
         system = sphere_relations(sphere)
-        for k in range(6):
+        for k in range(7 if sphere.field is REAL else 6):
             assert relation_group(system, k) == _full_scan_relation_group(system, k), (
                 sphere.name, k)
 
