@@ -12,7 +12,8 @@ storage leg ``leg``, with blocks numbered by first occurrence in the linear
 order.  Read in the linear order, the labels form a restricted growth
 string, so equal partitions have equal words.  Every operation that makes a
 partition builds the word of its result and canonicalizes it through
-``kernel``; the blocks are derived from the labels.
+``kernel``, except enumeration, whose words are canonical as built; the
+blocks are derived from the labels.
 
 Partition literals are two strings over lowercase letters separated by
 ``|``, upper row first, with equal letters marking equal blocks.  An
