@@ -169,11 +169,18 @@ def _word_order_key(word: Word):
 SIGMA_DIAGRAM_CACHE = 1024
 
 
+def _check_permutation(p: tuple[int, ...]) -> None:
+    if sorted(p) != list(range(1, len(p) + 1)):
+        raise ValueError(f"not a permutation: {p!r}")
+
+
 @functools.lru_cache(maxsize=SIGMA_DIAGRAM_CACHE)
 def _sigma_diagram(sigma: tuple[int, ...]) -> Partition:
     """``perm_to_partition`` of sigma's inverse: upper row ``0..k-1``, lower
     row ``sigma - 1``, so block ``p`` joins position ``p`` of the word to the
-    slot that sigma fills with it."""
+    slot that sigma fills with it.  Raises ``ValueError`` unless sigma is a
+    permutation."""
+    _check_permutation(sigma)
     k = len(sigma)
     return kernel([*range(k), *(s - 1 for s in sigma)], k, k)
 
@@ -185,13 +192,13 @@ def relation_sign(sigma: Sequence[int], kernel: Sequence[int], twisted: bool) ->
     symbol of sigma's diagram at the kernel: ``-1`` to the number of
     inverted position pairs lying in distinct kernel blocks, the odd block
     pairs of the diagram.  Equal indices (and an index against its own
-    adjoint) commute and contribute nothing.
+    adjoint) commute and contribute nothing.  Both regimes raise
+    ``ValueError`` for a non-permutation or a kernel of another length.
     """
-    if not twisted:
-        return 1
     if len(kernel) != len(sigma):
         raise ValueError("kernel length does not match the permutation")
-    return _sigma_diagram(tuple(sigma)).twisted_sign(kernel)
+    diagram = _sigma_diagram(tuple(sigma))
+    return diagram.twisted_sign(kernel) if twisted else 1
 
 
 # ---------------------------------------------------------------------------
@@ -200,17 +207,13 @@ def relation_sign(sigma: Sequence[int], kernel: Sequence[int], twisted: bool) ->
 
 @dataclass(frozen=True)
 class RelationSchema:
-    """One exact relation ``lhs = sign . rhs``: the rhs takes its slot ``t``
-    from position ``sigma[t]`` of the lhs, and the schema holds for the
-    kernel and exponents written in the lhs only."""
+    """One exact relation ``lhs = sign . rhs``, the rhs a rearrangement of
+    the lhs's letters; the schema holds for the kernel and exponents
+    written in the lhs only."""
 
     lhs: Word
-    sigma: tuple[int, ...]
+    rhs: Word
     sign: int
-
-    @property
-    def rhs(self) -> Word:
-        return bytes([self.lhs[s - 1] for s in self.sigma])
 
     def literal(self) -> str:
         sign = "-" if self.sign == -1 else "+"
@@ -239,11 +242,6 @@ class RelationSystem:
     @property
     def complex_symbols(self) -> bool:
         return self.field is Field.COMPLEX
-
-
-def _check_permutation(p: tuple[int, ...]) -> None:
-    if sorted(p) != list(range(1, len(p) + 1)):
-        raise ValueError(f"not a permutation: {p!r}")
 
 
 def monomial_system(perms: Iterable[Sequence[int]], field: Field,
@@ -335,12 +333,6 @@ class _Component:
     collapsed: bool
 
 
-@dataclass
-class Bounds:
-    max_degree: int = DEFAULT_MAX_DEGREE
-    max_indices: int = DEFAULT_MAX_INDICES
-
-
 def _check_bounds(max_degree: int, max_indices: int) -> None:
     """Reject search bounds below 1, under which no relation can be found."""
     for name, value in (("max_degree", max_degree), ("max_indices", max_indices)):
@@ -386,9 +378,10 @@ class _Engine:
     each of them at once.
     """
 
-    def __init__(self, system: RelationSystem, bounds: Bounds):
+    def __init__(self, system: RelationSystem, max_degree: int, max_indices: int):
         self.system = system
-        self.bounds = bounds
+        self.max_degree = max_degree
+        self.max_indices = max_indices
         self.extra_rules: list[tuple[Word, Word, int]] = []
         self._moves = _MoveTable(system.perms, system.twisted)
         self._images: dict[Word, list[tuple[Word, int]]] = {}
@@ -455,35 +448,30 @@ class _Engine:
 
     # -- derivability ----------------------------------------------------
 
-    def relative_sign(self, lhs: Word, rhs: Word, budget: int = 1) -> int | None:
-        """Sign s with lhs = s.rhs derivable, or None.  A collapsed
-        component (both words provably zero) reports +1."""
+    def relative_sign(self, lhs: Word, rhs: Word, budget: int) -> int | None:
+        """Sign s with lhs = s.rhs derivable, or None: cached, else read off
+        the class of ``lhs``, else found by contraction while ``budget``
+        lasts.  A collapsed class (both words provably zero) reports +1."""
         if sorted(lhs) != sorted(rhs):
             return None
         key = (lhs, rhs)
         if key in self._derived_cache:
             return self._derived_cache[key]
         self._derived_cache[key] = None  # cut recursion cycles
-        result = self._relative_sign_uncached(lhs, rhs, budget)
+        comp = self.component(lhs)
+        if rhs in comp.signs:
+            result = 1 if comp.collapsed else comp.signs[rhs] * comp.signs[lhs]
+        else:
+            result = self._contract_search(lhs, rhs, budget) if budget > 0 else None
         self._derived_cache[key] = result
         return result
 
-    def _relative_sign_uncached(self, lhs: Word, rhs: Word, budget: int) -> int | None:
-        comp = self.component(lhs)
-        if rhs in comp.signs:
-            if comp.collapsed:
-                return 1
-            return comp.signs[rhs] * comp.signs[lhs]
-        if budget <= 0:
-            return None
-        return self._contract_search(lhs, rhs, budget)
-
     def _contract_search(self, lhs: Word, rhs: Word, budget: int) -> int | None:
         blocks = list(dict.fromkeys(lhs.translate(_BLOCK)))
-        if len(blocks) + 1 > self.bounds.max_indices:
+        if len(blocks) + 1 > self.max_indices:
             self.truncated = True
             return None
-        if len(lhs) + 2 > self.bounds.max_degree:
+        if len(lhs) + 2 > self.max_degree:
             self.truncated = True
             return None
         fresh = max(blocks, default=-1) + 1
@@ -521,10 +509,6 @@ class _Engine:
             if got is None or (got != sign and not self.component(uc).collapsed):
                 return False
         return True
-
-    def derivable(self, schema_lhs: Word, schema_rhs: Word, sign: int,
-                  budget: int = 2) -> bool:
-        return self.relative_sign(schema_lhs, schema_rhs, budget) == sign
 
     def promote(self, lhs: Word, rhs: Word, sign: int):
         """Install a derived relation as a rewrite rule for later rounds.
@@ -571,17 +555,23 @@ class _Engine:
 # saturation and its consumers
 
 
+def _seeds(k: int, system: RelationSystem) -> Iterable[tuple[tuple[int, ...], list[Word]]]:
+    """Each kernel of k letters in restricted-growth order, with its words
+    over the system's regime: one per choice of adjoints, in product order."""
+    stars = (0, 1) if system.complex_symbols else (0,)
+    for kern in _restricted_growth_strings(k):
+        yield kern, [bytes([2 * b + s for b, s in zip(kern, exps)])
+                     for exps in itertools.product(stars, repeat=k)]
+
+
 def _family_instances(sigma: tuple[int, ...],
                       system: RelationSystem) -> Iterable[tuple[Word, Word, int]]:
     """All (lhs, rhs, forced sign) instances of a permutation family over
     the system's regime, skipping identically-true ones."""
-    k = len(sigma)
-    exp_choices = ((False, True) if system.complex_symbols else (False,))
-    for kern in _restricted_growth_strings(k):
+    for kern, words in _seeds(len(sigma), system):
         sign = relation_sign(sigma, kern, system.twisted)
-        for exps in itertools.product(exp_choices, repeat=k):
-            lhs = bytes([2 * kern[p] + exps[p] for p in range(k)])
-            rhs = bytes([lhs[sigma[t] - 1] for t in range(k)])
+        for lhs in words:
+            rhs = bytes([lhs[t - 1] for t in sigma])
             if lhs == rhs and sign == 1:
                 continue
             yield lhs, rhs, sign
@@ -589,7 +579,6 @@ def _family_instances(sigma: tuple[int, ...],
 
 @dataclass
 class SaturationResult:
-    system: RelationSystem
     schemas: tuple[RelationSchema, ...]
     truncated: bool
     engine: _Engine
@@ -597,8 +586,8 @@ class SaturationResult:
     def has_family(self, sigma: tuple[int, ...]) -> bool:
         """True iff every instance of the permutation family is derived."""
         return all(
-            self.engine.derivable(lhs, rhs, sign)
-            for lhs, rhs, sign in _family_instances(sigma, self.system)
+            self.engine.relative_sign(lhs, rhs, 2) == sign
+            for lhs, rhs, sign in _family_instances(sigma, self.engine.system)
         )
 
 
@@ -614,46 +603,29 @@ def saturate(system: RelationSystem, max_degree: int = DEFAULT_MAX_DEGREE,
     by shorter rewrites) are found.
     """
     _check_bounds(max_degree, max_indices)
-    engine = _Engine(system, Bounds(max_degree, max_indices))
+    engine = _Engine(system, max_degree, max_indices)
     if track_sigmas is None:
         track_sigmas = [s for k in (2, 3)
                         for s in itertools.permutations(range(1, k + 1))
                         if s != tuple(range(1, k + 1))]
-    targets = []
-    for sigma in track_sigmas:
-        for lhs, rhs, sign in _family_instances(sigma, system):
-            targets.append((sigma, lhs, rhs, sign))
+    targets = [inst for sigma in track_sigmas for inst in _family_instances(sigma, system)]
 
     derived: dict[tuple[Word, Word], int] = {}
     for _ in range(3):
         progress = False
-        for sigma, lhs, rhs, sign in targets:
+        for lhs, rhs, sign in targets:
             if (lhs, rhs) in derived:
                 continue
-            if engine.derivable(lhs, rhs, sign):
+            if engine.relative_sign(lhs, rhs, 2) == sign:
                 derived[(lhs, rhs)] = sign
                 engine.promote(lhs, rhs, sign)
                 progress = True
         if not progress:
             break
 
-    schemas = tuple(
-        RelationSchema(lhs, _word_permutation(lhs, rhs), sign)
-        for (lhs, rhs), sign in sorted(derived.items())
-    )
-    return SaturationResult(system, schemas, engine.truncated, engine)
-
-
-def _word_permutation(lhs: Word, rhs: Word) -> tuple[int, ...]:
-    used = set()
-    sigma = []
-    for letter in rhs:
-        for p, cand in enumerate(lhs):
-            if p not in used and cand == letter:
-                sigma.append(p + 1)
-                used.add(p)
-                break
-    return tuple(sigma)
+    schemas = tuple(RelationSchema(lhs, rhs, sign)
+                    for (lhs, rhs), sign in sorted(derived.items()))
+    return SaturationResult(schemas, engine.truncated, engine)
 
 
 def reduce(expr: NCCombination, system: RelationSystem,
@@ -668,7 +640,7 @@ def reduce(expr: NCCombination, system: RelationSystem,
     a nonzero result is relative to the bounds.
     """
     _check_bounds(max_degree, max_indices)
-    engine = _Engine(system, Bounds(max_degree, max_indices))
+    engine = _Engine(system, max_degree, max_indices)
     out: dict[Word, int] = {}
     trace = []
     for word, coeff in expr.terms.items():
@@ -727,10 +699,8 @@ def classify_monomial_sphere(perms: Iterable[Sequence[int]], regime: str,
     result = saturate(system, max_degree, max_indices)
     if result.has_family((2, 1)):
         return SphereSpec(fld, Level.CLASSICAL, twisted).name
-    if result.has_family((3, 2, 1)):
-        if all(halfcommuting_membership(p) for p in nontrivial):
-            return SphereSpec(fld, Level.HALF, twisted).name
-        return "undetermined"
+    if result.has_family((3, 2, 1)) and all(halfcommuting_membership(p) for p in nontrivial):
+        return SphereSpec(fld, Level.HALF, twisted).name
     return "undetermined"
 
 
@@ -748,19 +718,17 @@ def relation_group(system: RelationSystem, k: int) -> set[tuple[int, ...]]:
         raise SizeLimitError("relation_group supports k <= 6")
     if k < 2:  # the identity alone, and an itemgetter of under two positions gives no tuple
         return {tuple(range(1, k + 1))}
-    engine = _Engine(system, Bounds(max_degree=k, max_indices=k))
-    exp_choices = ((False, True) if system.complex_symbols else (False,))
+    engine = _Engine(system, k, k)
     twisted = system.twisted
     alive = {sigma: operator.itemgetter(*(t - 1 for t in sigma))
              for sigma in itertools.permutations(range(1, k + 1))}
-    for kern in _restricted_growth_strings(k):
+    for kern, seeds in _seeds(k, system):
         # a forced sign is computed only when a non-collapsed class reads it
         forced = functools.cache(lambda sigma, kern=kern: relation_sign(sigma, kern, True))
-        for exps in itertools.product(exp_choices, repeat=k):
+        for seed in seeds:
             # the identity never dies: it maps each seed to itself, sign +1
             if len(alive) == 1:
                 return set(alive)
-            seed = bytes([2 * kern[p] + exps[p] for p in range(k)])
             comp = engine.component(seed)
             root = comp.signs[seed]  # signs are relative to the root
             alive = {sigma: take for sigma, take in alive.items()

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -11,9 +12,10 @@ from ncspheres.partitions import (
 from ncspheres import relations
 from ncspheres.relations import (
     COMPONENT_WORD_BOUND,
+    DEFAULT_MAX_DEGREE,
+    DEFAULT_MAX_INDICES,
     REGIMES,
     SPAN_SIGN_TABLE,
-    Bounds,
     NCCombination,
     check_span_table,
     classify_monomial_sphere,
@@ -51,6 +53,19 @@ def test_relation_sign_examples():
     assert relation_sign((3, 2, 1), (0, 0, 1), True) == 1
     assert relation_sign((2, 1), (0, 0), True) == 1
     assert relation_sign((2, 1), (0, 1), False) == 1
+
+
+@pytest.mark.parametrize("twisted", [False, True], ids=["untwisted", "twisted"])
+@pytest.mark.parametrize("sigma, kern", [
+    ((1, 1), (0, 1)),  # a repeated image
+    ((3, 1), (0, 1)),  # an image past the length
+    ((0, 1), (0, 1)),  # an image below 1
+    ((2, 1), (0,)),    # a kernel shorter than sigma
+    ((2, 1), (0, 1, 0)),
+])
+def test_relation_sign_refuses_meaningless_input(sigma, kern, twisted):
+    with pytest.raises(ValueError):
+        relation_sign(sigma, kern, twisted)
 
 
 def reference_relation_sign(sigma, kernel):
@@ -416,18 +431,23 @@ class _InvalidatingEngine(_Engine):
 
 def _assert_cached_classes_match_fresh_search(engine):
     """Every cached class equals a search from scratch under the engine's
-    final move table: same words, same ``collapsed`` flag, and the same
-    relative signs when not collapsed."""
-    classes = {id(comp): (word, comp) for word, comp in engine._components.items()}
-    engine.invalidate()
-    for root, cached in classes.values():
-        fresh = engine.component(root)
-        assert fresh.signs.keys() == cached.signs.keys(), (engine.system, root)
-        assert fresh.collapsed == cached.collapsed, (engine.system, root)
-        if not cached.collapsed:
-            for u, sign in cached.signs.items():
-                assert fresh.signs[u] * fresh.signs[root] == sign * cached.signs[root], (
-                    engine.system, root, u)
+    final move table, started from each of a seeded sample of up to five
+    of its words: same words, same ``collapsed`` flag, and the same
+    relative signs when not collapsed.  So a class is one set whichever
+    of its words the search starts from."""
+    rng = random.Random(0)
+    classes = {id(comp): comp for comp in engine._components.values()}
+    for cached in classes.values():
+        words = list(cached.signs)
+        for start in rng.sample(words, min(5, len(words))):
+            engine.invalidate()
+            fresh = engine.component(start)
+            assert fresh.signs.keys() == cached.signs.keys(), (engine.system, start)
+            assert fresh.collapsed == cached.collapsed, (engine.system, start)
+            if not cached.collapsed:
+                for u, sign in cached.signs.items():
+                    assert fresh.signs[u] * fresh.signs[start] == sign * cached.signs[start], (
+                        engine.system, start, u)
 
 
 @pytest.mark.parametrize("regime", list(REGIMES))
@@ -458,7 +478,7 @@ def test_rule_table_matches_linear_scan_on_relation_group_engines():
     k = 4
     for sphere in SPHERES:
         system = sphere_relations(sphere)
-        engine = _Engine(system, Bounds(max_degree=k, max_indices=k))
+        engine = _Engine(system, k, k)
         exps = (False, True) if system.complex_symbols else (False,)
         for kern in _restricted_growth_strings(k):
             for stars in itertools.product(exps, repeat=k):
@@ -469,7 +489,8 @@ def test_rule_table_matches_linear_scan_on_relation_group_engines():
 def test_rule_table_matches_linear_scan_on_hand_promoted_rules():
     # rules saturate never promotes: a pattern not numbered by first
     # occurrence, and a rule that fixes its own pattern
-    engine = _Engine(monomial_system([(2, 1)], COMPLEX, True), Bounds())
+    engine = _Engine(monomial_system([(2, 1)], COMPLEX, True), DEFAULT_MAX_DEGREE,
+                     DEFAULT_MAX_INDICES)
     engine.promote(parse_word("ba*c"), parse_word("cba*"), -1)
     engine.promote(parse_word("ab"), parse_word("ab"), -1)
     for kern in _restricted_growth_strings(4):
@@ -667,7 +688,7 @@ def test_relation_group_matches_halfcommuting_predicate():
 def _full_scan_relation_group(system, k):
     """``relation_group`` without its early return: every permutation is
     tried on every seed of every kernel."""
-    engine = _Engine(system, Bounds(max_degree=k, max_indices=k))
+    engine = _Engine(system, k, k)
     exps = (False, True) if system.complex_symbols else (False,)
     alive = set(itertools.permutations(range(1, k + 1)))
     for kern in _restricted_growth_strings(k):
