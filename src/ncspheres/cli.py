@@ -18,14 +18,11 @@ import numpy as np
 from . import models, relations, verify
 from .errors import NCSphereError, SizeLimitError
 from .partitions import (
-    LegColor,
     PartitionClass,
-    _color_word,
     crossing_count,
     enumerate_partitions,
     halfcommuting_membership,
     parse_partition,
-    perm_to_partition,
     signature,
     standard_form,
 )
@@ -58,31 +55,6 @@ from .weingarten import (
 # and each factor counts at least one bit, so a zero or unit base cannot ask
 # for millions of multiplications either
 POWER_BIT_BOUND = 4096
-
-# operations running (directly or transitively) under each subcommand, for
-# the coverage check
-COMMAND_OPERATIONS = {
-    "partitions": ["enumerate_partitions"],
-    "signature": ["parse_partition", "signature", "standard_form", "crossing_count", "kernel"],
-    "gram": ["category_pairings", "gram"],
-    "weingarten": ["category_pairings", "gram", "weingarten_matrix"],
-    "moment": ["moment", "delta", "is_constant_on_blocks"],
-    "trace": ["sphere_trace"],
-    "rank": ["gram_rank_products"],
-    "classify": ["classify_monomial_sphere", "halfcommuting_membership",
-                 "is_member", "perm_to_partition"],
-    "saturate": ["saturate", "sphere_relations", "relation_sign",
-                 "group_relation_sign", "relation_group", "comult_sign_check"],
-    "reduce": ["reduce", "parse_word"],
-    "check": ["sample_classical_point", "twisted_classical_points",
-              "antidiagonal_model", "sqrt_positive_model", "clifford_model",
-              "check_sphere_relations", "check_intertwiner",
-              "check_fixed_vector_identity", "coaction_check",
-              "enumerate_signed_permutations", "haar_moment_mc"],
-    "verify": ["t_map", "xi_vector", "inner_product", "tensor_concat",
-               "compose", "involution", "join"],
-}
-
 
 def _emit(payload: dict, fmt: str):
     if fmt == "json":
@@ -413,12 +385,8 @@ def cmd_check(args) -> dict:
     if args.op == "mc_moment":
         if args.i is None or args.j is None:
             raise NCSphereError("--op mc_moment needs --i and --j")
-        i, j = _parse_tuple(args.i), _parse_tuple(args.j)
-        stars = [c is LegColor.BLACK for c in _color_word(args.alpha, len(args.alpha or ""))]
-        stars = stars or [False] * len(i)
-        if not len(i) == len(j) == len(stars):
-            raise NCSphereError("--i, --j and --alpha must share a length")
-        est, se = models.haar_moment_mc(args.mc_group, args.n, list(zip(i, j, stars)),
+        est, se = models.haar_moment_mc(args.mc_group, args.n, _parse_tuple(args.i),
+                                        _parse_tuple(args.j), args.alpha,
                                         samples=args.samples, seed=args.seed)
         out.update({"estimate": est, "se": se, "group": args.mc_group})
     return out

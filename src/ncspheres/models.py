@@ -27,10 +27,10 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, FrameError, SizeLimitError
-from .partitions import LegColor, Partition
-from .relations import _sigma_diagram, sphere_relations
+from .partitions import LegColor, Partition, perm_to_partition
+from .relations import sphere_relations
 from .tensors import _check_dimension, t_entries
-from .weingarten import Field, SphereSpec
+from .weingarten import Field, SphereSpec, _coordinate_word
 
 DEFAULT_TOL = 1e-10
 
@@ -239,7 +239,7 @@ def check_sphere_relations(model: Model, sphere: SphereSpec,
     for sigma in system.perms:
         k = len(sigma)
         # sigma's diagram: upper row a word's indices, lower row their images
-        legs, signs = _entries(_sigma_diagram(sigma), model.n, system.twisted)
+        legs, signs = _entries(perm_to_partition(sigma), model.n, system.twisted)
         exps = np.indices((2 if system.complex_symbols else 1,) * k).reshape(k, -1)  # star patterns
         step = max(1, INTERTWINER_CELL_BOUND // (exps.shape[1] * model.d ** 2))
         for start in range(0, len(signs), step):
@@ -376,29 +376,20 @@ def haar_batch(field: Field, n: int, samples: int, seed: int) -> np.ndarray:
     return q * (diag / np.abs(diag)).conj()[:, None, :]
 
 
-def _word_entries(word, n: int) -> list[tuple[int, int, bool]]:
-    out = []
-    for item in word:
-        i, j = int(item[0]), int(item[1])
-        if not (1 <= i <= n and 1 <= j <= n):
-            raise ValueError(f"index pair ({i}, {j}) outside 1..{n}")
-        star = len(item) > 2 and item[2] in ("*", True)
-        out.append((i, j, star))
-    return out
-
-
-def haar_moment_mc(group: str, n: int, word, samples: int = 100_000,
-                   seed: int = 0) -> tuple[float, float]:
+def haar_moment_mc(group: str, n: int, i: Sequence[int], j: Sequence[int], alpha=None,
+                   samples: int = 100_000, seed: int = 0) -> tuple[float, float]:
     """Monte Carlo (or exact, for the finite/compact classical versions)
-    Haar moment of a coordinate word [(i, j, exp), ...].
+    Haar moment of a coordinate word u_{i1 j1}^{a1} ... u_{ik jk}^{ak},
+    given as to ``weingarten.moment``.
 
     Returns (estimate, standard error); the hyperoctahedral and K_N
     averages are exact at any N, with zero reported error.  Indices run
-    over ``1..n``; any other index raises ``ValueError``, and so do fewer
-    than 2 samples for the orthogonal and unitary estimates.
+    over ``1..n``; any other index raises ``ValueError``, and so do a bad
+    exponent, lengths that disagree and fewer than 2 samples for the
+    orthogonal and unitary estimates.
     """
-    _check_dimension(n)
-    entries = _word_entries(word, n)
+    entries = [(a, b, c is LegColor.BLACK)
+               for a, b, c in zip(i, j, _coordinate_word(n, i, j, alpha))]
     if group in ("orthogonal", "unitary") and samples < 2:
         raise ValueError(f"a Monte Carlo estimate needs at least 2 samples, got {samples}")
     if group in ("hyperoctahedral", "k_n"):
@@ -406,11 +397,11 @@ def haar_moment_mc(group: str, n: int, word, samples: int = 100_000,
         # the word's m distinct pairs are (N - m)! of the N! when the pairs
         # form a partial injection, and none otherwise; the sign (phase)
         # integral kills a row with an odd letter count (a net exponent)
-        pairs = {(i, j) for i, j, _ in entries}
-        net = dict.fromkeys((i for i, _ in pairs), 0)
-        for i, _, star in entries:
-            net[i] += -1 if star else 1
-        injective = len(net) == len({j for _, j in pairs}) == len(pairs)
+        pairs = {(a, b) for a, b, _ in entries}
+        net = dict.fromkeys((a for a, _ in pairs), 0)
+        for a, _, star in entries:
+            net[a] += -1 if star else 1
+        injective = len(net) == len({b for _, b in pairs}) == len(pairs)
         if not injective or any(e % 2 if group == "hyperoctahedral" else e for e in net.values()):
             return 0.0, 0.0
         return 1 / math.perm(n, len(pairs)), 0.0
@@ -421,7 +412,7 @@ def haar_moment_mc(group: str, n: int, word, samples: int = 100_000,
     else:
         raise ValueError(f"unknown group {group!r}")
     vals = np.ones(len(u), dtype=u.dtype)
-    for i, j, star in entries:
-        factor = u[:, i - 1, j - 1]
+    for a, b, star in entries:
+        factor = u[:, a - 1, b - 1]
         vals = vals * (factor.conj() if star else factor)
     return float(vals.mean().real), float(vals.real.std(ddof=1) / np.sqrt(len(u)))

@@ -521,20 +521,33 @@ def enumerate_partitions(cls: PartitionClass, upper=0, lower=0) -> list[Partitio
 # permutations as diagrams
 
 
+# the permutation diagrams built, least recently used dropped first; S_1..S_6
+# hold 873, and `--perm` takes permutations from outside, so the cache is bounded
+SIGMA_DIAGRAM_CACHE = 1024
+
+
+def _check_permutation(perm: tuple[int, ...]) -> None:
+    if sorted(perm) != list(range(1, len(perm) + 1)):
+        raise ValueError(f"not a permutation: {perm!r}")
+
+
 def perm_to_partition(perm: Sequence[int]) -> Partition:
     """One-line permutation (images of 1..k) as a k-over-k through-pairing.
 
-    Upper leg ``p`` is joined to lower leg ``perm[p]``, so the diagram acts
-    downwards and the lower word of ``perm_to_partition((3,1,2))`` reads off
-    the relation ``abc = cab``.
+    Lower leg ``q`` lies in the block of upper leg ``perm[q] - 1``, so the
+    upper row is a word's positions, the lower row the rearranged word, and
+    ``perm_to_partition((3,1,2))`` is ``abc|cab``: the relation ``abc = cab``.
+    Raises ``ValueError`` unless ``perm`` is a permutation.
     """
+    return _perm_diagram(tuple(perm))
+
+
+@functools.lru_cache(maxsize=SIGMA_DIAGRAM_CACHE)
+def _perm_diagram(perm: tuple[int, ...]) -> Partition:
+    """The one builder of permutation diagrams, each checked and built once."""
+    _check_permutation(perm)
     k = len(perm)
-    if sorted(perm) != list(range(1, k + 1)):
-        raise ValueError(f"not a permutation of 1..{k}: {perm!r}")
-    lower = [0] * k
-    for p, image in enumerate(perm):
-        lower[image - 1] = p
-    return kernel([*range(k), *lower], k, k)
+    return kernel([*range(k), *(s - 1 for s in perm)], k, k)
 
 
 def halfcommuting_membership(perm: Sequence[int]) -> bool:

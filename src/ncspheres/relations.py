@@ -40,7 +40,12 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .errors import SizeLimitError
-from .partitions import Partition, _restricted_growth_strings, halfcommuting_membership, kernel
+from .partitions import (
+    _check_permutation,
+    _perm_diagram,
+    _restricted_growth_strings,
+    halfcommuting_membership,
+)
 from .weingarten import Field, GroupSpec, Level, SphereSpec
 
 # one byte 2·block + star per letter; blocks stay far below 128 (26 letters
@@ -100,10 +105,10 @@ class NCCombination:
                 self.terms[w] = self.terms.get(w, 0) + c
 
     @staticmethod
-    def monomial(word: Word | str, coeff: int = 1) -> "NCCombination":
+    def monomial(word: Word | str) -> "NCCombination":
         if isinstance(word, str):
             word = parse_word(word)
-        return NCCombination({word: coeff})
+        return NCCombination({word: 1})
 
     def __add__(self, other: "NCCombination") -> "NCCombination":
         out = dict(self.terms)
@@ -164,40 +169,20 @@ def _word_order_key(word: Word):
 # the forced sign
 
 
-# the permutation diagrams `relation_sign` reads, least recently used
-# dropped first; S_1..S_6 hold 873 permutations
-SIGMA_DIAGRAM_CACHE = 1024
-
-
-def _check_permutation(p: tuple[int, ...]) -> None:
-    if sorted(p) != list(range(1, len(p) + 1)):
-        raise ValueError(f"not a permutation: {p!r}")
-
-
-@functools.lru_cache(maxsize=SIGMA_DIAGRAM_CACHE)
-def _sigma_diagram(sigma: tuple[int, ...]) -> Partition:
-    """``perm_to_partition`` of sigma's inverse: upper row ``0..k-1``, lower
-    row ``sigma - 1``, so block ``p`` joins position ``p`` of the word to the
-    slot that sigma fills with it.  Raises ``ValueError`` unless sigma is a
-    permutation."""
-    _check_permutation(sigma)
-    k = len(sigma)
-    return kernel([*range(k), *(s - 1 for s in sigma)], k, k)
-
-
 def relation_sign(sigma: Sequence[int], kernel: Sequence[int], twisted: bool) -> int:
     """Sign making ``w = sign . sigma(w)`` hold over a regime with this twist.
 
     Untwisted regimes always give +1.  A twisted regime gives the twisted
-    symbol of sigma's diagram at the kernel: ``-1`` to the number of
-    inverted position pairs lying in distinct kernel blocks, the odd block
-    pairs of the diagram.  Equal indices (and an index against its own
-    adjoint) commute and contribute nothing.  Both regimes raise
-    ``ValueError`` for a non-permutation or a kernel of another length.
+    symbol of sigma's diagram (``perm_to_partition``) at the kernel: ``-1``
+    to the number of inverted position pairs lying in distinct kernel
+    blocks, the odd block pairs of the diagram.  Equal indices (and an
+    index against its own adjoint) commute and contribute nothing.  Both
+    regimes raise ``ValueError`` for a non-permutation or a kernel of
+    another length.
     """
     if len(kernel) != len(sigma):
         raise ValueError("kernel length does not match the permutation")
-    diagram = _sigma_diagram(tuple(sigma))
+    diagram = _perm_diagram(tuple(sigma))
     return diagram.twisted_sign(kernel) if twisted else 1
 
 

@@ -280,7 +280,7 @@ def check_monte_carlo(quick: bool = False, report: list | None = None):
     real = GroupSpec(Field.REAL, Level.CLASSICAL)
     for n in (3, 4):
         exact = float(moment(real, n, (1,) * 4, (1,) * 4))
-        est, se = models.haar_moment_mc("orthogonal", n, [(1, 1, "1")] * 4,
+        est, se = models.haar_moment_mc("orthogonal", n, (1,) * 4, (1,) * 4,
                                         samples=samples, seed=17 + n)
         if report is not None:
             report.append({"word": "u11^4", "n": n, "exact": exact,

@@ -429,21 +429,29 @@ def _weingarten_sum(wg: ExactMatrix, di: Sequence[int], dj: Sequence[int]) -> in
     return sum(x * y * w for x, row in zip(di, wg.num) if x for y, w in zip(dj, row) if y)
 
 
+def _coordinate_word(n: int, i: Sequence[int], j: Sequence[int],
+                     alpha=None) -> tuple[LegColor, ...]:
+    """The exponents of the coordinate word u_{i1 j1}^{a1} ... u_{ik jk}^{ak}
+    (no ``alpha``: all plain), read by ``_color_word``.  Raises unless
+    N >= 1, the three lengths agree and every index lies in ``1..n``."""
+    _check_dimension(n)
+    word = _color_word(alpha, len(alpha or ())) or (LegColor.WHITE,) * len(i)
+    if not (len(i) == len(j) == len(word)):
+        raise ValueError("row tuple, column tuple and alpha must share a length")
+    for x in (*i, *j):
+        if not 1 <= x <= n:
+            raise ValueError(f"index {x} outside 1..{n}")
+    return word
+
+
 def moment(g: GroupSpec, n: int, i: Sequence[int], j: Sequence[int],
            alpha=None) -> Fraction:
     """Haar moment of a coordinate word u_{i1 j1}^{a1} ... u_{ik jk}^{ak}.
 
     Indices run over ``1..n``; any other index raises ``ValueError``.
     """
-    _check_dimension(n)
-    k = len(i)
-    word = _color_word(alpha, len(alpha or ())) or (LegColor.WHITE,) * k
-    if not (len(i) == len(j) == len(word)):
-        raise ValueError("row tuple, column tuple and alpha must share a length")
-    for x in (*i, *j):
-        if not 1 <= x <= n:
-            raise ValueError(f"index {x} outside 1..{n}")
-    if k == 0:
+    word = _coordinate_word(n, i, j, alpha)
+    if not word:
         return Fraction(1)
     category = _category(g, word)
     ps = _pairings(category)

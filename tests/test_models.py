@@ -231,22 +231,28 @@ def test_intertwiner_check_refuses_work_past_the_bound(monkeypatch):
 # Monte Carlo moments
 
 
+def _mc(group, n, entries, **kwargs):
+    """`haar_moment_mc` of a word given as (i, j, star) letters."""
+    i, j, stars = zip(*entries) if entries else ((), (), ())
+    return haar_moment_mc(group, n, i, j, "".join("*" if s else "1" for s in stars), **kwargs)
+
+
 def test_mc_orthogonal_u11_squared():
-    est, se = haar_moment_mc("orthogonal", 4, [(1, 1, "1")] * 2, samples=20000, seed=1)
+    est, se = haar_moment_mc("orthogonal", 4, (1, 1), (1, 1), samples=20000, seed=1)
     assert abs(est - 0.25) < 3 * se
 
 
 def test_mc_orthogonal_u11_fourth():
-    est, se = haar_moment_mc("orthogonal", 3, [(1, 1, "1")] * 4, samples=50000, seed=2)
+    est, se = haar_moment_mc("orthogonal", 3, (1,) * 4, (1,) * 4, samples=50000, seed=2)
     assert abs(est - 0.2) < 3 * se
 
 
 def test_exact_hyperoctahedral_and_kn():
-    est, se = haar_moment_mc("hyperoctahedral", 2, [(1, 1, "1"), (1, 2, "1")])
+    est, se = haar_moment_mc("hyperoctahedral", 2, (1, 1), (1, 2))
     assert est == 0.0 and se == 0.0
-    est, _ = haar_moment_mc("k_n", 3, [(1, 1, "1"), (1, 1, "*")])
+    est, _ = haar_moment_mc("k_n", 3, (1, 1), (1, 1), "1*")
     assert abs(est - 1 / 3) < 1e-14
-    est, _ = haar_moment_mc("k_n", 3, [(1, 1, "1"), (1, 1, "1")])
+    est, _ = haar_moment_mc("k_n", 3, (1, 1), (1, 1), "11")
     assert est == 0.0  # unbalanced phases integrate to zero
 
 
@@ -279,7 +285,7 @@ def test_k_n_closed_form_matches_the_enumeration():
             entries += [(rng.randint(1, n), rng.randint(1, n), rng.random() < 0.5)
                         for _ in range(rng.choice((0, 0, 1, 2)))]
             rng.shuffle(entries)
-            est, se = haar_moment_mc("k_n", n, entries)
+            est, se = _mc("k_n", n, entries)
             assert (est.hex(), se) == (_reference_k_n(n, entries).hex(), 0.0), (n, entries)
             nonzero += est != 0
     assert 300 < nonzero < 1000
@@ -303,7 +309,7 @@ def test_h_n_closed_form_matches_the_enumeration():
     for n in range(1, 5):
         for _ in range(100):
             entries = _random_signed_word(rng, n)
-            got = haar_moment_mc("hyperoctahedral", n, entries)
+            got = _mc("hyperoctahedral", n, entries)
             want = _reference_moment("hyperoctahedral", n, entries, 0, 0)
             assert [x.hex() for x in got] == [x.hex() for x in want], (n, entries)
             nonzero += got[0] != 0
@@ -323,13 +329,12 @@ def test_h_n_closed_form_past_the_enumeration_bound():
                 for i, j, _ in entries:
                     prod *= signs[i - 1] if perm[i - 1] == j else 0
                 total += prod
-        assert haar_moment_mc("hyperoctahedral", 5, entries) == (total / 3840, 0.0)
-    assert [haar_moment_mc("hyperoctahedral", 5, w)[0] for w in words] == [1 / 20, 1 / 5, 0, 0]
+        assert _mc("hyperoctahedral", 5, entries) == (total / 3840, 0.0)
+    assert [_mc("hyperoctahedral", 5, w)[0] for w in words] == [1 / 20, 1 / 5, 0, 0]
 
 
 def test_mc_unitary_balanced_word():
-    est, se = haar_moment_mc("unitary", 3, [(1, 1, "1"), (1, 1, "*")],
-                             samples=20000, seed=3)
+    est, se = haar_moment_mc("unitary", 3, (1, 1), (1, 1), "1*", samples=20000, seed=3)
     assert abs(est - 1 / 3) < 3 * se
 
 
@@ -337,7 +342,15 @@ def test_mc_unitary_balanced_word():
 @pytest.mark.parametrize("samples", [1, 0, -3])
 def test_mc_needs_two_samples(group, samples):
     with pytest.raises(ValueError, match="at least 2 samples"):
-        haar_moment_mc(group, 2, [(1, 1, "1")], samples=samples)
+        haar_moment_mc(group, 2, (1,), (1,), samples=samples)
+
+
+@pytest.mark.parametrize("group", ["orthogonal", "unitary", "hyperoctahedral", "k_n"])
+@pytest.mark.parametrize("alpha", ["1x", "x*", "?1"])
+def test_mc_refuses_a_malformed_exponent(group, alpha):
+    # an exponent is o, 1 or *, read as by `moment`, never taken for plain
+    with pytest.raises(ValueError, match="bad exponent"):
+        haar_moment_mc(group, 3, (1, 1), (1, 1), alpha, samples=4)
 
 
 @pytest.mark.parametrize("n", [0, -1])
@@ -349,7 +362,7 @@ def test_builders_reject_dimension_below_one(n):
         lambda: enumerate_signed_permutations(n),
         lambda: haar_batch(Field.REAL, n, 4, seed=0),
         lambda: haar_batch(Field.COMPLEX, n, 4, seed=0),
-    ] + [lambda group=group: haar_moment_mc(group, n, [], samples=4)
+    ] + [lambda group=group: haar_moment_mc(group, n, (), (), samples=4)
          for group in ("orthogonal", "unitary", "hyperoctahedral", "k_n")]
     for build in builders:
         with pytest.raises(ValueError, match="at least 1"):
@@ -560,7 +573,7 @@ def test_mc_moment_matches_the_per_group_reference(group):
             for seed, word in enumerate(itertools.product(pairs, repeat=length)):
                 stars = [(seed >> t) & 1 == 1 for t in range(length)]
                 entries = [(i, j, s) for (i, j), s in zip(word, stars)]
-                got = haar_moment_mc(group, n, entries, samples=50, seed=seed)
+                got = _mc(group, n, entries, samples=50, seed=seed)
                 want = _reference_moment(group, n, entries, 50, seed)
                 assert [x.hex() for x in got] == [float(x).hex() for x in want], entries
 

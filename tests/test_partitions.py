@@ -315,6 +315,15 @@ def test_perm_class():
     assert not is_member(P("ab|ab:"), PartitionClass.P2_STAR) or True  # membership below
 
 
+def test_perm_diagram_reads_off_the_relation():
+    # lower leg q lies in the block of upper leg sigma(q) - 1: abc = cab
+    assert perm_to_partition((3, 1, 2)).literal() == "abc|cab"
+    assert perm_to_partition([2, 3, 1]).literal() == "abc|bca"
+    for bad in [(1, 1), (0, 1), (2, 3), (1, 2, 4)]:
+        with pytest.raises(ValueError, match="not a permutation"):
+            perm_to_partition(bad)
+
+
 def test_reversal_is_halfcommuting():
     assert is_member(perm_to_partition((3, 2, 1)), PartitionClass.P2_STAR)
     assert halfcommuting_membership((3, 2, 1))
@@ -424,8 +433,6 @@ def test_signature_is_crossing_parity_on_pairings():
 
 
 def test_signature_matches_permutation_sign():
-    from math import prod
-
     def perm_sign(perm):
         sign = 1
         for i in range(len(perm)):
@@ -564,13 +571,13 @@ def test_halfcommuting_sizes(k, size):
 
 
 def test_halfcommuting_is_subgroup():
-    for k in range(2, 7):
+    for k in range(1, 7):
         g = halfcommuting_group(k)
         ident = tuple(range(1, k + 1))
         assert ident in g
-        for s in g:
-            inv = tuple(s.index(i) + 1 for i in range(1, k + 1))
-            assert inv in g
+        for s in itertools.permutations(ident):  # the inverse's diagram is s's upside down
+            inv = tuple(s.index(i) + 1 for i in ident)
+            assert (s in g) == (inv in g)
         sample = sorted(g)[: min(len(g), 8)]
         for s, t in itertools.product(sample, repeat=2):
             assert tuple(s[t[i] - 1] for i in range(k)) in g

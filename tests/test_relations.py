@@ -83,13 +83,12 @@ def reference_relation_sign(sigma, kernel):
 
 def test_relation_sign_matches_flipped_pairs():
     # every permutation of S_1..S_6 with every kernel; the sign is also the
-    # twisted symbol of the diagram of sigma's inverse at (i, i o sigma)
+    # twisted symbol of sigma's diagram at (i, i o sigma)
     cases = 0
     for k in range(1, 7):
         kernels = list(_restricted_growth_strings(k))
         for sigma in itertools.permutations(range(1, k + 1)):
-            inverse = sorted(range(1, k + 1), key=lambda t: sigma[t - 1])
-            diagram = perm_to_partition(inverse)
+            diagram = perm_to_partition(sigma)
             for kern in kernels:
                 want = reference_relation_sign(sigma, kern)
                 assert relation_sign(sigma, kern, True) == want
