@@ -103,29 +103,14 @@ class Partition:
 
     ``labels`` holds the block of each storage leg, with blocks numbered by
     first occurrence in the linear order, so that equality is structural.
-    The constructor takes blocks of storage legs in any order; ``kernel``
-    builds a partition from a word of arbitrary labels.
+    ``kernel`` (from any label word), ``parse_partition`` and enumeration
+    make partitions; ``blocks`` is derived from the labels.
     """
 
     upper: int
     lower: int
     labels: tuple[int, ...]
     colors: tuple[LegColor, ...]
-
-    def __init__(self, upper: int, lower: int, blocks: Iterable[Sequence[int]],
-                 colors=()):
-        n = upper + lower
-        raw: list = [None] * n
-        for i, b in enumerate(blocks):
-            if not b:
-                raise ValueError("empty block")
-            for leg in b:
-                if not 0 <= leg < n or raw[leg] is not None:
-                    raise ValueError("blocks must partition the legs")
-                raw[leg] = i
-        if None in raw:
-            raise ValueError("blocks must cover all legs")
-        vars(self).update(vars(kernel(raw, upper, lower, colors)))
 
     # -- frame helpers -------------------------------------------------
 
@@ -150,14 +135,8 @@ class Partition:
     def odd_pairs(self) -> tuple[tuple[int, int], ...]:
         """Block pairs ``(A, B)``, ``A < B``, with an odd number of same-row
         leg pairs whose left leg lies in A and right leg in B."""
-        b = self.block_count
-        count = [[0] * b for _ in range(b)]
-        for row in (self.labels[: self.upper], self.labels[self.upper:]):
-            seen = [0] * b
-            for right in row:
-                for left in range(b):
-                    count[left][right] += seen[left]
-                seen[right] += 1
+        count = _pair_counts(self)
+        b = len(count)
         return tuple((a, c) for a in range(b) for c in range(a + 1, b) if count[a][c] % 2)
 
     def twisted_sign(self, v):
@@ -241,6 +220,8 @@ def parse_partition(text: str) -> Partition:
     if "|" not in body:
         raise ValueError(f"partition literal needs a '|': {text!r}")
     up, low = body.split("|", 1)
+    if (up + low).strip("abcdefghijklmnopqrstuvwxyz"):  # a character left is not a letter
+        raise ValueError(f"partition literal takes lowercase letters around one '|': {text!r}")
     colors = [LegColor.UNCOLORED if c == "?" else c for c in colortext]
     return kernel(up + low, len(up), len(low), colors)
 
@@ -333,37 +314,35 @@ def _linear_blocks(p: Partition) -> list[list[int]]:
     return spans
 
 
-def _row_inversions(labels: Sequence[int]) -> int:
-    inv = 0
-    for i in range(len(labels)):
-        for j in range(i + 1, len(labels)):
-            if labels[i] > labels[j]:
-                inv += 1
-    return inv
+def _pair_counts(p: Partition) -> list[list[int]]:
+    """The table ``x[A][B]``: the number of same-row leg pairs with A's leg
+    first and B's leg second, for every pair of blocks."""
+    b = p.block_count
+    count = [[0] * b for _ in range(b)]
+    for row in (p.labels[: p.upper], p.labels[p.upper:]):
+        seen = [0] * b
+        for right in row:
+            for left in range(b):
+                count[left][right] += seen[left]
+            seen[right] += 1
+    return count
 
 
-def standard_form(p: Partition, block_order: Sequence[int] | None = None):
+def standard_form(p: Partition):
     """Noncrossing standard form of an even partition, with switch count.
 
     A noncrossing input is returned unchanged with zero switches.  Otherwise
-    blocks are ranked by their first leg in linear order (or by an explicit
-    ``block_order`` ranking), and each row is stably sorted by block rank;
-    the switch count is the number of adjacent row transpositions this
-    sorting performs.  The result is always noncrossing and has the same
-    per-row block contents; the parity of the count does not depend on the
-    ranking used.
+    each row is stably sorted by block label, and the switch count is the
+    rows' label inversions, ``Σ x(A,B)`` over ``A > B``, from the table
+    behind ``odd_pairs``.  The result is noncrossing with the same per-row
+    block contents.
     """
     if not p.has_even_blocks():
         raise PartitionClassError("standard form needs even block sizes")
-    ranks = p.labels  # labels already rank blocks by first leg in linear order
-    if block_order is None:
-        if p.is_noncrossing():
-            return p, 0
-    else:
-        rank = {b: r for r, b in enumerate(block_order)}
-        ranks = [rank[b] for b in ranks]
-    up, low = ranks[: p.upper], ranks[p.upper:]
-    switches = _row_inversions(up) + _row_inversions(low)
+    if p.is_noncrossing():
+        return p, 0
+    switches = sum(sum(row[:a]) for a, row in enumerate(_pair_counts(p)))
+    up, low = p.labels[: p.upper], p.labels[p.upper:]
     return kernel([*sorted(up), *sorted(low)], p.upper, p.lower, p.colors), switches
 
 
@@ -375,15 +354,11 @@ def signature(p: Partition) -> int:
 
 
 def crossing_count(p: Partition) -> int:
-    """Number of crossing string pairs of a pairing, in linear order."""
+    """Number of crossing string pairs of a pairing, in linear order: its
+    number of odd pairs, as two strings cross exactly when ``x(A,B)`` is odd."""
     if not p.is_pairing():
         raise PartitionClassError("crossing count is defined for pairings")
-    spans = _linear_blocks(p)
-    count = 0
-    for (a1, a2), (b1, b2) in itertools.combinations(spans, 2):
-        if a1 < b1 < a2 < b2:
-            count += 1
-    return count
+    return len(p.odd_pairs)
 
 
 # ---------------------------------------------------------------------------

@@ -484,8 +484,10 @@ def gram_rank_products(s: SphereSpec, n: int, conjugated: bool = False) -> int:
     (N - 1) [a != b] + [a + (N - 1) b != 0], and of C(N, 2) blocks
     [[c, x], [x, c]] on (e_ij, e_ji), c = f(1,2,2,1) and x = f(1,2,1,2), of
     rank 2 if c^2 != x^2, else 1 if c or x is nonzero.  Four Weingarten
-    sums give the rank at every N (at N = 1 only a counts); they share W's
-    denominator, so only their integer numerators are compared.
+    sums give the rank wherever W exists; they share W's denominator, so
+    only their integer numerators are compared.  At N = 1 W exists (and only
+    a counts) for the plain products of s_c_plus, s_c_star2 and
+    bar_s_c_star2 alone; the rest raise ``SingularGramError``.
     """
     _check_dimension(n)
     g = s.isometry_group

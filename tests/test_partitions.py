@@ -11,9 +11,7 @@ from ncspheres.partitions import (
     _color_word,
     _linear_blocks,
     _restricted_growth_strings,
-    _row_inversions,
     LegColor,
-    Partition,
     PartitionClass,
     crossing_count,
     enumerate_partitions,
@@ -90,8 +88,10 @@ def test_structural_equality_ignores_letter_names():
 
 
 def test_bad_literals():
-    with pytest.raises(ValueError):
-        P("abc")
+    # no '|', or characters other than lowercase letters around one '|'
+    for text in ["abc", "ab|ab|", "a b|ab", "A|A", "a|1"]:
+        with pytest.raises(ValueError):
+            P(text)
     with pytest.raises(FrameError):
         P("ab|ba:oo")
 
@@ -455,22 +455,19 @@ def test_signature_is_group_homomorphism_on_perms():
 
 
 def test_switch_parity_independent_of_block_order():
-    # 1000 random even partitions, 10 random block rankings each: the row
-    # sorting reaches a (generally different) noncrossing form, and the
-    # switch parity never changes.
+    # 1000 random even partitions, 10 random block rankings each: sorting
+    # the rows by any ranking of the blocks takes a switch count of the
+    # signature's parity.
     rng = random.Random(7)
     pool = []
     for k, l in [(0, 4), (0, 6), (2, 4), (3, 3), (0, 8), (4, 4), (2, 6), (5, 5), (0, 10)]:
         pool.extend(enumerate_partitions(PartitionClass.P_EVEN, k, l))
     for _ in range(1000):
         p = rng.choice(pool)
-        _, base = standard_form(p)
         for _ in range(10):
-            order = list(range(p.block_count))
-            rng.shuffle(order)
-            q, switches = standard_form(p, block_order=order)
-            assert q.is_noncrossing()
-            assert switches % 2 == base % 2
+            ranking = list(range(p.block_count))
+            rng.shuffle(ranking)
+            assert p.twisted_sign(ranking) == signature(p)
 
 
 def frames(max_legs):
@@ -481,7 +478,7 @@ def test_signature_matches_standard_form_parity():
     # reference: the switch count of the noncrossing standard form
     pool = [p for k, l in frames(8) for p in enumerate_partitions(PartitionClass.P_EVEN, k, l)]
     ten = enumerate_partitions(PartitionClass.P_EVEN, 0, 10)
-    pool += ten + [Partition(5, 5, p.blocks) for p in ten]
+    pool += ten + [from_blocks(5, 5, p.blocks) for p in ten]
     assert len(pool) == 6556 * 2 + sum((n + 1) * c for n, c in [(0, 1), (2, 1), (4, 4),
                                                                  (6, 31), (8, 379)])
     for p in pool:
@@ -490,7 +487,9 @@ def test_signature_matches_standard_form_parity():
 
 def reference_inversion_sign(t, upper):
     """The row-inversion parity of a combined tuple, upper row then lower."""
-    return (-1) ** (_row_inversions(t[:upper]) + _row_inversions(t[upper:]))
+    inversions = sum(a > b for row in (t[:upper], t[upper:])
+                     for a, b in itertools.combinations(row, 2))
+    return (-1) ** inversions
 
 
 def test_odd_pair_sign_matches_row_inversion_parity():
@@ -595,10 +594,7 @@ def random_partition(draw):
     rgs = [0]
     for i in range(1, n):
         rgs.append(draw(st.integers(0, max(rgs) + 1)))
-    blocks = {}
-    for leg, b in enumerate(rgs):
-        blocks.setdefault(b, []).append(leg)
-    return Partition(k, l, tuple(tuple(b) for b in blocks.values()))
+    return kernel(rgs, k, l)
 
 
 @given(random_partition(), random_partition())
@@ -627,6 +623,16 @@ def test_literal_roundtrip_random(p):
 
 # ---------------------------------------------------------------------------
 # label-word storage against the block representation it replaced
+
+
+def from_blocks(upper, lower, blocks, colors=()):
+    """The partition with the given blocks of storage legs, listed in any
+    order: each leg labelled by its block's index, through ``kernel``."""
+    labels = [None] * (upper + lower)
+    for i, b in enumerate(blocks):
+        for leg in b:
+            labels[leg] = i
+    return kernel(labels, upper, lower, colors)
 
 
 class BlockPartition:
@@ -733,7 +739,7 @@ def reference_pairs(frame, words, colors=()):
         for leg, b in enumerate(word):
             blocks.setdefault(b, []).insert(0, leg)
         blocks = list(blocks.values())[::-1]
-        out.append((Partition(*frame, blocks, colors), BlockPartition(*frame, blocks, colors)))
+        out.append((from_blocks(*frame, blocks, colors), BlockPartition(*frame, blocks, colors)))
     return out
 
 
@@ -748,8 +754,8 @@ def assert_same_unary(pairs):
         assert_same(p, ref)
         assert_same(involution(p), block_involution(ref))
         if p.has_even_blocks():
-            got, switches = standard_form(p, block_order=range(p.block_count))
-            want, want_switches = block_standard_form(ref)
+            got, switches = standard_form(p)
+            want, want_switches = (ref, 0) if p.is_noncrossing() else block_standard_form(ref)
             assert_same(got, want)
             assert switches == want_switches
 
@@ -762,7 +768,7 @@ def assert_same_equality(pairs):
     assert all(len(members) == 1 for members in parts.values())
     assert len({p for p, _ in pairs}) == len(parts)
     for p, _ in pairs[::7]:
-        q = Partition(p.upper, p.lower, p.blocks[::-1], p.colors)
+        q = from_blocks(p.upper, p.lower, p.blocks[::-1], p.colors)
         assert q == p and hash(q) == hash(p)
 
 
@@ -798,10 +804,9 @@ def test_label_words_match_block_reference_on_every_frame():
         assert_same(tensor_concat(p, q), block_tensor_concat(rp, rq))
         if p.has_even_blocks():
             order = rng.sample(range(p.block_count), p.block_count)
-            got, switches = standard_form(p, block_order=order)
-            want, want_switches = block_standard_form(rp, order)
-            assert_same(got, want)
-            assert switches == want_switches
+            rank = sorted(range(p.block_count), key=order.__getitem__)  # A's place in order
+            _, want_switches = block_standard_form(rp, order)
+            assert p.twisted_sign(rank) == (-1) ** want_switches
 
 
 def test_colored_pairings_match_block_reference():
@@ -823,13 +828,13 @@ def test_colored_pairings_match_block_reference():
 
 
 def test_constructor_normalizes_color_characters():
-    p = Partition(0, 2, ((0, 1),), ("o", "*"))
+    p = kernel((0, 0), 0, 2, ("o", "*"))
     assert p.colors == (LegColor.WHITE, LegColor.BLACK)
     assert p == P("|aa:o*")
     assert is_member(p, PartitionClass.P2)
     assert p.literal() == "|aa:o*"
     with pytest.raises(ValueError):
-        Partition(0, 2, ((0, 1),), ("o", "x"))
+        kernel((0, 0), 0, 2, ("o", "x"))
 
 
 @pytest.mark.parametrize("upper,lower", [(0, -2), (-1, 3), ("o*", -2)])
