@@ -231,7 +231,7 @@ def check_sphere_relations(model: Model, sphere: SphereSpec,
         residual = float(np.abs(lhs - np.eye(model.d)).max())
         if residual > tol:
             violations.append((desc, residual))
-    if not system.complex_symbols:
+    if system.field is not Field.COMPLEX:
         for i, residual in enumerate(np.abs(z - z_star).max(axis=(1, 2))):
             if residual > tol:
                 violations.append((f"z_{i + 1} self-adjoint", float(residual)))
@@ -240,7 +240,8 @@ def check_sphere_relations(model: Model, sphere: SphereSpec,
         k = len(sigma)
         # sigma's diagram: upper row a word's indices, lower row their images
         legs, signs = _entries(perm_to_partition(sigma), model.n, system.twisted)
-        exps = np.indices((2 if system.complex_symbols else 1,) * k).reshape(k, -1)  # star patterns
+        # the star patterns, one column each
+        exps = np.indices((2 if system.field is Field.COMPLEX else 1,) * k).reshape(k, -1)
         step = max(1, INTERTWINER_CELL_BOUND // (exps.shape[1] * model.d ** 2))
         for start in range(0, len(signs), step):
             index, sign = legs[:, start:start + step, None], signs[start:start + step]

@@ -40,7 +40,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import FrameError, PartitionClassError, SizeLimitError
 
@@ -414,23 +414,14 @@ def is_member(p: Partition, cls: PartitionClass) -> bool:
                for b in _linear_blocks(p)) and (not noncrossing or p.is_noncrossing())
 
 
-def _restricted_growth_strings(n: int) -> Iterator[tuple[int, ...]]:
+def _restricted_growth_strings(n: int) -> list[tuple[int, ...]]:
     """All set partitions of range(n) as restricted growth strings (block
-    labels numbered by first occurrence), in lexicographic order."""
-    if n == 0:
-        yield ()
-        return
-    rgs = [0] * n
-
-    def rec(i: int, maxval: int):
-        if i == n:
-            yield tuple(rgs)
-            return
-        for v in range(maxval + 2):
-            rgs[i] = v
-            yield from rec(i + 1, max(maxval, v))
-
-    yield from rec(1, 0)
+    labels numbered by first occurrence), in lexicographic order: each
+    word grows by every letter up to one past its largest."""
+    words = [()]
+    for _ in range(n):
+        words = [w + (v,) for w in words for v in range(max(w, default=-1) + 2)]
+    return words
 
 
 def enumerate_partitions(cls: PartitionClass, upper=0, lower=0) -> list[Partition]:

@@ -117,10 +117,7 @@ class NCCombination:
         return NCCombination(out)
 
     def __sub__(self, other: "NCCombination") -> "NCCombination":
-        return self + other.scale(-1)
-
-    def scale(self, c: int) -> "NCCombination":
-        return NCCombination({w: c * x for w, x in self.terms.items()})
+        return self + NCCombination({w: -c for w, c in other.terms.items()})
 
     def __mul__(self, other: "NCCombination") -> "NCCombination":
         out: dict[Word, int] = {}
@@ -224,10 +221,6 @@ class RelationSystem:
     twisted: bool
     perms: tuple[tuple[int, ...], ...]
 
-    @property
-    def complex_symbols(self) -> bool:
-        return self.field is Field.COMPLEX
-
 
 def monomial_system(perms: Iterable[Sequence[int]], field: Field,
                     twisted: bool) -> RelationSystem:
@@ -305,7 +298,9 @@ def comult_sign_check(g: GroupSpec) -> bool:
     if g.level is not Level.HALF or not g.twisted:
         raise ValueError("the span sign table belongs to the twisted "
                          "half-liberated groups")
-    return check_span_table(SPAN_SIGN_TABLE)
+    triples = {1: (1, 1, 1), 2: (1, 1, 2), 3: (1, 2, 3)}  # an index triple of each span
+    return check_span_table({(r, c): group_relation_sign(g, tuple(zip(triples[r], triples[c])))
+                             for r in triples for c in triples})
 
 
 # ---------------------------------------------------------------------------
@@ -325,42 +320,21 @@ def _check_bounds(max_degree: int, max_indices: int) -> None:
             raise ValueError(f"{name} must be at least 1, got {value}")
 
 
-class _MoveTable(dict):
-    """Window shape -> moves ``(image, sign)``: the shape rewrites to
-    ``image``, and a raw window of that shape to ``image`` with each shape
-    letter replaced by the window letter in the same position.
-
-    The base permutations' moves of a shape are filled in at its first
-    lookup, so the table holds only the shapes the engine meets; filling
-    in every shape up front would take B(m)·2^m entries for a permutation
-    of m letters, 10.8 million at m = 9.
-    """
-
-    def __init__(self, perms: Iterable[tuple[int, ...]], twisted: bool):
-        super().__init__()
-        self.base = tuple(perms)
-        self.twisted = twisted
-
-    def __missing__(self, shape: Word) -> list[tuple[Word, int]]:
-        kern = shape.translate(_BLOCK)
-        moves = self[shape] = [
-            (image, relation_sign(sigma, kern, self.twisted))
-            for sigma in self.base
-            if len(sigma) == len(shape)
-            and (image := bytes([shape[t - 1] for t in sigma])) != shape
-        ]
-        return moves
-
-
 class _Engine:
     """Signed reachability over words, with quadratic contraction.
 
-    Every rewrite rule lives in one table from window shape to moves.  A
-    second table maps each raw window met so far to its images under
-    those moves, ``(image, sign)``, built when the engine first meets the
-    window, so ``_shape`` runs once per distinct window.  A third indexes
-    the raw windows met by shape, so a promoted rule appends its image to
-    each of them at once.
+    Every rewrite rule lives in one table from window shape to moves
+    ``(image, sign)``: the shape rewrites to ``image``, and a raw window
+    of that shape to ``image`` with each shape letter replaced by the
+    window letter in the same position.  ``_shape_moves`` fills in a
+    shape's base moves at its first lookup, so the table holds only the
+    shapes the engine meets; filling in every shape up front would take
+    B(m)·2^m entries for a permutation of m letters, 10.8 million at
+    m = 9.  A second table maps each raw window met so far to its images
+    under those moves, built when the engine first meets the window, so
+    ``_shape`` runs once per distinct window.  A third indexes the raw
+    windows met by shape, so a promoted rule appends its image to each of
+    them at once.
     """
 
     def __init__(self, system: RelationSystem, max_degree: int, max_indices: int):
@@ -368,7 +342,7 @@ class _Engine:
         self.max_degree = max_degree
         self.max_indices = max_indices
         self.extra_rules: list[tuple[Word, Word, int]] = []
-        self._moves = _MoveTable(system.perms, system.twisted)
+        self._moves: dict[Word, list[tuple[Word, int]]] = {}
         self._images: dict[Word, list[tuple[Word, int]]] = {}
         self._windows: defaultdict[Word, list[Word]] = defaultdict(list)
         self._lengths = {len(sigma) for sigma in system.perms}
@@ -378,6 +352,19 @@ class _Engine:
         self.trace: list[dict] = []
 
     # -- classes -------------------------------------------------------
+
+    def _shape_moves(self, shape: Word) -> list[tuple[Word, int]]:
+        """The moves of a window shape, its base moves filled in first."""
+        moves = self._moves.get(shape)
+        if moves is None:
+            kern = shape.translate(_BLOCK)
+            moves = self._moves[shape] = [
+                (image, relation_sign(sigma, kern, self.system.twisted))
+                for sigma in self.system.perms
+                if len(sigma) == len(shape)
+                and (image := bytes([shape[t - 1] for t in sigma])) != shape
+            ]
+        return moves
 
     def component(self, word: Word) -> _Component:
         """The rewriting class of ``word``.  Each frontier word is expanded
@@ -405,7 +392,7 @@ class _Engine:
                             self._windows[shape].append(window)
                             to_window = bytes.maketrans(shape, window)
                             moves = images[window] = [(image.translate(to_window), sign)
-                                                      for image, sign in self._moves[shape]]
+                                                      for image, sign in self._shape_moves(shape)]
                         if not moves:
                             continue
                         head, tail = u[:w], u[w + m:]
@@ -460,7 +447,7 @@ class _Engine:
             self.truncated = True
             return None
         fresh = max(blocks, default=-1) + 1
-        orders = (((False, True), (True, False)) if self.system.complex_symbols
+        orders = (((False, True), (True, False)) if self.system.field is Field.COMPLEX
                   else ((False, False),))
         for o1 in orders:
             pair1 = bytes((2 * fresh + o1[0], 2 * fresh + o1[1]))
@@ -496,44 +483,41 @@ class _Engine:
         return True
 
     def promote(self, lhs: Word, rhs: Word, sign: int):
-        """Install a derived relation as a rewrite rule for later rounds.
+        """Install a derived relation as the one move ``lhs -> rhs``.
 
-        A rule whose ``rhs`` already lies in the cached rewriting class of
-        ``lhs``, with the sign the class gives it (any sign in a collapsed
-        class), keeps every cached class; ``saturate`` reads each rule it
-        promotes off that class, so the class is at hand.  This is exact.
-        A move applies to a window by its shape alone, so the chain of
-        moves linking ``lhs`` to ``rhs`` also runs, with the same sign,
-        inside every longer word holding a window of the same shape; a
-        collapsed class of ``lhs`` embeds in that word's class the same
-        way and collapses it too.  The new move thus only joins words
-        already in one class, with the sign that class already gives them
-        or inside a class already collapsed, whose signs no caller reads:
-        no class changes its words, its ``collapsed`` flag or, when not
-        collapsed, its relative signs.  A rule derived through a
-        contraction has its ``rhs`` outside the class and may join
+        ``saturate`` hands each rule over once, read off the cached class of
+        ``lhs``.  A rule whose ``rhs`` lies in that class, with the sign the
+        class gives it (any sign in a collapsed class), keeps every cached
+        class, exactly: a move applies to a window by its shape alone, so
+        the chain of moves linking ``lhs`` to ``rhs`` also runs, with the
+        same sign, inside every longer word holding a window of the same
+        shape, and a collapsed class of ``lhs`` collapses that word's class
+        too.  The new move thus joins only words already in one class, with
+        the sign that class gives them or inside a collapsed class, whose
+        signs no caller reads.  Such an implied rule is installed all the
+        same: moves run one way, and a class is the same set searched from
+        each of its words only with them.  A rule derived through a
+        contraction has its ``rhs`` outside the class; its one move may join
         classes, so it drops them all.  The derivation cache is dropped
         either way, since it holds the ``None`` placeholders that cut
         recursion cycles.
         """
-        rule = (lhs, rhs, sign)
-        if rule not in self.extra_rules:
-            self.extra_rules.append(rule)
-            comp = self._components.get(lhs)
-            implied = comp is not None and rhs in comp.signs and (
-                comp.collapsed or comp.signs[rhs] * comp.signs[lhs] == sign)
-            if rhs != lhs:
-                # a window of the lhs's shape maps letter for letter onto lhs
-                shape = _shape(lhs)
-                self._moves[shape].append((rhs.translate(bytes.maketrans(lhs, shape)), sign))
-                for window in self._windows[shape]:
-                    self._images[window].append(
-                        (rhs.translate(bytes.maketrans(lhs, window)), sign))
-                self._lengths.add(len(lhs))
-            if implied:
-                self._derived_cache.clear()
-            else:
-                self.invalidate()
+        self.extra_rules.append((lhs, rhs, sign))
+        comp = self._components.get(lhs)
+        implied = comp is not None and rhs in comp.signs and (
+            comp.collapsed or comp.signs[rhs] * comp.signs[lhs] == sign)
+        if rhs != lhs:
+            # a window of the lhs's shape maps letter for letter onto lhs
+            shape = _shape(lhs)
+            self._shape_moves(shape).append((rhs.translate(bytes.maketrans(lhs, shape)), sign))
+            for window in self._windows[shape]:
+                self._images[window].append(
+                    (rhs.translate(bytes.maketrans(lhs, window)), sign))
+            self._lengths.add(len(lhs))
+        if implied:
+            self._derived_cache.clear()
+        else:
+            self.invalidate()
 
 
 # ---------------------------------------------------------------------------
@@ -543,7 +527,7 @@ class _Engine:
 def _seeds(k: int, system: RelationSystem) -> Iterable[tuple[tuple[int, ...], list[Word]]]:
     """Each kernel of k letters in restricted-growth order, with its words
     over the system's regime: one per choice of adjoints, in product order."""
-    stars = (0, 1) if system.complex_symbols else (0,)
+    stars = (0, 1) if system.field is Field.COMPLEX else (0,)
     for kern in _restricted_growth_strings(k):
         yield kern, [bytes([2 * b + s for b, s in zip(kern, exps)])
                      for exps in itertools.product(stars, repeat=k)]

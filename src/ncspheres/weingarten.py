@@ -485,11 +485,14 @@ def gram_rank_products(s: SphereSpec, n: int, conjugated: bool = False) -> int:
     [[c, x], [x, c]] on (e_ij, e_ji), c = f(1,2,2,1) and x = f(1,2,1,2), of
     rank 2 if c^2 != x^2, else 1 if c or x is nonzero.  Four Weingarten
     sums give the rank wherever W exists; they share W's denominator, so
-    only their integer numerators are compared.  At N = 1 W exists (and only
-    a counts) for the plain products of s_c_plus, s_c_star2 and
-    bar_s_c_star2 alone; the rest raise ``SingularGramError``.
+    only their integer numerators are compared.  At N = 1, where W mostly
+    does not exist, every sphere is generated by one unitary z (z = z* in
+    the real case): z z* = z* z = 1, so the one product's Gram matrix is
+    [tr(1)] = [1], of rank 1, read before W is touched.
     """
     _check_dimension(n)
+    if n == 1:
+        return 1
     g = s.isometry_group
     category = _category(g, "1*1*" if conjugated else "11**")
     ps = _pairings(category)

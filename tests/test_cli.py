@@ -72,6 +72,16 @@ def test_rank(capsys):
     assert data["rank"] == 6
 
 
+def test_rank_at_n1_is_one_on_every_sphere(capsys):
+    # one unitary z generates every sphere at N = 1, so the one product's
+    # Gram matrix is [1], whether or not W exists there
+    for s in SPHERES:
+        for conjugated in (), ("--conjugated",):
+            assert main(["rank", "--sphere", s.name, "--n", "1", *conjugated]) == 0
+            captured = capsys.readouterr()
+            assert json.loads(captured.out)["rank"] == 1 and captured.err == "", s.name
+
+
 def test_classify(capsys):
     code, data = run_json(capsys, "classify", "--perm", "321", "--regime", "real")
     assert code == 0

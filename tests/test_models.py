@@ -598,10 +598,10 @@ def _reference_relations(model, sphere, tol=TOL):
 
     record("sum z z* = 1", float(np.abs(sum(m @ m.conj().T for m in mats) - eye).max()))
     record("sum z* z = 1", float(np.abs(sum(m.conj().T @ m for m in mats) - eye).max()))
-    if not system.complex_symbols:
+    if system.field is not Field.COMPLEX:
         for i, m in enumerate(mats):
             record(f"z_{i + 1} self-adjoint", float(np.abs(m - m.conj().T).max()))
-    stars = (False, True) if system.complex_symbols else (False,)
+    stars = (False, True) if system.field is Field.COMPLEX else (False,)
     for sigma in system.perms:
         k = len(sigma)
         for idx in itertools.product(range(model.n), repeat=k):

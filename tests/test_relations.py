@@ -180,9 +180,9 @@ def test_combination_algebra():
 
 def test_sphere_relation_presets():
     tw = sphere_relations(sphere_by_name("bar_s_r"))
-    assert tw.perms == ((2, 1),) and tw.twisted and not tw.complex_symbols
+    assert tw.perms == ((2, 1),) and tw.twisted and tw.field is REAL
     free = sphere_relations(sphere_by_name("s_c_plus"))
-    assert free.perms == () and free.complex_symbols
+    assert free.perms == () and free.field is COMPLEX
     halfc = sphere_relations(sphere_by_name("bar_s_c_star2"))
     assert halfc.perms == ((3, 2, 1),) and halfc.twisted
     # the twisted complex half preset forces abc = -cba on distinct and
@@ -270,6 +270,20 @@ def test_comult_sign_check_passes():
     assert comult_sign_check(GroupSpec(COMPLEX, Level.HALF, True))
     with pytest.raises(ValueError):
         comult_sign_check(GroupSpec(REAL, Level.CLASSICAL, True))
+
+
+def test_comult_sign_check_reads_the_group_signs(monkeypatch):
+    # the formula with one span's sign flipped fails the check
+    real_sign = relations.group_relation_sign
+
+    def flipped(g, coords):
+        rows, cols = zip(*coords)
+        sign = real_sign(g, coords)
+        return -sign if (len(set(rows)), len(set(cols))) == (1, 3) else sign
+
+    monkeypatch.setattr(relations, "group_relation_sign", flipped)
+    for fld in (REAL, COMPLEX):
+        assert not comult_sign_check(GroupSpec(fld, Level.HALF, True))
 
 
 def test_span_table_perturbations_fail():
@@ -419,13 +433,11 @@ def _assert_classes_match_reference(engine):
 
 
 class _InvalidatingEngine(_Engine):
-    """Reference engine: every new promoted rule drops every cached class."""
+    """Reference engine: every promoted rule drops every cached class."""
 
     def promote(self, lhs, rhs, sign):
-        known = len(self.extra_rules)
         super().promote(lhs, rhs, sign)
-        if len(self.extra_rules) > known:
-            self.invalidate()
+        self.invalidate()
 
 
 def _assert_cached_classes_match_fresh_search(engine):
@@ -478,11 +490,21 @@ def test_rule_table_matches_linear_scan_on_relation_group_engines():
     for sphere in SPHERES:
         system = sphere_relations(sphere)
         engine = _Engine(system, k, k)
-        exps = (False, True) if system.complex_symbols else (False,)
+        exps = (False, True) if system.field is COMPLEX else (False,)
         for kern in _restricted_growth_strings(k):
             for stars in itertools.product(exps, repeat=k):
                 engine.component(bytes(2 * b + s for b, s in zip(kern, stars)))
         _assert_classes_match_reference(engine)
+
+
+def test_move_table_fills_only_the_shapes_a_search_meets():
+    # every window of abcd's class has the shape abcd; filling every shape
+    # of four letters up front would take B(4)·2^4 = 240 entries
+    engine = _Engine(monomial_system([(2, 1, 3, 4)], COMPLEX, False), DEFAULT_MAX_DEGREE,
+                     DEFAULT_MAX_INDICES)
+    assert set(engine.component(parse_word("abcd")).signs) == {parse_word("abcd"),
+                                                                parse_word("bacd")}
+    assert list(engine._moves) == [parse_word("abcd")]
 
 
 def test_rule_table_matches_linear_scan_on_hand_promoted_rules():
@@ -688,7 +710,7 @@ def _full_scan_relation_group(system, k):
     """``relation_group`` without its early return: every permutation is
     tried on every seed of every kernel."""
     engine = _Engine(system, k, k)
-    exps = (False, True) if system.complex_symbols else (False,)
+    exps = (False, True) if system.field is COMPLEX else (False,)
     alive = set(itertools.permutations(range(1, k + 1)))
     for kern in _restricted_growth_strings(k):
         for stars in itertools.product(exps, repeat=k):
