@@ -348,10 +348,14 @@ def _parse_expression(text: str, max_degree: int) -> NCCombination:
 
 
 def cmd_check(args) -> dict:
+    reads = {"relations": "sphere", "fixed_vector": "sphere partition twisted",
+             "intertwiner": "partition twisted", "coaction": "sphere", "mc_moment": "i j alpha"}
+    for name in ("sphere", "partition", "twisted", "i", "j", "alpha"):  # None or False: not given
+        if getattr(args, name) not in (None, False) and name not in reads[args.op].split():
+            raise NCSphereError(f"--op {args.op} does not read --{name}")
     sphere = sphere_by_name(args.sphere) if args.sphere else None
     out: dict = {"N": args.n}
-    model = None
-    if args.op in ("relations", "fixed_vector", "coaction"):
+    if args.op in ("relations", "fixed_vector", "coaction"):  # the only readers of model
         model = _build_model(args, sphere)
         out["model"] = args.model
         out["model_data"] = model.to_json_dict()
@@ -406,15 +410,13 @@ def _build_model(args, sphere):
         return models.antidiagonal_model(z)
     if name == "clifford":
         return models.clifford_model(args.n)
-    if name == "sqrt_positive":
-        if args.n != 3:
-            raise NCSphereError(f"the sqrt_positive model has 3 coordinates, got --n {args.n}")
-        w = np.exp(2j * np.pi / 3)
-        model, _ = models.sqrt_positive_model(
-            (1 / 3, 1 / 3, 1 / 3), (1 / 3, 1 / 3, 1 / 3),
-            (0.1, 0.1 * w, 0.1 * w ** 2))
-        return model
-    raise NCSphereError(f"unknown model {name!r}")
+    # sqrt_positive: argparse admits only the five names
+    if args.n != 3:
+        raise NCSphereError(f"the sqrt_positive model has 3 coordinates, got --n {args.n}")
+    w = np.exp(2j * np.pi / 3)
+    model, _ = models.sqrt_positive_model(
+        (1 / 3, 1 / 3, 1 / 3), (1 / 3, 1 / 3, 1 / 3), (0.1, 0.1 * w, 0.1 * w ** 2))
+    return model
 
 
 def cmd_verify(args) -> dict:

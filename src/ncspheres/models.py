@@ -36,21 +36,20 @@ DEFAULT_TOL = 1e-10
 
 # cells of the largest dense matrix `check_intertwiner` may build; it builds
 # N^(2 max(k, l)) of them, so "abcd|abcd" runs up to N = 4 and "abc|cba"
-# up to N = 6.  It also bounds the N^blocks index tuples the fixed-vector
-# check sums over, so "|aabbccddee" runs up to N = 9, and the N^k index
-# tuples of the sphere relation check: N <= 40 for the length-3 relations
-# of the half-liberated spheres, N <= 256 for the commutation relations,
-# whose words are multiplied in slices of this many cells (tuples x star
-# patterns x d^2): at d = 64, the 1728 real words at once take about 0.9 GB
+# up to N = 6.  It also bounds the N^k index tuples of the sphere relation
+# check: N <= 40 for the length-3 relations of the half-liberated spheres,
+# N <= 256 for the commutation relations, whose words are multiplied in
+# slices of this many cells (tuples x star patterns x d^2): at d = 64, the
+# 1728 real words at once take about 0.9 GB
 INTERTWINER_CELL_BOUND = 4 ** 8
 
 # cells of `check_intertwiner` over a whole stack, count x N^(2 max(k, l)):
 # with "abcd|abcd" at N = 4, 384 signed permutations or 1024 Haar samples
 INTERTWINER_WORK_BOUND = 2 ** 26
 
-# multiply-adds of the fixed-vector sum: one d-by-d product, d^3 of them,
-# per leg per tuple.  "|aabbccddee" on a point at N = 9 takes 590490; the
-# Clifford model of 12 coordinates (d = 64) admits no nonempty partition
+# multiply-adds of the fixed-vector sum: one d-by-d product, d^3 of them, per
+# leg per tuple, so its leg indices take at most 8 MB and its products 16 MB.
+# A point admits "|aabbccddee" up to N = 10; at d = 64 no nonempty partition fits
 FIXED_VECTOR_WORK_BOUND = 2 ** 20
 
 # entries of the (samples, N, N) stack `haar_batch` draws at once, 32 MB of
@@ -195,11 +194,14 @@ def sqrt_positive_model(r: Sequence[float], s: Sequence[float],
 def enumerate_signed_permutations(n: int) -> np.ndarray:
     """All signed permutation matrices, the hyperoctahedral group of order
     2^n n!, as one (2^n n!, n, n) stack: row i of an element holds its sign
-    in column perm(i); permutations vary slowest, signs fastest."""
+    in column perm(i); permutations vary slowest, signs fastest.  Refuses
+    more than ``HAAR_ENTRY_BOUND`` entries, so n runs up to 6."""
     _check_dimension(n)
-    if n > 4:
-        raise SizeLimitError("signed permutation enumeration supports n <= 4")
-    out = np.zeros((2 ** n * math.factorial(n), n, n), dtype=complex)
+    count = 2 ** n * math.factorial(n)
+    if count * n * n > HAAR_ENTRY_BOUND:
+        raise SizeLimitError(f"the {count} signed permutations at N={n} hold {count * n * n} "
+                             f"entries, over the Haar bound {HAAR_ENTRY_BOUND}")
+    out = np.zeros((count, n, n), dtype=complex)
     rows = range(n)
     for g, (perm, signs) in enumerate(itertools.product(
             itertools.permutations(rows), itertools.product((1, -1), repeat=n))):
@@ -267,16 +269,12 @@ def check_fixed_vector_identity(p: Partition, model: Model,
     """Residual of the fixed-vector sum: the signed sum of coordinate
     products over all tuples compatible with the partition must equal one
     whenever the partition belongs to the sphere's category.  Refuses more
-    than ``INTERTWINER_CELL_BOUND`` tuples, or more than
-    ``FIXED_VECTOR_WORK_BOUND`` multiply-adds (tuples x legs x d^3)."""
+    than ``FIXED_VECTOR_WORK_BOUND`` multiply-adds (tuples x legs x d^3),
+    which also bounds the memory the tuples take."""
     if p.upper != 0:
         raise FrameError("the identity runs over lower-row-only partitions")
     n, d = model.n, model.d
-    tuples = n ** p.block_count
-    if tuples > INTERTWINER_CELL_BOUND:
-        raise SizeLimitError(f"the fixed-vector sum of {p.literal()} at N={n} runs over "
-                             f"{tuples} tuples, over the bound {INTERTWINER_CELL_BOUND}")
-    work = tuples * p.lower * d ** 3
+    work = n ** p.block_count * p.lower * d ** 3
     if work > FIXED_VECTOR_WORK_BOUND:
         raise SizeLimitError(f"the fixed-vector sum of {p.literal()} at N={n}, d={d} needs "
                              f"{work} multiply-adds, over the bound {FIXED_VECTOR_WORK_BOUND}")

@@ -423,9 +423,9 @@ class _Engine:
     def relative_sign(self, lhs: Word, rhs: Word, budget: int) -> int | None:
         """Sign s with lhs = s.rhs derivable, or None: cached, else read off
         the class of ``lhs``, else found by contraction while ``budget``
-        lasts.  A collapsed class (both words provably zero) reports +1."""
-        if sorted(lhs) != sorted(rhs):
-            return None
+        lasts.  A collapsed class (both words provably zero) reports +1.
+        ``rhs`` rearranges ``lhs``: callers pass a family instance or one
+        merge of two words of a class, and every move permutes letters."""
         key = (lhs, rhs)
         if key in self._derived_cache:
             return self._derived_cache[key]

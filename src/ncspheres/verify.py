@@ -89,12 +89,9 @@ def check_scalar_products(quick: bool = False):
 
 
 def _even_pool(max_row: int):
-    pool = {}
-    for k in range(max_row + 1):
-        for l in range(max_row + 1):
-            if (k + l) % 2 == 0:
-                pool[(k, l)] = enumerate_partitions(PartitionClass.P_EVEN, k, l)
-    return pool
+    """P_even on every frame up to ``max_row`` legs a row; an odd frame has no member."""
+    return {(k, l): enumerate_partitions(PartitionClass.P_EVEN, k, l)
+            for k in range(max_row + 1) for l in range(max_row + 1)}
 
 
 def check_functoriality(quick: bool = False):
@@ -343,9 +340,8 @@ def check_ergodicity(quick: bool = False):
         for k in (2, 4, 6):
             alphas = _ALPHAS[k] if g.field is Field.COMPLEX else (None,)
             for alpha in alphas:
+                # never empty: the adjacent or the nested pairing lies in it
                 ps = category_pairings(g, alpha=alpha, k=k)
-                if not ps:
-                    continue
                 for n in ns:
                     try:
                         w = weingarten_matrix(g, n, alpha=alpha, k=k)

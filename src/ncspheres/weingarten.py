@@ -122,7 +122,8 @@ def sphere_by_name(name: str) -> SphereSpec:
 def _eliminate(rows: list[list[int]], ncols: int) -> int:
     """Forward elimination on primitive integer rows, in place; the rank.
 
-    Pivots are sought in the first ``ncols`` columns; further columns (an
+    Pivots are sought in the first ``ncols`` columns, all of them: once
+    every row holds one, the rest scan an empty range.  Further columns (an
     augmented block) are carried along.  A row below the pivot row with
     ``f = row[col] != 0`` becomes ``(piv * row - f * pivot_row) / gcd(piv, f)``,
     divided by the gcd of its entries; a row with ``f == 0`` stays.  Each
@@ -145,8 +146,6 @@ def _eliminate(rows: list[list[int]], ncols: int) -> int:
                 g = math.gcd(*new)
                 row[col + 1:] = [x // g for x in new] if g > 1 else new
         rank += 1
-        if rank == nrows:
-            break
     return rank
 
 
@@ -193,10 +192,11 @@ class ExactMatrix:
         M[a, b]``, gives the inverse the same symmetry, so one column per
         orbit is solved; other columns are known ones permuted.  Back
         substitution keeps a column's solved part as integers ``x`` over one
-        ``d``, divided by their gcd at each step, so ``d`` never exceeds the
-        column's own denominator.  The inverse of ``num / den`` is ``den * x
-        / d``, the columns taken over the lcm of their ``d`` and the whole
-        divided by its gcd."""
+        ``d``, coprime throughout: from ``x = 0``, ``d = 1``, a step scales
+        them by ``pivot / g`` and appends ``s / g``, ``g = gcd(s, pivot)``,
+        so ``d`` never exceeds the column's own denominator.  The inverse of
+        ``num / den`` is ``den * x / d``, the columns taken over the lcm of
+        their ``d`` and the whole divided by its gcd."""
         n = self.nrows
         if n != self.ncols:
             raise ValueError("inverse needs a square matrix")
@@ -223,9 +223,6 @@ class ExactMatrix:
                     x[i + 1:] = [v * scale for v in x[i + 1:]]
                     d *= scale
                 x[i] = s // g
-                if (g := math.gcd(d, *x[i:])) > 1:
-                    x[i:] = [v // g for v in x[i:]]
-                    d //= g
             cols[r], dens[r] = x, d
         lcm = math.lcm(*dens.values())
         for c, step in steps.items():  # W[g[a], c] = W[a, b]; solved columns go over lcm
@@ -495,9 +492,7 @@ def gram_rank_products(s: SphereSpec, n: int, conjugated: bool = False) -> int:
         return 1
     g = s.isometry_group
     category = _category(g, "1*1*" if conjugated else "11**")
-    ps = _pairings(category)
-    if not ps:
-        return 0
+    ps = _pairings(category)  # never empty: |abba, {1,4}{2,3}, lies in every one
     wg = _weingarten(category, n)
     di = [delta(p, (1, 1, 1, 1), twisted=g.twisted) for p in ps]
     a, b, c, x = (_weingarten_sum(wg, di, [delta(p, t, twisted=g.twisted) for p in ps])

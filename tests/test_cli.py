@@ -594,9 +594,9 @@ def test_haar_samples_past_the_bound_are_refused_before_any_draw(capsys, monkeyp
     # a Clifford model of 14 coordinates has dimension 2^7, past 2^6
     (["check", "--op", "relations", "--sphere", "bar_s_r", "--model", "clifford",
       "--n", "14"], "dimension"),
-    # 10^5 index tuples, past 4^8
+    # 11^5 tuples x 10 legs on a point, past 2^20 multiply-adds
     (["check", "--op", "fixed_vector", "--sphere", "s_r", "--model", "classical_point",
-      "--partition", "|aabbccddee", "--n", "10"], "tuples"),
+      "--partition", "|aabbccddee", "--n", "11"], "1610510 multiply-adds"),
     # 12^4 tuples x 8 legs x 64^3 at d = 64: refused at once, where the
     # products alone would run for seconds
     (["check", "--op", "fixed_vector", "--sphere", "bar_s_r", "--model", "clifford",
@@ -610,6 +610,29 @@ def test_dense_model_checks_refuse_sizes_past_their_bounds(capsys, argv, message
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and message in captured.err
+
+
+_CHECK_BASE = {"relations": ["--sphere", "s_r"], "fixed_vector": ["--partition", "|aabb"],
+               "intertwiner": ["--partition", "ab|ba"], "coaction": ["--sphere", "s_r"],
+               "mc_moment": ["--mc-group", "k_n", "--i", "1,1", "--j", "1,1"]}
+_CHECK_OPTIONS = {"sphere": ["--sphere", "s_r"], "partition": ["--partition", "|aabb"],
+                  "twisted": ["--twisted"], "i": ["--i", "1,1"], "j": ["--j", "1,1"],
+                  "alpha": ["--alpha", "1*"]}
+_CHECK_READS = {"relations": {"sphere"}, "fixed_vector": {"sphere", "partition", "twisted"},
+                "intertwiner": {"partition", "twisted"}, "coaction": {"sphere"},
+                "mc_moment": {"i", "j", "alpha"}}
+
+
+@pytest.mark.parametrize("op,name", [(op, name) for op in _CHECK_BASE
+                                     for name in _CHECK_OPTIONS if name not in _CHECK_READS[op]])
+def test_check_refuses_an_option_its_op_does_not_read(capsys, op, name):
+    # the op alone answers; the option it would drop makes it exit 1
+    assert main(["check", "--op", op, *_CHECK_BASE[op]]) == 0
+    capsys.readouterr()
+    assert main(["check", "--op", op, *_CHECK_BASE[op], *_CHECK_OPTIONS[name]]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --op {op} does not read --{name}\n"
 
 
 def test_sqrt_positive_model_needs_three_coordinates(capsys):
@@ -688,8 +711,8 @@ def test_k_n_moment_takes_no_factorial(monkeypatch, capsys):
 
 @pytest.mark.parametrize("n,estimate", [("5", 1 / 5), ("6", 1 / 6), ("1000000", 1e-6)])
 def test_hyperoctahedral_moment_past_the_enumeration(capsys, n, estimate):
-    # the signed permutations are enumerated only up to N = 4, the closed form
-    # answers at any N
+    # the closed form answers at any N, also past N = 6, where the signed
+    # permutations are no longer enumerated
     code, data = run_json(capsys, "check", "--op", "mc_moment", "--mc-group",
                           "hyperoctahedral", "--n", n, "--i", "1,1", "--j", "1,1")
     assert code == 0 and data["estimate"] == estimate and data["se"] == 0.0

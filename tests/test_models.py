@@ -154,8 +154,10 @@ def test_enumerate_signed_permutations():
     assert enumerate_signed_permutations(3).shape == (48, 3, 3)
     for m in enumerate_signed_permutations(2):
         assert np.abs(m @ m.conj().T - np.eye(2)).max() < 1e-12
-    with pytest.raises(SizeLimitError):
-        enumerate_signed_permutations(5)
+    # 2^n n! n^2 entries: n = 6 holds 1658880, within 2^22; n = 7 holds 31610880
+    assert 2 ** 6 * 720 * 36 <= models.HAAR_ENTRY_BOUND < 2 ** 7 * 5040 * 49
+    with pytest.raises(SizeLimitError, match="Haar bound"):
+        enumerate_signed_permutations(7)
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +320,7 @@ def test_h_n_closed_form_matches_the_enumeration():
 
 def test_h_n_closed_form_past_the_enumeration_bound():
     # N = 5: the average over all 2^5 * 5! = 3840 signed permutations,
-    # enumerated here, where `enumerate_signed_permutations` stops at N = 4
+    # enumerated here by a loop of the test's own
     words = [[(1, 2, False), (3, 3, True), (1, 2, True), (3, 3, False)],
              [(2, 5, False)] * 4, [(1, 1, False), (2, 1, False)] * 2, [(4, 4, False)] * 3]
     for entries in words:
@@ -431,11 +433,13 @@ def test_fixed_vector_identity_colored_points():
 
 
 def test_fixed_vector_identity_refuses_tuples_past_the_bound():
-    # the sum runs over N^blocks tuples: 9^5 is within 4^8, 10^5 is past it
+    # N^blocks tuples x 10 legs on a point: 10^5 tuples are within 2^20
+    # multiply-adds, 11^5 are past them
     p = P("|aabbccddee")
-    assert 9 ** 5 <= INTERTWINER_CELL_BOUND < 10 ** 5
-    with pytest.raises(SizeLimitError, match="tuples"):
-        check_fixed_vector_identity(p, sample_classical_point(Field.REAL, 10, 0))
+    assert 10 ** 5 * 10 <= FIXED_VECTOR_WORK_BOUND < 11 ** 5 * 10
+    assert check_fixed_vector_identity(p, sample_classical_point(Field.REAL, 10, 0)) < TOL
+    with pytest.raises(SizeLimitError, match="multiply-adds"):
+        check_fixed_vector_identity(p, sample_classical_point(Field.REAL, 11, 0))
 
 
 def test_fixed_vector_identity_refuses_work_past_the_bound():
@@ -787,7 +791,8 @@ def test_intertwiner_slices_match_per_matrix_verdicts():
 
 
 def test_signed_permutation_stack_keeps_the_enumeration_order():
-    for n in (1, 2, 3, 4):
+    # each element once: 2^n n! distinct matrices, 3840 at n = 5
+    for n in (1, 2, 3, 4, 5):
         want = []
         for perm in itertools.permutations(range(1, n + 1)):
             for signs in itertools.product((1 + 0j, -1 + 0j), repeat=n):
@@ -797,6 +802,7 @@ def test_signed_permutation_stack_keeps_the_enumeration_order():
                 want.append(m)
         got = enumerate_signed_permutations(n)
         assert got.dtype == complex and np.array_equal(got, np.stack(want))
+        assert len({m.tobytes() for m in got}) == len(want)
 
 
 def test_stacked_checks_refuse_the_wrong_shapes():

@@ -606,6 +606,25 @@ SPHERE_OF = {
 }
 
 
+def test_relative_sign_is_asked_only_about_rearrangements(monkeypatch):
+    # relative_sign has no multiset guard: every caller passes a word and a
+    # rearrangement of it, over every S_3 and S_4 singleton in each regime
+    calls = []
+    original = _Engine.relative_sign
+
+    def recording(self, lhs, rhs, budget):
+        calls.append((lhs, rhs))
+        return original(self, lhs, rhs, budget)
+
+    monkeypatch.setattr(_Engine, "relative_sign", recording)
+    for regime in REGIMES:
+        for k in (3, 4):
+            for perm in itertools.permutations(range(1, k + 1)):
+                classify_monomial_sphere([perm], regime)
+    assert len(calls) > 10000
+    assert all(sorted(lhs) == sorted(rhs) for lhs, rhs in calls)
+
+
 @pytest.mark.parametrize("regime", ["real", "real_twisted", "complex", "complex_twisted"])
 def test_classify_depth3(regime):
     for perm, level in S3_EXPECT.items():

@@ -569,12 +569,11 @@ def test_gram_rank_products_match_the_fraction_path(s):
     g = s.isometry_group
     for conjugated in (False, True):
         ps = category_pairings(g, "1*1*" if conjugated else "11**")
+        # never empty, as gram_rank_products assumes: |abba lies in every one
+        assert "|abba" in [p.literal().split(":")[0] for p in ps]
         # one unitary z generates every sphere at N = 1: the Gram matrix is [1]
         assert gram_rank_products(s, 1, conjugated) == 1
         for n in range(2, 9):
-            if not ps:
-                assert gram_rank_products(s, n, conjugated) == 0
-                continue
             try:
                 w = reference_inverse(reference_gram(ps, n))
             except ZeroDivisionError:
