@@ -607,8 +607,9 @@ SPHERE_OF = {
 
 
 def test_relative_sign_is_asked_only_about_rearrangements(monkeypatch):
-    # relative_sign has no multiset guard: every caller passes a word and a
-    # rearrangement of it, over every S_3 and S_4 singleton in each regime
+    # relative_sign assumes, and does not check, that its two words are
+    # rearrangements: over every S_3 and S_4 singleton in each regime, every
+    # caller's are
     calls = []
     original = _Engine.relative_sign
 
