@@ -3,10 +3,13 @@
 through the monomial-sphere classifier, in all four regimes, and tabulate
 the resulting spheres.
 
-The output shows that no singleton produces anything beyond the ten
-spheres: the identity gives the free sphere, half-commuting permutations
-the half-liberated one, and everything else collapses to the (twisted)
-classical sphere.
+Through S_4 every singleton is settled, and none produces anything beyond
+the ten spheres: the identity gives the free sphere, half-commuting
+permutations the half-liberated one, and everything else collapses to the
+(twisted) classical sphere.  ``--depth 5`` leaves seven S_5 singletons
+(13425, 14235, 14325, 14523, 34125, 35142, 42513) ``undetermined`` in each
+regime: saturation at degree 7 and the default index bound does not
+settle them.
 """
 
 import argparse

@@ -21,7 +21,6 @@ from .partitions import (
     PartitionClass,
     crossing_count,
     enumerate_partitions,
-    halfcommuting_membership,
     parse_partition,
     signature,
     standard_form,
@@ -81,7 +80,8 @@ def _parse_tuple(text: str) -> tuple[int, ...]:
 
 
 def _parse_legs(text: str):
-    return int(text) if text.isdigit() else text
+    """A leg count, signed so that a negative one is refused as such, or a colour word."""
+    return int(text) if text.removeprefix("-").isdigit() else text
 
 
 def _dimension(text: str) -> int:
@@ -174,7 +174,7 @@ def cmd_classify(args) -> dict:
     got = classify_monomial_sphere(perms, args.regime, *_bounds(args))
     out = {"perms": ["".join(str(x) for x in p) for p in perms],
            "regime": args.regime, "sphere": got,
-           "halfcommuting": [halfcommuting_membership(p) for p in perms]}
+           "halfcommuting": [Level.HALF.admits(p) for p in perms]}
     if got != "undetermined":
         spec = sphere_by_name(got)
         out["field"] = spec.field.value

@@ -44,7 +44,6 @@ from .partitions import (
     _check_permutation,
     _perm_diagram,
     _restricted_growth_strings,
-    halfcommuting_membership,
 )
 from .weingarten import Field, GroupSpec, Level, SphereSpec
 
@@ -233,12 +232,7 @@ def monomial_system(perms: Iterable[Sequence[int]], field: Field,
 
 
 def sphere_relations(s: SphereSpec) -> RelationSystem:
-    perms = {
-        Level.CLASSICAL: ((2, 1),),
-        Level.HALF: ((3, 2, 1),),
-        Level.FREE: (),
-    }[s.level]
-    return RelationSystem(s.field, s.twisted, perms)
+    return RelationSystem(s.field, s.twisted, s.level.perms)
 
 
 # ---------------------------------------------------------------------------
@@ -254,25 +248,19 @@ SPAN_SIGN_TABLE: dict[tuple[int, int], int] = {
 }
 
 
-# the coordinate-word lengths at which each level relates a word to its
-# reversal: ab = ±ba and abc = ±cba at the classical level, abc = ±cba only
-# at the half-liberated one
-_REVERSAL_LENGTHS = {Level.CLASSICAL: (2, 3), Level.HALF: (3,), Level.FREE: ()}
-
-
 def group_relation_sign(g: GroupSpec, coords: Sequence[tuple[int, int]]) -> int | None:
     """Sign in ``u_a u_b = sign u_b u_a`` (two coordinates) or
     ``u_a u_b u_c = sign u_c u_b u_a`` (three) among the coordinates
-    ``u_ij`` of the group, each given as its pair ``(i, j)``; None where
-    the level imposes no relation of that length.
+    ``u_ij`` of the group, each given as its pair ``(i, j)``; None for any
+    other length, and where the group's level does not admit the reversal.
 
     The sign is the twisted sign of the reversal taken once at the row
     indices and once at the column indices; for the twisted half-liberated
     groups it reproduces ``SPAN_SIGN_TABLE``.
     """
-    if len(coords) not in _REVERSAL_LENGTHS[g.level]:
-        return None
     sigma = tuple(range(len(coords), 0, -1))
+    if len(coords) not in (2, 3) or not g.level.admits(sigma):
+        return None
     rows, cols = zip(*coords)
     return relation_sign(sigma, rows, g.twisted) * relation_sign(sigma, cols, g.twisted)
 
@@ -643,11 +631,11 @@ def classify_monomial_sphere(perms: Iterable[Sequence[int]], regime: str,
                              max_indices: int = DEFAULT_MAX_INDICES) -> str:
     """Identify the monomial sphere cut out by a set of permutations.
 
-    Saturates the induced relation family and matches the derivable
-    degree-at-most-3 relations against the canonical levels of the regime:
-    the basic crossing family gives the (twisted) classical sphere, the
-    degree-3 reversal family the (twisted) half-liberated one, and an
-    empty family the free sphere.  Returns the sphere name, or
+    Saturates the induced relation family and matches it against the
+    levels of the regime: the identity alone gives the free sphere, and
+    the classical, then the half-liberated, level gives its (twisted)
+    sphere when every family of its defining permutations is derived and
+    the level admits every permutation given.  Returns the sphere name, or
     ``"undetermined"`` when the bounds do not settle the question.
     """
     _check_bounds(max_degree, max_indices)
@@ -666,10 +654,9 @@ def classify_monomial_sphere(perms: Iterable[Sequence[int]], regime: str,
 
     system = monomial_system(nontrivial, fld, twisted)
     result = saturate(system, max_degree, max_indices)
-    if result.has_family((2, 1)):
-        return SphereSpec(fld, Level.CLASSICAL, twisted).name
-    if result.has_family((3, 2, 1)) and all(halfcommuting_membership(p) for p in nontrivial):
-        return SphereSpec(fld, Level.HALF, twisted).name
+    for level in (Level.CLASSICAL, Level.HALF):
+        if all(map(result.has_family, level.perms)) and all(map(level.admits, nontrivial)):
+            return SphereSpec(fld, level, twisted).name
     return "undetermined"
 
 
@@ -677,9 +664,8 @@ def relation_group(system: RelationSystem, k: int) -> set[tuple[int, ...]]:
     """Permutations of k letters whose forced-sign relation family is
     derivable from the system by same-degree rewriting.
 
-    For the sphere presets this recovers the full symmetric group at the
-    classical level, the half-commuting subgroup at the half level and
-    the trivial group at the free level.
+    For a sphere preset this recovers the permutations its level admits:
+    all of them, the half-commuting ones, or the identity alone.
     """
     if k < 0:
         raise ValueError(f"relation_group needs k >= 0, got {k}")

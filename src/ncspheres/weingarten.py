@@ -25,6 +25,7 @@ memo's tuple and ``weingarten_matrix`` the memo's W.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import math
 from collections import OrderedDict
@@ -34,12 +35,15 @@ from typing import ClassVar, Sequence
 
 from .errors import SingularGramError, SizeLimitError
 from .partitions import (
+    SIGMA_DIAGRAM_CACHE,
     LegColor,
     Partition,
     PartitionClass,
     _color_word,
     _roots,
     enumerate_partitions,
+    is_member,
+    perm_to_partition,
 )
 from .tensors import _check_dimension, delta
 
@@ -50,9 +54,29 @@ class Field(enum.Enum):
 
 
 class Level(enum.Enum):
-    CLASSICAL = "classical"
-    HALF = "half"
-    FREE = "free"
+    """The one table of the liberation levels: each one's name, pairing
+    category, defining permutations and real and complex name suffixes."""
+
+    CLASSICAL = "classical", PartitionClass.P2, ((2, 1),), "", ""
+    HALF = "half", PartitionClass.P2_STAR, ((3, 2, 1),), "_star", "_star2"
+    FREE = "free", PartitionClass.NC2, (), "_plus", "_plus"
+
+    def __new__(cls, value: str, pairing_class: PartitionClass, perms: tuple, *suffixes: str):
+        level = object.__new__(cls)
+        level._value_ = value
+        level.pairing_class = pairing_class
+        level.perms = perms
+        level.suffixes = dict(zip(Field, suffixes))  # real, then complex
+        return level
+
+    # bounded as the diagrams are, since `classify --perm` takes them from
+    # outside; the members it holds live as long as the process anyway
+    @functools.lru_cache(maxsize=SIGMA_DIAGRAM_CACHE)
+    def admits(self, sigma: tuple[int, ...]) -> bool:
+        """True iff the diagram of the permutation ``sigma`` lies in the level's
+        category, so its relation family holds here: P2 holds every permutation
+        diagram, P2* the half-commuting ones and NC2 the identity alone."""
+        return is_member(perm_to_partition(sigma), self.pairing_class)
 
 
 @dataclass(frozen=True)
@@ -72,12 +96,8 @@ class _Spec:
 
     @property
     def name(self) -> str:
-        suffix = {
-            Level.CLASSICAL: "",
-            Level.HALF: "_star" if self.field is Field.REAL else "_star2",
-            Level.FREE: "_plus",
-        }[self.level]
-        return ("bar_" if self.twisted else "") + self._stems[self.field] + suffix
+        stem = ("bar_" if self.twisted else "") + self._stems[self.field]
+        return stem + self.level.suffixes[self.field]
 
 
 class GroupSpec(_Spec):
@@ -283,13 +303,6 @@ def _memoised(key, build, cells=len):
 # ---------------------------------------------------------------------------
 # pairing categories
 
-_CLASSES = {
-    Level.CLASSICAL: PartitionClass.P2,
-    Level.HALF: PartitionClass.P2_STAR,
-    Level.FREE: PartitionClass.NC2,
-}
-
-
 def _category(g: GroupSpec, alpha=None, k: int | None = None) -> tuple:
     """Memo key of a pairing category: field, level, and the colour word
     (complex groups) or the leg count ``k`` (real groups).  The twist does
@@ -309,7 +322,7 @@ def _category(g: GroupSpec, alpha=None, k: int | None = None) -> tuple:
 def _pairings(category: tuple) -> tuple[Partition, ...]:
     _, level, lower = category
     return _memoised(category,
-                     lambda: tuple(enumerate_partitions(_CLASSES[level], 0, lower)))
+                     lambda: tuple(enumerate_partitions(level.pairing_class, 0, lower)))
 
 
 def category_pairings(g: GroupSpec, alpha=None, k: int | None = None

@@ -304,6 +304,8 @@ def test_element_outside_the_list_is_an_error(capsys, element):
      "at least 2 samples"),
     (["check", "--op", "mc_moment", "--mc-group", "unitary", "--n", "2", "--i", "1",
       "--j", "1", "--samples", "0"], "at least 2 samples"),
+    (["partitions", "--class", "nc2", "--upper", "-1", "--lower", "2"], "negative leg count -1"),
+    (["partitions", "--class", "nc2", "--upper", "2", "--lower", "-3"], "negative leg count -3"),
 ])
 def test_meaningless_sizes_are_errors(capsys, argv, message):
     assert main(argv) == 1

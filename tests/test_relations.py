@@ -207,6 +207,11 @@ def test_group_relation_presets():
     assert group_relation_sign(bar_star, ((1, 1), (2, 2), (3, 3))) == 1   # span (3,3)
     assert group_relation_sign(bar_star, ((1, 1), (2, 1), (3, 1))) == -1  # span (3,1)
     assert group_relation_sign(bar_star, ((1, 1), (1, 2), (2, 3))) == -1  # span (2,3)
+    # every level admits the one-letter reversal, and P2 the four-letter one,
+    # so there only the length guard gives None
+    for g in GROUPS:
+        for n in (0, 1, 4):
+            assert group_relation_sign(g, tuple((i, i) for i in range(1, n + 1))) is None, g.name
 
 
 def reference_pair_sign(g, a, b):
@@ -718,12 +723,15 @@ def test_relation_group_up_to_two_letters():
 
 
 def test_relation_group_matches_halfcommuting_predicate():
-    half = sphere_relations(sphere_by_name("bar_s_r_star"))
-    for k in (3, 4):
-        got = relation_group(half, k)
-        expect = {s for s in itertools.permutations(range(1, k + 1))
-                  if halfcommuting_membership(s)}
-        assert got == expect
+    # each preset's relation group is what its level admits, and at the half
+    # level that is the half-commuting predicate
+    for s in SPHERES:
+        for k in (2, 3, 4):
+            perms = list(itertools.permutations(range(1, k + 1)))
+            got = relation_group(sphere_relations(s), k)
+            assert got == {p for p in perms if s.level.admits(p)}, (s.name, k)
+            if s.level is Level.HALF:
+                assert got == {p for p in perms if halfcommuting_membership(p)}, (s.name, k)
 
 
 def _full_scan_relation_group(system, k):

@@ -46,7 +46,13 @@ def test_free_twist_normalization():
 
 
 def test_ten_objects_and_names():
-    assert len(GROUPS) == 10 and len(SPHERES) == 10
+    # every name is read off the Level table's suffixes
+    assert [g.name for g in GROUPS] == [
+        "bar_o_n", "bar_o_n_star", "bar_u_n", "bar_u_n_star2", "o_n", "o_n_plus",
+        "o_n_star", "u_n", "u_n_plus", "u_n_star2"]
+    assert [s.name for s in SPHERES] == [
+        "bar_s_c", "bar_s_c_star2", "bar_s_r", "bar_s_r_star", "s_c", "s_c_plus",
+        "s_c_star2", "s_r", "s_r_plus", "s_r_star"]
     assert group_by_name("bar_u_n_star2") == GroupSpec(Field.COMPLEX, Level.HALF, True)
     assert sphere_by_name("s_r_star").level is Level.HALF
     with pytest.raises(ValueError):
